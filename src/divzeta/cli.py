@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .graph import DualGraph, GraphError, load_graph, total_genus
 from .measures import (
+    PRIME_POWER_LIMIT,
     MeasureError,
     MotivicMeasure,
     SymbolicIdentity,
@@ -98,6 +99,11 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         parser.error("--measure point-count requires --q")
     if args.measure != "point-count" and args.q is not None:
         parser.error("--q only applies to --measure point-count")
+    if args.q is not None and args.q >= PRIME_POWER_LIMIT:
+        parser.error(
+            f"--q {args.q} is too large: the prime-power test is exact only"
+            f" below {PRIME_POWER_LIMIT}"
+        )
     numerators = None
     if args.numerators is not None:
         if args.measure != "point-count":
@@ -107,7 +113,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         except json.JSONDecodeError as exc:
             parser.error(f"--numerators is not valid JSON: {exc}")
         if not isinstance(numerators, dict) or not all(
-            isinstance(v, list) and all(isinstance(c, int) for c in v)
+            isinstance(v, list)
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
             for v in numerators.values()
         ):
             parser.error("--numerators must map model ids to integer lists")

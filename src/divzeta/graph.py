@@ -198,24 +198,41 @@ def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> 
     known = set(ids)
 
     edges = []
-    for item in data.get("edges", []):
+    for item in _list_field(data, "edges"):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise GraphError(f"edge must be a pair of vertex ids: {item!r}")
         u, w = item
         for end in (u, w):
-            if end not in known:
-                raise GraphError(f"edge references unknown vertex id {end!r}")
+            _check_endpoint(end, known, "edge")
         edges.append((u, w) if u <= w else (w, u))
 
     legs = []
-    for vid in data.get("legs", []):
-        if vid not in known:
-            raise GraphError(f"leg references unknown vertex id {vid!r}")
+    for vid in _list_field(data, "legs"):
+        _check_endpoint(vid, known, "leg")
         legs.append(vid)
 
     graph = DualGraph(vertices, tuple(edges), tuple(legs))
     _validate(graph, allow_unstable=allow_unstable)
     return graph
+
+
+def _is_int(value: Any) -> bool:
+    """JSON integer test; ``bool`` is an ``int`` subclass but not an integer here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_field(data: dict, key: str) -> list:
+    items = data.get(key, [])
+    if not isinstance(items, (list, tuple)):
+        raise GraphError(f"'{key}' must be a list")
+    return items
+
+
+def _check_endpoint(end: Any, known: set[str], kind: str) -> None:
+    if not isinstance(end, str):
+        raise GraphError(f"{kind} endpoint must be a vertex id string: {end!r}")
+    if end not in known:
+        raise GraphError(f"{kind} references unknown vertex id {end!r}")
 
 
 def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:
@@ -233,10 +250,10 @@ def _parse_vertex(item: Any) -> Vertex:
     if not isinstance(vid, str) or not MODEL_ID_RE.fullmatch(vid):
         raise GraphError(f"invalid vertex id: {vid!r}")
     genus = item.get("genus")
-    if not isinstance(genus, int) or genus < 0:
+    if not _is_int(genus) or genus < 0:
         raise GraphError(f"vertex {vid!r}: genus must be a nonnegative integer")
     punctures = item.get("punctures", 0)
-    if not isinstance(punctures, int) or punctures < 0:
+    if not _is_int(punctures) or punctures < 0:
         raise GraphError(f"vertex {vid!r}: punctures must be a nonnegative integer")
     model = _parse_model(item.get("model", {"type": "symbolic"}), vid, genus)
     return Vertex(vid, genus, model, punctures)
@@ -267,14 +284,12 @@ def _parse_model(item: Any, vid: str, genus: int) -> CurveModel:
             model = CurveModel.projective_line(name)
         elif kind == "elliptic":
             trace = item.get("trace")
-            if not isinstance(trace, int):
+            if not _is_int(trace):
                 raise GraphError(f"vertex {vid!r}: elliptic model needs integer 'trace'")
             model = CurveModel.elliptic(name, trace)
         else:
             numerator = item.get("numerator")
-            if not isinstance(numerator, list) or not all(
-                isinstance(c, int) for c in numerator
-            ):
+            if not isinstance(numerator, list) or not all(map(_is_int, numerator)):
                 raise GraphError(
                     f"vertex {vid!r}: weil model needs an integer list 'numerator'"
                 )

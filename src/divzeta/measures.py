@@ -61,22 +61,63 @@ def one_minus_t_coefficient(exponent: int, degree: int) -> int:
     return math.comb(degree - exponent - 1, degree)
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson and Webster, 2015); larger field sizes are refused.
+PRIME_POWER_LIMIT = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _WITNESSES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n: int, k: int) -> int:
+    """Largest ``r`` with ``r**k <= n``, by integer Newton descent from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def is_prime_power(value: int) -> bool:
+    """Whether ``value`` is ``p^k`` for a prime ``p`` and ``k >= 1``.
+
+    Tries every exact ``k``-th root (``k`` up to the bit length) for
+    primality.  Raises ``ValueError`` at or above ``PRIME_POWER_LIMIT``.
+    """
+    if value >= PRIME_POWER_LIMIT:
+        raise ValueError(
+            f"q = {value} is too large: prime powers are decided only below"
+            f" {PRIME_POWER_LIMIT}"
+        )
     if value < 2:
         return False
-    factor = None
-    probe = 2
-    remaining = value
-    while probe * probe <= remaining:
-        if remaining % probe == 0:
-            factor = probe
+    for k in range(1, value.bit_length() + 1):
+        root = _integer_root(value, k)
+        if root < 2:
             break
-        probe += 1
-    if factor is None:
-        return True  # value itself is prime
-    while remaining % factor == 0:
-        remaining //= factor
-    return remaining == 1
+        if root**k == value and _is_prime(root):
+            return True
+    return False
 
 
 class MotivicMeasure:

@@ -14,16 +14,23 @@ of the components with the torus symmetric-power classes of the exceptional
 bubbles; summing over all stable pairs of total degree d gives the degree-d
 coefficient of the divisorial zeta function, independently of its closed
 form.
+
+A stable pair is an independent choice per slot (vertex, edge, leg) and its
+class is a product of per-slot factors, so by distributivity the sum over
+all pairs of degree d is the ``t^d`` coefficient of a product of per-slot
+series.  ``divisor_class_from_strata`` and ``stable_pair_count`` evaluate
+that product; ``stable_pairs`` and ``stratum_class`` are the literal
+enumeration they are tested against at small degree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator
 
-from .graph import DualGraph
+from .graph import DualGraph, Vertex
 from .ring import RingElem, lefschetz, one, sum_elems
 from .zeta import one_minus_t, vertex_zeta_series
 
@@ -123,7 +130,25 @@ def stable_pairs(graph: DualGraph, degree: int) -> list[StablePair]:
 
 
 def stable_pair_count(graph: DualGraph, degree: int) -> int:
-    return len(stable_pairs(graph, degree))
+    """Number of stable pairs of the given degree, without enumerating them.
+
+    A vertex takes any degree, ``1/(1-t)``; an edge or leg takes an ordered
+    composition, of which a positive total ``s`` has ``2^(s-1)``, giving
+    ``(1-t)/(1-2t)``.  The count is the ``t^degree`` coefficient of
+    ``(1-t)^(-|V|) * ((1-t)/(1-2t))^(|E|+n)``.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    vertex = [1] * (degree + 1)
+    chain = [1] + [2 ** (s - 1) for s in range(1, degree + 1)]
+    factors = [vertex] * len(graph.vertices) + [chain] * (graph.num_edges + graph.num_legs)
+    series = [1] + [0] * degree
+    for factor in factors:
+        series = [
+            sum(series[i] * factor[d - i] for i in range(d + 1))
+            for d in range(degree + 1)
+        ]
+    return series[degree]
 
 
 def torus_class(m: int) -> RingElem:
@@ -155,21 +180,55 @@ def stratum_class(graph: DualGraph, pair: StablePair) -> RingElem:
     """
     result = one()
     for v, deg in zip(graph.vertices, pair.vertex_degrees):
-        holes = graph.valence(v.id) + graph.legs_at(v.id) + v.punctures
-        result = result * punctured_sym_class(v.model, holes, deg)
+        result = result * punctured_sym_class(v.model, _holes(graph, v), deg)
     for chain in pair.edge_chains + pair.leg_chains:
         for entry in chain:
             result = result * torus_class(entry - 1)
     return result
 
 
+def _holes(graph: DualGraph, v: Vertex) -> int:
+    """Points removed from a component: its nodes, marked points, and punctures."""
+    return graph.valence(v.id) + graph.legs_at(v.id) + v.punctures
+
+
+def _chain_series(order: int) -> list[RingElem]:
+    """Sum of torus products over ordered compositions, per total up to ``order``.
+
+    Built by the first-part recurrence ``C_0 = 1``,
+    ``C_s = sum_{a=1..s} torus_class(a-1) * C_{s-a}``, in place of listing
+    all ``2^(s-1)`` compositions of each total.
+    """
+    tori = [torus_class(a - 1) for a in range(1, order + 1)]
+    chain = [one()]
+    for total in range(1, order + 1):
+        chain.append(sum_elems(tori[a - 1] * chain[total - a] for a in range(1, total + 1)))
+    return chain
+
+
+def _truncated_product(a: list[RingElem], b: list[RingElem]) -> list[RingElem]:
+    """Coefficients of the product of two series through their common order."""
+    return [sum_elems(a[i] * b[d - i] for i in range(d + 1)) for d in range(len(a))]
+
+
 def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:
     """Class of the degree-d divisor space as a sum over strata.
 
-    This is the brute-force counterpart of the degree-d coefficient of the
-    closed-form divisorial zeta.
+    This is the independent counterpart of the degree-d coefficient of the
+    closed-form divisorial zeta.  The sum over all stable pairs of degree d
+    is evaluated slot by slot: the ``t^d`` coefficient of the product of one
+    series ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex and
+    one chain series of torus classes per edge and leg.  Equal, term for
+    term, to summing ``stratum_class`` over ``stable_pairs(graph, degree)``.
     """
-    return sum_elems(stratum_class(graph, pair) for pair in stable_pairs(graph, degree))
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    factors = [
+        [punctured_sym_class(v.model, _holes(graph, v), d) for d in range(degree + 1)]
+        for v in graph.vertices
+    ]
+    factors += [_chain_series(degree)] * (graph.num_edges + graph.num_legs)
+    return reduce(_truncated_product, factors)[degree]
 
 
 def composition_torus_sum(degree: int) -> RingElem:

@@ -7,6 +7,7 @@ import pytest
 import divzeta.strata as strata
 from divzeta.cli import main
 from divzeta.graph import parse_graph
+from divzeta.measures import PRIME_POWER_LIMIT
 from divzeta.ring import lefschetz, parse_elem
 from divzeta.zeta import divisorial_zeta_series
 
@@ -155,6 +156,39 @@ def test_validation_errors(graph_file, tmp_path, capsys):
     assert main(["--input", graph_file(MARKED), "--measure", "point-count",
                  "--q", "6"]) == 2
     capsys.readouterr()
+
+
+def test_malformed_graphs_exit_two(graph_file, capsys):
+    for document in (
+        {"vertices": [{"id": "m", "genus": True}], "legs": ["m"]},
+        {"vertices": [vertex("u", 1), vertex("w", 1)], "edges": [[["u"], "w"]]},
+        {"vertices": [vertex("m", 1)], "legs": [["m"]]},
+    ):
+        assert main(["--input", graph_file(document)]) == 2
+        assert "invalid graph" in capsys.readouterr().err
+
+
+def test_boolean_numerators_are_a_usage_error(graph_file, capsys):
+    path = graph_file(MARKED)
+    argv = ["--input", path, "--measure", "point-count", "--q", "3"]
+    assert main(argv + ["--numerators", '{"m": [1, true]}']) == 1
+    assert "integer lists" in capsys.readouterr().err
+    assert main(argv + ["--numerators", '{"m": [1, 1]}', "--max-degree", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_field_size_bounds(graph_file, capsys):
+    elliptic = {"vertices": [vertex("e", 1, {"type": "elliptic", "trace": 0})],
+                "legs": ["e"]}
+    argv = ["--input", graph_file(elliptic), "--measure", "point-count",
+            "--max-degree", "2", "--q"]
+    mersenne = 2**61 - 1
+    assert main(argv + [str(mersenne)]) == 0
+    assert f"t^1: {mersenne + 1}" in capsys.readouterr().out
+    assert main(argv + [str(3 * mersenne)]) == 2
+    assert "prime power" in capsys.readouterr().err
+    assert main(argv + [str(PRIME_POWER_LIMIT)]) == 1
+    assert "too large" in capsys.readouterr().err
 
 
 def test_hilbert_and_nodal_modes(graph_file, capsys):

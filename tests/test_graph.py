@@ -92,6 +92,33 @@ def test_schema_violations():
         parse_graph({"vertices": [vertex("a", 1, {"type": "mystery"})]})
 
 
+def test_booleans_are_not_integers():
+    marked = {"vertices": [vertex("a", 1)], "legs": ["a"]}
+    cases = [
+        ({"genus": True}, "genus"),
+        ({"punctures": False}, "punctures"),
+        ({"model": {"type": "elliptic", "trace": True}}, "trace"),
+        ({"model": {"type": "weil", "numerator": [True]}}, "numerator"),
+    ]
+    for override, message in cases:
+        document = {**marked, "vertices": [{**marked["vertices"][0], **override}]}
+        with pytest.raises(GraphError, match=message):
+            parse_graph(document)
+
+
+def test_endpoints_must_be_vertex_id_strings():
+    base = {"vertices": [vertex("u", 1), vertex("w", 1)]}
+    for edge in ([["u"], "w"], ["u", {"id": "w"}], [1, "w"]):
+        with pytest.raises(GraphError, match="edge endpoint"):
+            parse_graph({**base, "edges": [edge]})
+    for leg in (["u"], 0, None):
+        with pytest.raises(GraphError, match="leg endpoint"):
+            parse_graph({**base, "edges": [["u", "w"]], "legs": [leg]})
+    for key in ("edges", "legs"):
+        with pytest.raises(GraphError, match=f"'{key}' must be a list"):
+            parse_graph({**base, key: "uw"})
+
+
 def test_model_genus_must_match_vertex_genus():
     with pytest.raises(GraphError, match="does not match"):
         parse_graph({"vertices": [vertex("a", 2, {"type": "elliptic", "trace": 1})]})

@@ -1,11 +1,14 @@
 """Measure homomorphisms and integer specializations."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divzeta.graph import CurveModel, parse_graph
 from divzeta.measures import (
+    PRIME_POWER_LIMIT,
     EulerCharacteristic,
     MeasureError,
     PointCount,
@@ -59,6 +62,37 @@ def test_point_count_requires_prime_power():
         assert not is_prime_power(q)
         with pytest.raises(ValueError):
             PointCount(q)
+
+
+def trial_division_is_prime_power(value):
+    if value < 2:
+        return False
+    probe = 2
+    while probe * probe <= value:
+        if value % probe == 0:
+            while value % probe == 0:
+                value //= probe
+            return value == 1
+        probe += 1
+    return True
+
+
+def test_prime_power_test_matches_trial_division():
+    for q in range(5000):
+        assert is_prime_power(q) == trial_division_is_prime_power(q), q
+
+
+def test_prime_power_test_is_fast_on_large_q():
+    mersenne = 2**61 - 1
+    start = time.perf_counter()
+    assert is_prime_power(mersenne)
+    assert is_prime_power(2**61)
+    assert is_prime_power((2**31 - 1) ** 2)
+    assert not is_prime_power(3 * mersenne)
+    assert not is_prime_power(PRIME_POWER_LIMIT - 1)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="too large"):
+        is_prime_power(PRIME_POWER_LIMIT)
 
 
 def test_point_count_validates_numerators():

@@ -1,9 +1,11 @@
 """Stable-pair enumeration and the strata oracle."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from divzeta.graph import CurveModel
-from divzeta.ring import RationalFn, lefschetz, one, sym_pow
+from divzeta.graph import CurveModel, GraphError, parse_graph
+from divzeta.ring import RationalFn, lefschetz, one, sum_elems, sym_pow
 from divzeta.strata import (
     StablePair,
     composition_torus_sum,
@@ -18,7 +20,14 @@ from divzeta.strata import (
 )
 from divzeta.zeta import divisorial_zeta_series, node_factor_series
 
-from conftest import loop_vertex, marked_curve, theta_graph, two_components
+from conftest import (
+    battery,
+    loop_vertex,
+    marked_curve,
+    theta_graph,
+    two_components,
+    vertex,
+)
 
 L = lefschetz()
 
@@ -169,3 +178,55 @@ def test_sum_is_partition_independent():
     for pair in reversed(pairs):
         backward = backward + stratum_class(graph, pair)
     assert forward == backward == divisor_class_from_strata(graph, 4)
+
+
+# -- factorized oracle against literal enumeration -----------------------------------
+
+
+def literal_class(graph, degree):
+    return sum_elems(stratum_class(graph, pair) for pair in stable_pairs(graph, degree))
+
+
+def assert_matches_enumeration(graph, degree):
+    assert divisor_class_from_strata(graph, degree) == literal_class(graph, degree)
+    assert stable_pair_count(graph, degree) == len(stable_pairs(graph, degree))
+
+
+@pytest.mark.parametrize("name", sorted(battery()))
+def test_factorized_oracle_matches_enumeration_on_battery(name):
+    for degree in range(7):
+        assert_matches_enumeration(battery()[name], degree)
+
+
+def test_factorized_oracle_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        divisor_class_from_strata(marked_curve(), -1)
+    with pytest.raises(ValueError):
+        stable_pair_count(marked_curve(), -1)
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected dual graphs with at most 3 vertices, 3 edges, and 2 legs."""
+    ids = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    vertices = []
+    for vid in ids:
+        genus = draw(st.integers(0, 2))
+        model = {"type": "p1"} if genus == 0 and draw(st.booleans()) else None
+        vertices.append(vertex(vid, genus, model, draw(st.integers(0, 1))))
+    # A spanning path keeps the graph connected; extra edges may be loops.
+    edges = [[u, w] for u, w in zip(ids, ids[1:])]
+    extra = st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                     max_size=3 - len(edges))
+    edges += [list(pair) for pair in draw(extra)]
+    legs = draw(st.lists(st.sampled_from(ids), max_size=2))
+    try:
+        return parse_graph({"vertices": vertices, "edges": edges, "legs": legs})
+    except GraphError:
+        assume(False)
+
+
+@given(small_graphs(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_factorized_oracle_matches_enumeration_on_random_graphs(graph, degree):
+    assert_matches_enumeration(graph, degree)
