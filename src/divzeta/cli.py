@@ -4,6 +4,9 @@ Three modes over a dual-graph JSON document:
 
 * ``compute``: coefficients of a chosen zeta function up to ``--max-degree``
   plus its unreduced rational form, optionally specialized by a measure.
+  Under ``euler`` or ``point-count`` the closed form runs over the integers
+  from the measure's images of its leaves; the symbolic run and ``verify``
+  keep the symbolic ring.
 * ``verify``: compare the strata-enumeration oracle against the closed-form
   divisorial coefficients degree by degree.
 * ``count-strata``: the number of stable pairs per degree.
@@ -30,7 +33,15 @@ from .measures import (
 )
 from .ring import RingElem
 from .strata import divisor_class_from_strata, stable_pair_count
-from .zeta import ZetaKind, zeta_rational, zeta_series
+from .zeta import (
+    ZetaKind,
+    leaf_images,
+    rational_coefficients,
+    zeta_rational,
+    zeta_rational_image,
+    zeta_series,
+    zeta_series_image,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,64 +171,46 @@ def _summary_line(graph: DualGraph) -> str:
     )
 
 
-def _int_poly_str(coeffs: list[int]) -> str:
-    parts = []
-    for degree, coeff in enumerate(coeffs):
-        if coeff == 0:
-            continue
-        magnitude = abs(coeff)
-        if degree == 0:
-            body = str(magnitude)
-        else:
-            t_part = "t" if degree == 1 else f"t^{degree}"
-            body = t_part if magnitude == 1 else f"{magnitude}*{t_part}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
-
-
-def _rational_report(config: RunConfig, graph: DualGraph, measure: MotivicMeasure):
-    fn = zeta_rational(config.zeta, graph)
-    numerator = measure.of_poly(fn.numerator)
-    denominator = measure.of_poly(fn.denominator)
-    if isinstance(measure, SymbolicIdentity):
-        text = str(fn)
-    else:
-        text = f"({_int_poly_str(numerator)}) / ({_int_poly_str(denominator)})"
-    return {
-        "numerator": [_render(c) for c in numerator],
-        "denominator": [_render(c) for c in denominator],
-    }, text
-
-
 def _run_compute(config: RunConfig, graph: DualGraph, measure: MotivicMeasure) -> int:
-    series = zeta_series(config.zeta, graph, config.max_degree)
-    values = measure.of_series(series)
-    rational_json, rational_text = _rational_report(config, graph, measure)
+    kind, order = config.zeta, config.max_degree
+    wants_series = config.output != "rational"
+    if isinstance(measure, SymbolicIdentity):
+        series = zeta_series(kind, graph, order) if wants_series else None
+        fn = zeta_rational(kind, graph)
+    else:
+        # A measure is a ring homomorphism: map the leaves of the closed form
+        # and run it over the integers.  The leaves reach max_degree even when
+        # only the rational form is printed, so an unrealized model fails the
+        # same way in every output mode.
+        leaves = leaf_images(graph, measure, order)
+        series = zeta_series_image(kind, graph, order, leaves) if wants_series else None
+        fn = zeta_rational_image(kind, graph, leaves)
+    numerator, denominator = rational_coefficients(kind, graph, fn)
     if config.output == "json":
         print(
             json.dumps(
                 {
                     "graph": _graph_summary(graph),
                     "mode": "compute",
-                    "zeta": config.zeta.value,
-                    "max_degree": config.max_degree,
+                    "zeta": kind.value,
+                    "max_degree": order,
                     "measure": config.measure,
-                    "coefficients": [_render(v) for v in values],
-                    "rational": rational_json,
+                    "coefficients": [_render(v) for v in series.coefficients()],
+                    "rational": {
+                        "numerator": [_render(c) for c in numerator],
+                        "denominator": [_render(c) for c in denominator],
+                    },
                 },
                 indent=2,
             )
         )
         return EXIT_OK
     print(_summary_line(graph))
-    print(f"zeta: {config.zeta.value}  measure: {config.measure}")
-    if config.output == "coefficients":
-        for degree, value in enumerate(values):
+    print(f"zeta: {kind.value}  measure: {config.measure}")
+    if wants_series:
+        for degree, value in enumerate(series.coefficients()):
             print(f"t^{degree}: {_render(value)}")
-    print(f"rational: {rational_text}")
+    print(f"rational: {fn}")
     return EXIT_OK
 
 

@@ -6,12 +6,19 @@ multiplicatively and additively.  Applying a measure to an expression that
 mentions a model it does not realize raises ``MeasureError`` naming the
 offending generator.
 
+Each measure supplies its leaf images two ways: one generator at a time
+(``lefschetz_image``, ``class_image``), which ``of_elem`` uses to map a
+finished symbolic expression, and a model's whole image series in one call
+(``class_series``), which ``zeta.leaf_images`` uses to evaluate the closed
+forms directly in the target ring.
+
 * ``PointCount(q, numerators, genera)``: counting points over a field with
   q elements.  ``L`` goes to q and ``c[m,d]`` to the ``t^d`` coefficient of
   ``P_m(t) / ((1-t)(1-q t))`` for the model's Weil numerator ``P_m``.
 * ``EulerCharacteristic(genera)``: ``L`` goes to 1 and ``c[m,d]`` to the
   ``t^d`` coefficient of ``(1-t)^(2g-2)``.
-* ``SymbolicIdentity()``: leaves expressions unchanged.
+* ``SymbolicIdentity()``: leaves expressions unchanged; its images are the
+  free generators ``L`` and ``c[m,d]`` themselves.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from .graph import DualGraph
-from .ring import Generator, RingElem, TPoly, TruncSeries
+from .ring import Generator, RingElem, TPoly, TruncSeries, lefschetz, sym_pow
 
 
 class MeasureError(ValueError):
@@ -131,6 +138,10 @@ class MotivicMeasure:
     def class_image(self, model: str, degree: int) -> int:
         raise NotImplementedError
 
+    def class_series(self, model: str, order: int) -> list[int]:
+        """Images of ``c[model,0]`` (the unit) through ``c[model,order]``."""
+        return [1] + [self.class_image(model, d) for d in range(1, order + 1)]
+
     def _generator_image(self, gen: Generator) -> int:
         if gen.model is None:
             return self.lefschetz_image()
@@ -160,11 +171,11 @@ class SymbolicIdentity(MotivicMeasure):
     def of_elem(self, elem: RingElem) -> RingElem:
         return elem
 
-    def of_series(self, series: TruncSeries) -> list[RingElem]:
-        return list(series.coefficients())
+    def lefschetz_image(self) -> RingElem:
+        return lefschetz()
 
-    def of_poly(self, poly: TPoly) -> list[RingElem]:
-        return list(poly.coefficients())
+    def class_series(self, model: str, order: int) -> list[RingElem]:
+        return [sym_pow(model, d) for d in range(order + 1)]
 
 
 class EulerCharacteristic(MotivicMeasure):
@@ -231,13 +242,21 @@ class PointCount(MotivicMeasure):
     def lefschetz_image(self) -> int:
         return self.q
 
-    def class_image(self, model: str, degree: int) -> int:
+    def _numerator(self, model: str, degree: int) -> tuple[int, ...]:
         if model not in self._numerators:
             raise MeasureError(
                 f"no realization for generator c[{model},{degree}] under"
                 f" point counting with q = {self.q}"
             )
-        return weil_series(self._numerators[model], self.q, degree)[degree]
+        return self._numerators[model]
+
+    def class_image(self, model: str, degree: int) -> int:
+        return weil_series(self._numerator(model, degree), self.q, degree)[degree]
+
+    def class_series(self, model: str, order: int) -> list[int]:
+        if order == 0:  # c[m,0] is the unit: no numerator needed
+            return [1]
+        return weil_series(self._numerator(model, 1), self.q, order)
 
 
 def apply_measure(value, measure: MotivicMeasure):

@@ -4,12 +4,15 @@ Three immutable layers, all over arbitrary-precision integers:
 
 * ``RingElem``: sparse polynomials in the Lefschetz class ``L`` and
   symmetric-power class generators ``c[model,d]``.
-* ``TruncSeries``: power series in ``t`` over ``RingElem``, truncated at a
-  fixed order.
-* ``TPoly`` / ``RationalFn``: polynomials in ``t`` over ``RingElem`` and
-  unreduced ratios of them.  Rational functions are never reduced to lowest
-  terms; equality is decided by cross-multiplying numerators and
-  denominators.
+* ``TruncSeries``: power series in ``t``, truncated at a fixed order.
+* ``TPoly`` / ``RationalFn``: polynomials in ``t`` and unreduced ratios of
+  them.  Rational functions are never reduced to lowest terms; equality is
+  decided by cross-multiplying numerators and denominators.
+
+The ``t``-layers are generic over the coefficient ring: their coefficients
+are all ``RingElem`` or all plain ``int`` (the image of a measure), and the
+arithmetic uses only ``+``, ``*``, negation, zero and one.  Input mixing the
+two is lifted to ``RingElem``, as are the products of mixed operands.
 
 Canonical text form
 -------------------
@@ -200,6 +203,8 @@ class RingElem:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {()}:  # a constant equals an int: hash like one
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
@@ -387,11 +392,48 @@ def _parse_factors(
             return
 
 
+# -- coefficient rings of the t-layers -----------------------------------------
+
+Coeff = RingElem | int
+
+
+def _ring_coeffs(values: Iterable[Coeff]) -> tuple[Coeff, ...]:
+    """The values as coefficients of one ring: ``RingElem`` if any is one, else ``int``."""
+    values = tuple(values)
+    if any(isinstance(value, RingElem) for value in values):
+        return tuple(_require_elem(value) for value in values)
+    for value in values:
+        if not isinstance(value, int):
+            raise TypeError(f"cannot use {value!r} as a ring element")
+    return values
+
+
+def _is_symbolic(coeffs: tuple[Coeff, ...]) -> bool:
+    """Whether coefficients normalized by ``_ring_coeffs`` are ``RingElem``.
+
+    An empty tuple counts as symbolic, the ring of the package.
+    """
+    return not coeffs or isinstance(coeffs[0], RingElem)
+
+
+def _zero_of(coeffs: tuple[Coeff, ...]) -> Coeff:
+    return _ZERO if _is_symbolic(coeffs) else 0
+
+
+def _one_of(coeffs: tuple[Coeff, ...]) -> Coeff:
+    return _ONE if _is_symbolic(coeffs) else 1
+
+
+def _summer(a: tuple[Coeff, ...], b: tuple[Coeff, ...]):
+    """Accumulator for sums of products ``a[i] * b[j]``: one dict for ``RingElem``."""
+    return sum_elems if _is_symbolic(a) or _is_symbolic(b) else sum
+
+
 # -- truncated power series ---------------------------------------------------
 
 
 class TruncSeries:
-    """Power series in ``t`` over ``RingElem``, truncated at a fixed order.
+    """Power series in ``t``, truncated at a fixed order.
 
     A series of order ``N`` stores exactly the coefficients of ``t^0``
     through ``t^N``.  Binary operations require equal orders.
@@ -399,8 +441,8 @@ class TruncSeries:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[RingElem | int]):
-        elems = tuple(_require_elem(c) for c in coeffs)
+    def __init__(self, coeffs: Iterable[Coeff]):
+        elems = _ring_coeffs(coeffs)
         if not elems:
             raise ValueError("a truncated series needs at least the t^0 coefficient")
         self._coeffs = elems
@@ -410,22 +452,22 @@ class TruncSeries:
         return cls.from_coeffs([_ONE], order)
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable[RingElem | int], order: int) -> TruncSeries:
+    def from_coeffs(cls, coeffs: Iterable[Coeff], order: int) -> TruncSeries:
         """Build a series of the given order, zero-padding or truncating."""
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        elems = [_require_elem(c) for c in coeffs][: order + 1]
-        elems.extend([_ZERO] * (order + 1 - len(elems)))
+        elems = list(_ring_coeffs(coeffs)[: order + 1])
+        elems.extend([_zero_of(tuple(elems))] * (order + 1 - len(elems)))
         return cls(elems)
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
 
-    def coefficients(self) -> tuple[RingElem, ...]:
+    def coefficients(self) -> tuple[Coeff, ...]:
         return self._coeffs
 
-    def __getitem__(self, degree: int) -> RingElem:
+    def __getitem__(self, degree: int) -> Coeff:
         if not 0 <= degree <= self.order:
             raise IndexError(f"degree {degree} outside truncation order {self.order}")
         return self._coeffs[degree]
@@ -446,29 +488,29 @@ class TruncSeries:
 
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         self._check_order(other)
-        coeffs = [
-            sum_elems(self._coeffs[i] * other._coeffs[d - i] for i in range(d + 1))
-            for d in range(self.order + 1)
-        ]
-        return TruncSeries(coeffs)
+        a, b = self._coeffs, other._coeffs
+        add = _summer(a, b)
+        return TruncSeries(
+            add(a[i] * b[d - i] for i in range(d + 1)) for d in range(len(a))
+        )
 
     def __pow__(self, exponent: int) -> TruncSeries:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a nonnegative integer")
-        result = TruncSeries.one(self.order)
+        result = TruncSeries.from_coeffs([_one_of(self._coeffs)], self.order)
         for _ in range(exponent):
             result = result * self
         return result
 
     def inverse(self) -> TruncSeries:
         """Multiplicative inverse; requires unit constant coefficient."""
-        if not self._coeffs[0].is_one:
-            raise ValueError(
-                f"series is not invertible: constant term is {self._coeffs[0]}"
-            )
-        inv = [_ONE]
+        coeffs = self._coeffs
+        if coeffs[0] != 1:
+            raise ValueError(f"series is not invertible: constant term is {coeffs[0]}")
+        add = _summer(coeffs, coeffs)
+        inv = [_one_of(coeffs)]
         for d in range(1, self.order + 1):
-            acc = sum_elems(self._coeffs[i] * inv[d - i] for i in range(1, d + 1))
+            acc = add(coeffs[i] * inv[d - i] for i in range(1, d + 1))
             inv.append(-acc)
         return TruncSeries(inv)
 
@@ -494,23 +536,26 @@ def _require_elem(value: object) -> RingElem:
     return elem
 
 
-def _format_t_terms(coeffs: tuple[RingElem, ...]) -> str:
+def _format_t_terms(coeffs: tuple[Coeff, ...]) -> str:
     parts = []
     for degree, coeff in enumerate(coeffs):
-        if coeff.is_zero:
+        if coeff == 0:
             continue
-        terms = dict(coeff.terms())
-        negate = all(c < 0 for c in terms.values())
+        if isinstance(coeff, RingElem):
+            signs = [c < 0 for _, c in coeff.terms()]
+            width, negate = len(signs), all(signs)
+        else:
+            width, negate = 1, coeff < 0
         shown = -coeff if negate else coeff
         body = str(shown)
         if degree == 0:
-            if len(terms) > 1:
+            if width > 1:
                 body = f"({body})"
         else:
             t_part = "t" if degree == 1 else f"t^{degree}"
-            if shown.is_one:
+            if shown == 1:
                 body = t_part
-            elif len(terms) > 1:
+            elif width > 1:
                 body = f"({body})*{t_part}"
             else:
                 body = f"{body}*{t_part}"
@@ -527,13 +572,13 @@ def _format_t_terms(coeffs: tuple[RingElem, ...]) -> str:
 
 
 class TPoly:
-    """Polynomial in ``t`` over ``RingElem``, trailing zeros stripped."""
+    """Polynomial in ``t``, trailing zeros stripped."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[RingElem | int] = ()):
-        elems = [_require_elem(c) for c in coeffs]
-        while elems and elems[-1].is_zero:
+    def __init__(self, coeffs: Iterable[Coeff] = ()):
+        elems = list(_ring_coeffs(coeffs))
+        while elems and elems[-1] == 0:
             elems.pop()
         self._coeffs = tuple(elems)
 
@@ -541,29 +586,30 @@ class TPoly:
     def degree(self) -> int:
         return len(self._coeffs) - 1
 
-    def coefficient(self, degree: int) -> RingElem:
+    def coefficient(self, degree: int) -> Coeff:
         if 0 <= degree < len(self._coeffs):
             return self._coeffs[degree]
-        return _ZERO
+        return _zero_of(self._coeffs)
 
-    def coefficients(self) -> tuple[RingElem, ...]:
+    def coefficients(self) -> tuple[Coeff, ...]:
         return self._coeffs
 
     def __mul__(self, other: TPoly) -> TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
+        a, b = self._coeffs, other._coeffs
+        if not a or not b:
             return TPoly()
-        out = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            for j, b in enumerate(other._coeffs):
-                out[i + j] = out[i + j] + a * b
+        out = [_zero_of(a)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
         return TPoly(out)
 
     def __pow__(self, exponent: int) -> TPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = TPoly([_ONE])
+        result = TPoly([_one_of(self._coeffs)])
         for _ in range(exponent):
             result = result * self
         return result
@@ -580,7 +626,7 @@ class TPoly:
         return hash(self._coeffs)
 
     def __str__(self) -> str:
-        return _format_t_terms(self._coeffs) if self._coeffs else "0"
+        return _format_t_terms(self._coeffs)
 
     def __repr__(self) -> str:
         return f"TPoly({self})"
@@ -598,12 +644,12 @@ class RationalFn:
 
     def __init__(
         self,
-        numerator: TPoly | Iterable[RingElem | int],
-        denominator: TPoly | Iterable[RingElem | int] = (1,),
+        numerator: TPoly | Iterable[Coeff],
+        denominator: TPoly | Iterable[Coeff] = (1,),
     ):
         num = numerator if isinstance(numerator, TPoly) else TPoly(numerator)
         den = denominator if isinstance(denominator, TPoly) else TPoly(denominator)
-        if not den.coefficient(0).is_one:
+        if den.coefficient(0) != 1:
             raise ValueError(
                 f"denominator must have unit constant term, got {den.coefficient(0)}"
             )

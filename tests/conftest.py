@@ -1,6 +1,18 @@
-"""Shared graph factories for the test suite."""
+"""Shared graph factories for the test suite, and hypothesis profiles.
+
+``HYPOTHESIS_PROFILE=ci`` selects the CI profile: derandomized, so every run
+draws the same examples, and without a deadline, since shared runners are
+slow.  Example counts stay as each test sets them.
+"""
+
+import os
+
+from hypothesis import settings
 
 from divzeta.graph import parse_graph
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def vertex(vid, genus, model=None, punctures=0):

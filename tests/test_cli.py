@@ -210,3 +210,70 @@ def test_point_count_rational_output(graph_file, capsys):
     out = capsys.readouterr().out
     # Unreduced by design: numerator (1-t)^2, denominator (1-t)(1-qt).
     assert "rational: (1 - 2*t + t^2) / (1 - 4*t + 3*t^2)" in out
+
+
+def test_point_count_rational_keeps_symbolic_length(graph_file, capsys):
+    # The Weil numerator 1 - t has degree 1 < 2g = 4, so the image of the
+    # degree-6 symbolic numerator ends in zeros; reports keep them.
+    symbolic = {"vertices": [vertex("u", 2)], "legs": ["u"]}
+    weil = {"vertices": [vertex("u", 2, {"type": "weil", "numerator": [1, -1]})],
+            "legs": ["u"]}
+    for document, extra in ((symbolic, ["--numerators", '{"u": [1, -1]}']), (weil, [])):
+        argv = ["--input", graph_file(document), "--measure", "point-count",
+                "--q", "5", "--max-degree", "2"] + extra
+        assert main(argv + ["--output", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["coefficients"] == [1, 5, 29]
+        assert report["rational"] == {
+            "numerator": [1, -7, 11, -5, 0, 0, 0],
+            "denominator": [1, -12, 42, -36, 5],
+        }
+        assert main(argv + ["--output", "rational"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "graph: vertices=1 edges=0 legs=1 genus=2",
+            "zeta: divisorial  measure: point-count",
+            "rational: (1 - 7*t + 11*t^2 - 5*t^3)"
+            " / (1 - 12*t + 42*t^2 - 36*t^3 + 5*t^4)",
+        ]
+
+
+def test_point_count_rational_text_signs(graph_file, capsys):
+    marked = graph_file({"vertices": [vertex("u", 2)], "legs": ["u"]})
+    # (1 - 3t + 2t^2) * (1 + 4t - t^3): +t, and a negative leading coefficient.
+    assert main(["--input", marked, "--measure", "point-count", "--q", "2",
+                 "--numerators", '{"u": [1, 4, 0, -1]}', "--output", "rational"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "rational: (1 + t - 10*t^2 + 7*t^3 + 3*t^4 - 2*t^5)"
+        " / (1 - 6*t + 12*t^2 - 9*t^3 + 2*t^4)"
+    )
+    punctured_line = graph_file({"vertices": [vertex("g", 0, {"type": "p1"}, punctures=1)]})
+    assert main(["--input", punctured_line, "--allow-unstable", "--measure",
+                 "point-count", "--q", "3", "--output", "rational"]) == 0
+    assert "rational: (1 - t) / (1 - 4*t + 3*t^2)" in capsys.readouterr().out
+
+
+def test_unrealized_model_fails_in_every_output_mode(graph_file, capsys):
+    # The theta graph's genus-0 models need no generator in the rational
+    # form, but the coefficients through t^10 do, even when not printed.
+    theta = {"vertices": [vertex("u", 0), vertex("w", 0)], "edges": [["u", "w"]] * 3}
+    for document in (MARKED, theta):
+        path = graph_file(document)
+        for output in ("coefficients", "rational", "json"):
+            assert main(["--input", path, "--measure", "point-count", "--q", "3",
+                         "--output", output]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "no realization for generator c[" in captured.err
+
+
+def test_rational_output_skips_the_series(graph_file, capsys, monkeypatch):
+    from divzeta import cli
+
+    def refuse(*args):
+        raise AssertionError("the coefficient series was computed")
+
+    monkeypatch.setattr(cli, "zeta_series", refuse)
+    monkeypatch.setattr(cli, "zeta_series_image", refuse)
+    path = graph_file(LOOP_GENUS_2)
+    for measure in ("symbolic", "euler"):
+        assert main(["--input", path, "--measure", measure, "--output", "rational"]) == 0
+        assert "rational: " in capsys.readouterr().out

@@ -4,6 +4,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divzeta.graph import (
     GraphError,
@@ -239,3 +241,35 @@ def _expect_acceptance(doc, expected):
     else:
         with pytest.raises(GraphError):
             parse_graph(doc)
+
+
+# Keys and scalars of the schema come up often, so documents get past the
+# first checks; arbitrary text and numbers cover the rest.
+_KEYS = st.sampled_from(
+    ["vertices", "edges", "legs", "id", "genus", "punctures", "model",
+     "type", "trace", "numerator"]
+) | st.text(max_size=3)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(["u", "w", "symbolic", "p1", "elliptic", "weil"])
+    | st.text(max_size=3)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@given(_JSON, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_parse_graph_raises_only_graph_error(document, allow_unstable):
+    for source in (document, json.dumps(document)):
+        try:
+            parse_graph(source, allow_unstable=allow_unstable)
+        except GraphError:
+            pass

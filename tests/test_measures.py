@@ -22,9 +22,19 @@ from divzeta.measures import (
 )
 from divzeta.ring import RingElem, lefschetz, one, sym_pow, zero
 from divzeta.strata import torus_class
-from divzeta.zeta import divisorial_zeta_series, vertex_zeta_series
+from divzeta.zeta import (
+    ZetaKind,
+    divisorial_zeta_series,
+    leaf_images,
+    rational_coefficients,
+    vertex_zeta_series,
+    zeta_rational,
+    zeta_rational_image,
+    zeta_series,
+    zeta_series_image,
+)
 
-from conftest import loop_vertex, vertex
+from conftest import battery, loop_vertex, vertex
 
 L = lefschetz()
 
@@ -237,3 +247,91 @@ def test_one_minus_t_coefficient():
     assert [one_minus_t_coefficient(0, d) for d in range(3)] == [1, 0, 0]
     assert [one_minus_t_coefficient(-1, d) for d in range(4)] == [1, 1, 1, 1]
     assert [one_minus_t_coefficient(-2, d) for d in range(4)] == [1, 2, 3, 4]
+
+
+# -- the measure applied to the leaves vs. to the symbolic result ------------------
+
+
+def _differential_graphs():
+    graphs = battery()
+    graphs["chain4-elliptic"] = parse_graph(
+        {
+            "vertices": [
+                vertex(name, 1, {"type": "elliptic", "trace": trace})
+                for name, trace in zip("abcd", (1, -3, 0, 4))
+            ],
+            "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
+        }
+    )
+    graphs["p1-punctured"] = parse_graph(
+        {
+            "vertices": [
+                vertex("u", 0, {"type": "p1"}, punctures=1),
+                vertex("w", 1, {"type": "elliptic", "trace": 2}),
+            ],
+            "edges": [["u", "w"]] * 3,
+            "legs": ["w"],
+        }
+    )
+    return graphs
+
+
+_DIFFERENTIAL_GRAPHS = _differential_graphs()
+
+# Weil numerators at q = 5 for the battery's symbolic models, by genus.  The
+# short genus-2 numerator has degree below 2g, so the image of the symbolic
+# rational numerator ends in zeros.
+_NUMERATOR_SETS = (
+    {0: [1], 1: [1, -2, 5], 2: [1, -1]},
+    {0: [1], 1: [1, 4, 5], 2: [1, 1, 1, 5, 25]},
+)
+
+
+def _integer_measures(graph):
+    symbolic = {v.model.name: v.genus for v in graph.vertices if v.model.kind == "symbolic"}
+    yield euler_for_graph(graph)
+    for numerators in _NUMERATOR_SETS:
+        extra = {name: numerators[genus] for name, genus in symbolic.items()}
+        yield point_count_for_graph(graph, 5, extra)
+
+
+@pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_GRAPHS))
+def test_measure_applied_early_equals_applied_late(name):
+    graph = _DIFFERENTIAL_GRAPHS[name]
+    order = 6
+    measures = list(_integer_measures(graph))
+    leaves = [leaf_images(graph, measure, order) for measure in measures]
+    for kind in ZetaKind:
+        series = zeta_series(kind, graph, order)
+        fn = zeta_rational(kind, graph)
+        # Symbolic factors never lose degree, so no padding applies.
+        assert rational_coefficients(kind, graph, fn) == (
+            list(fn.numerator.coefficients()),
+            list(fn.denominator.coefficients()),
+        )
+        for measure, images in zip(measures, leaves):
+            early = zeta_series_image(kind, graph, order, images).coefficients()
+            assert all(type(c) is int for c in early)
+            assert list(early) == measure.of_series(series), (kind, measure.name)
+            early_fn = zeta_rational_image(kind, graph, images)
+            assert rational_coefficients(kind, graph, early_fn) == (
+                measure.of_poly(fn.numerator),
+                measure.of_poly(fn.denominator),
+            ), (kind, measure.name)
+
+
+def test_class_series_matches_class_images():
+    counting = PointCount(5, {"m": [1, -1], "e": [1, -2, 5]}, {"m": 2, "e": 1})
+    euler = EulerCharacteristic({"m": 2, "e": 1})
+    for measure in (counting, euler):
+        for model in ("m", "e"):
+            assert measure.class_series(model, 6) == [1] + [
+                measure.class_image(model, d) for d in range(1, 7)
+            ]
+    assert SymbolicIdentity().class_series("m", 2) == [one(), sym_pow("m", 1), sym_pow("m", 2)]
+    # c[m,0] is the unit, so degree 0 needs no realization.
+    assert PointCount(3).class_series("mystery", 0) == [1]
+    with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
+        PointCount(3).class_series("mystery", 2)
+    with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
+        EulerCharacteristic().class_series("mystery", 2)

@@ -273,3 +273,21 @@ def test_tpoly_strips_trailing_zeros():
     assert TPoly([1, 0, 0]) == TPoly([1])
     assert TPoly([0, 0]).degree == -1
     assert TPoly([1, -L]).degree == 1
+
+
+def test_int_and_ring_coefficients_agree():
+    # Series and polynomials hold RingElem or int coefficients; equal values
+    # of either kind compare and hash alike.
+    assert len({RingElem.from_int(3), 3, zero(), 0}) == 2
+    ints = TruncSeries([1, 2, 0])
+    elems = TruncSeries([one(), 2 * one(), zero()])
+    assert ints == elems and hash(ints) == hash(elems)
+    assert all(type(c) is int for c in ints.coefficients())
+    assert (ints * ints).coefficients() == (1, 4, 4)
+    assert all(type(c) is int for c in (ints * ints).inverse().coefficients())
+    mixed = ints * TruncSeries.from_coeffs([1, L], 2)
+    assert all(isinstance(c, RingElem) for c in mixed.coefficients())
+    assert mixed == TruncSeries([one(), L + 2, 2 * L])
+    assert str(TPoly([-3, 1, 0, -1])) == "-3 + t - t^3"
+    assert TPoly([1, -2]) ** 2 == TPoly([1, -4, 4])
+    assert RationalFn([1], [1, -1]).series(3).coefficients() == (1, 1, 1, 1)
