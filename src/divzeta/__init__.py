@@ -16,7 +16,6 @@ from .graph import (
     DualGraph,
     GraphError,
     Vertex,
-    counts,
     graph_to_json,
     load_graph,
     parse_graph,
@@ -93,7 +92,6 @@ __all__ = [
     "ZetaKind",
     "apply_measure",
     "composition_torus_sum",
-    "counts",
     "divisor_class_from_strata",
     "divisorial_zeta_rational",
     "divisorial_zeta_series",

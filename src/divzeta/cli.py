@@ -11,6 +11,10 @@ Three modes over a dual-graph JSON document:
   divisorial coefficients degree by degree.
 * ``count-strata``: the number of stable pairs per degree.
 
+Each mode builds one report of raw values (``RingElem`` or ``int``) under a
+shared ``graph``/``mode`` header; it is written either as indented JSON, ring
+elements in their canonical text form, or as plain text.
+
 Exit codes: 0 success/verified, 1 usage error, 2 validation error,
 3 verification mismatch.
 """
@@ -20,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .graph import DualGraph, GraphError, load_graph, total_genus
 from .measures import (
@@ -31,7 +34,7 @@ from .measures import (
     euler_for_graph,
     point_count_for_graph,
 )
-from .ring import RingElem
+from .ring import RingElem, TPoly
 from .strata import divisor_class_from_strata, stable_pair_count
 from .zeta import (
     ZetaKind,
@@ -47,19 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
-
-
-@dataclass
-class RunConfig:
-    input_path: str
-    mode: str = "compute"
-    zeta: ZetaKind = ZetaKind.DIVISORIAL
-    max_degree: int = 10
-    measure: str = "symbolic"
-    q: int | None = None
-    numerators: dict[str, list[int]] | None = None
-    output: str = "coefficients"
-    allow_unstable: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: list[str] | None = None) -> RunConfig:
+def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
+    """The validated arguments, with ``numerators`` decoded and ``zeta`` a ``ZetaKind``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.max_degree < 0:
@@ -115,43 +106,29 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
             f"--q {args.q} is too large: the prime-power test is exact only"
             f" below {PRIME_POWER_LIMIT}"
         )
-    numerators = None
     if args.numerators is not None:
         if args.measure != "point-count":
             parser.error("--numerators only applies to --measure point-count")
         try:
-            numerators = json.loads(args.numerators)
+            args.numerators = json.loads(args.numerators)
         except json.JSONDecodeError as exc:
             parser.error(f"--numerators is not valid JSON: {exc}")
-        if not isinstance(numerators, dict) or not all(
+        if not isinstance(args.numerators, dict) or not all(
             isinstance(v, list)
             and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-            for v in numerators.values()
+            for v in args.numerators.values()
         ):
             parser.error("--numerators must map model ids to integer lists")
-    return RunConfig(
-        input_path=args.input,
-        mode=args.mode,
-        zeta=ZetaKind(args.zeta),
-        max_degree=args.max_degree,
-        measure=args.measure,
-        q=args.q,
-        numerators=numerators,
-        output=args.output,
-        allow_unstable=args.allow_unstable,
-    )
+    args.zeta = ZetaKind(args.zeta)
+    return args
 
 
-def _build_measure(config: RunConfig, graph: DualGraph) -> MotivicMeasure:
-    if config.measure == "euler":
+def _build_measure(args: argparse.Namespace, graph: DualGraph) -> MotivicMeasure:
+    if args.measure == "euler":
         return euler_for_graph(graph)
-    if config.measure == "point-count":
-        return point_count_for_graph(graph, config.q, config.numerators)
+    if args.measure == "point-count":
+        return point_count_for_graph(graph, args.q, args.numerators)
     return SymbolicIdentity()
-
-
-def _render(value) -> str | int:
-    return str(value) if isinstance(value, RingElem) else value
 
 
 def _graph_summary(graph: DualGraph) -> dict:
@@ -163,18 +140,10 @@ def _graph_summary(graph: DualGraph) -> dict:
     }
 
 
-def _summary_line(graph: DualGraph) -> str:
-    info = _graph_summary(graph)
-    return (
-        f"graph: vertices={info['vertices']} edges={info['edges']}"
-        f" legs={info['legs']} genus={info['genus']}"
-    )
-
-
-def _run_compute(config: RunConfig, graph: DualGraph, measure: MotivicMeasure) -> int:
-    kind, order = config.zeta, config.max_degree
-    wants_series = config.output != "rational"
-    if isinstance(measure, SymbolicIdentity):
+def _compute(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
+    kind, order = args.zeta, args.max_degree
+    wants_series = args.output != "rational"
+    if args.measure == "symbolic":
         series = zeta_series(kind, graph, order) if wants_series else None
         fn = zeta_rational(kind, graph)
     else:
@@ -186,104 +155,79 @@ def _run_compute(config: RunConfig, graph: DualGraph, measure: MotivicMeasure) -
         series = zeta_series_image(kind, graph, order, leaves) if wants_series else None
         fn = zeta_rational_image(kind, graph, leaves)
     numerator, denominator = rational_coefficients(kind, graph, fn)
-    if config.output == "json":
-        print(
-            json.dumps(
-                {
-                    "graph": _graph_summary(graph),
-                    "mode": "compute",
-                    "zeta": kind.value,
-                    "max_degree": order,
-                    "measure": config.measure,
-                    "coefficients": [_render(v) for v in series.coefficients()],
-                    "rational": {
-                        "numerator": [_render(c) for c in numerator],
-                        "denominator": [_render(c) for c in denominator],
-                    },
-                },
-                indent=2,
-            )
-        )
-        return EXIT_OK
-    print(_summary_line(graph))
-    print(f"zeta: {kind.value}  measure: {config.measure}")
+    report = {"zeta": kind.value, "max_degree": order, "measure": args.measure}
     if wants_series:
-        for degree, value in enumerate(series.coefficients()):
-            print(f"t^{degree}: {_render(value)}")
-    print(f"rational: {fn}")
-    return EXIT_OK
+        report["coefficients"] = series.coefficients()
+    report["rational"] = {"numerator": numerator, "denominator": denominator}
+    return report
 
 
-def _run_verify(config: RunConfig, graph: DualGraph, measure: MotivicMeasure) -> int:
+def _verify(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
+    closed = zeta_series(ZetaKind.DIVISORIAL, graph, args.max_degree)
     rows = []
-    verified = True
-    closed = zeta_series(ZetaKind.DIVISORIAL, graph, config.max_degree)
-    for degree in range(config.max_degree + 1):
-        oracle = divisor_class_from_strata(graph, degree)
-        difference = measure.of_elem(oracle - closed[degree])
-        zero_diff = (
-            difference.is_zero if isinstance(difference, RingElem) else difference == 0
-        )
-        verified = verified and zero_diff
+    for degree in range(args.max_degree + 1):
+        # A measure is a ring homomorphism, so the difference of the images
+        # is the image of the difference.
+        oracle = measure.of_elem(divisor_class_from_strata(graph, degree))
+        closed_image = measure.of_elem(closed[degree])
         rows.append(
             {
                 "degree": degree,
-                "oracle": _render(measure.of_elem(oracle)),
-                "closed": _render(measure.of_elem(closed[degree])),
-                "difference": _render(difference),
+                "oracle": oracle,
+                "closed": closed_image,
+                "difference": oracle - closed_image,
             }
         )
-    if config.output == "json":
-        print(
-            json.dumps(
-                {
-                    "graph": _graph_summary(graph),
-                    "mode": "verify",
-                    "max_degree": config.max_degree,
-                    "measure": config.measure,
-                    "degrees": rows,
-                    "verified": verified,
-                },
-                indent=2,
-            )
+    return {
+        "max_degree": args.max_degree,
+        "measure": args.measure,
+        "degrees": rows,
+        "verified": all(row["difference"] == 0 for row in rows),
+    }
+
+
+def _count(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
+    counts = [stable_pair_count(graph, degree) for degree in range(args.max_degree + 1)]
+    return {"max_degree": args.max_degree, "counts": counts}
+
+
+_MODES = {"compute": _compute, "verify": _verify, "count-strata": _count}
+
+
+def _json_value(value) -> str:
+    """``json.dumps`` hook: a ring element as its canonical text."""
+    if isinstance(value, RingElem):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _text(report: dict) -> str:
+    graph = " ".join(f"{key}={value}" for key, value in report["graph"].items())
+    lines = [f"graph: {graph}"]
+    if report["mode"] == "compute":
+        lines.append(f"zeta: {report['zeta']}  measure: {report['measure']}")
+        coefficients = report.get("coefficients", ())
+        lines += [f"t^{degree}: {value}" for degree, value in enumerate(coefficients)]
+        rational = report["rational"]
+        lines.append(
+            f"rational: ({TPoly(rational['numerator'])})"
+            f" / ({TPoly(rational['denominator'])})"
         )
+    elif report["mode"] == "verify":
+        lines += [
+            f"d={row['degree']}: oracle={row['oracle']}"
+            f" closed={row['closed']} diff={row['difference']}"
+            for row in report["degrees"]
+        ]
+        lines.append(f"verified: {'OK' if report['verified'] else 'MISMATCH'}")
     else:
-        print(_summary_line(graph))
-        for row in rows:
-            print(
-                f"d={row['degree']}: oracle={row['oracle']}"
-                f" closed={row['closed']} diff={row['difference']}"
-            )
-        print(f"verified: {'OK' if verified else 'MISMATCH'}")
-    return EXIT_OK if verified else EXIT_MISMATCH
+        lines += [f"d={degree}: {count}" for degree, count in enumerate(report["counts"])]
+    return "\n".join(lines)
 
 
-def _run_count(config: RunConfig, graph: DualGraph) -> int:
-    pair_counts = [
-        stable_pair_count(graph, degree) for degree in range(config.max_degree + 1)
-    ]
-    if config.output == "json":
-        print(
-            json.dumps(
-                {
-                    "graph": _graph_summary(graph),
-                    "mode": "count-strata",
-                    "max_degree": config.max_degree,
-                    "counts": pair_counts,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(_summary_line(graph))
-        for degree, count in enumerate(pair_counts):
-            print(f"d={degree}: {count}")
-    return EXIT_OK
-
-
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        graph = load_graph(config.input_path, allow_unstable=config.allow_unstable)
+        graph = load_graph(args.input, allow_unstable=args.allow_unstable)
     except OSError as exc:
         print(f"divzeta: cannot read input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -291,23 +235,27 @@ def run(config: RunConfig) -> int:
         print(f"divzeta: invalid graph: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        measure = _build_measure(config, graph)
-        if config.mode == "compute":
-            return _run_compute(config, graph, measure)
-        if config.mode == "verify":
-            return _run_verify(config, graph, measure)
-        return _run_count(config, graph)
+        measure = _build_measure(args, graph)
+        report = {"graph": _graph_summary(graph), "mode": args.mode}
+        report.update(_MODES[args.mode](args, graph, measure))
+        # Rendered here: str() of an int past Python's digit limit raises ValueError.
+        if args.output == "json":
+            text = json.dumps(report, indent=2, default=_json_value)
+        else:
+            text = _text(report)
     except (MeasureError, ValueError) as exc:
         print(f"divzeta: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    print(text)
+    return EXIT_OK if report.get("verified", True) else EXIT_MISMATCH
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(argv)
+        args = parse_config(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

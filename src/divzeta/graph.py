@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable
 
 from .ring import MODEL_ID_RE
 
@@ -84,10 +84,6 @@ class CurveModel:
             )
         return cls("weil", name, genus, numerator=coeffs)
 
-    @property
-    def has_free_generators(self) -> bool:
-        return self.kind != "p1"
-
 
 @dataclass(frozen=True)
 class Vertex:
@@ -141,27 +137,6 @@ class DualGraph:
     @property
     def num_legs(self) -> int:
         return len(self.legs)
-
-
-class VertexCounts(NamedTuple):
-    valence: int
-    legs: int
-    punctures: int
-
-
-class GraphCounts(NamedTuple):
-    num_edges: int
-    num_legs: int
-    per_vertex: dict[str, VertexCounts]
-
-
-def counts(graph: DualGraph) -> GraphCounts:
-    """Edge/leg totals and per-vertex (valence, legs, punctures)."""
-    per_vertex = {
-        v.id: VertexCounts(graph.valence(v.id), graph.legs_at(v.id), v.punctures)
-        for v in graph.vertices
-    }
-    return GraphCounts(graph.num_edges, graph.num_legs, per_vertex)
 
 
 def total_genus(graph: DualGraph) -> int:

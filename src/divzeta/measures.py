@@ -251,7 +251,13 @@ class PointCount(MotivicMeasure):
         return self._numerators[model]
 
     def class_image(self, model: str, degree: int) -> int:
-        return weil_series(self._numerator(model, degree), self.q, degree)[degree]
+        # The t^degree coefficient of P(t) / ((1-t)(1-qt)) alone: 1/((1-t)(1-qt))
+        # has coefficient (q^(k+1) - 1) / (q - 1) at t^k, and q >= 2.
+        numerator, q = self._numerator(model, degree), self.q
+        return sum(
+            numerator[i] * ((q ** (degree - i + 1) - 1) // (q - 1))
+            for i in range(min(degree, len(numerator) - 1) + 1)
+        )
 
     def class_series(self, model: str, order: int) -> list[int]:
         if order == 0:  # c[m,0] is the unit: no numerator needed

@@ -26,12 +26,13 @@ enumeration they are tested against at small degree.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterator
 
 from .graph import DualGraph, Vertex
-from .ring import RingElem, lefschetz, one, sum_elems
+from .ring import RingElem, TruncSeries, lefschetz, one, sum_elems
 from .zeta import one_minus_t, vertex_zeta_series
 
 
@@ -139,16 +140,10 @@ def stable_pair_count(graph: DualGraph, degree: int) -> int:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    vertex = [1] * (degree + 1)
-    chain = [1] + [2 ** (s - 1) for s in range(1, degree + 1)]
+    vertex = TruncSeries([1] * (degree + 1))
+    chain = TruncSeries([1] + [2 ** (s - 1) for s in range(1, degree + 1)])
     factors = [vertex] * len(graph.vertices) + [chain] * (graph.num_edges + graph.num_legs)
-    series = [1] + [0] * degree
-    for factor in factors:
-        series = [
-            sum(series[i] * factor[d - i] for i in range(d + 1))
-            for d in range(degree + 1)
-        ]
-    return series[degree]
+    return reduce(operator.mul, factors)[degree]
 
 
 def torus_class(m: int) -> RingElem:
@@ -192,23 +187,15 @@ def _holes(graph: DualGraph, v: Vertex) -> int:
     return graph.valence(v.id) + graph.legs_at(v.id) + v.punctures
 
 
-def _chain_series(order: int) -> list[RingElem]:
+def _chain_series(order: int) -> TruncSeries:
     """Sum of torus products over ordered compositions, per total up to ``order``.
 
-    Built by the first-part recurrence ``C_0 = 1``,
-    ``C_s = sum_{a=1..s} torus_class(a-1) * C_{s-a}``, in place of listing
-    all ``2^(s-1)`` compositions of each total.
+    A chain is empty or a first bubble followed by a chain, so the series
+    ``C`` satisfies ``C = 1 + T*C`` with ``T = sum_{a>=1} torus_class(a-1) t^a``
+    and is the inverse of ``1 - T``; no composition is listed.
     """
-    tori = [torus_class(a - 1) for a in range(1, order + 1)]
-    chain = [one()]
-    for total in range(1, order + 1):
-        chain.append(sum_elems(tori[a - 1] * chain[total - a] for a in range(1, total + 1)))
-    return chain
-
-
-def _truncated_product(a: list[RingElem], b: list[RingElem]) -> list[RingElem]:
-    """Coefficients of the product of two series through their common order."""
-    return [sum_elems(a[i] * b[d - i] for i in range(d + 1)) for d in range(len(a))]
+    tori = [-torus_class(a - 1) for a in range(1, order + 1)]
+    return TruncSeries([one()] + tori).inverse()
 
 
 def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:
@@ -224,11 +211,13 @@ def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     factors = [
-        [punctured_sym_class(v.model, _holes(graph, v), d) for d in range(degree + 1)]
+        TruncSeries(
+            punctured_sym_class(v.model, _holes(graph, v), d) for d in range(degree + 1)
+        )
         for v in graph.vertices
     ]
     factors += [_chain_series(degree)] * (graph.num_edges + graph.num_legs)
-    return reduce(_truncated_product, factors)[degree]
+    return reduce(operator.mul, factors)[degree]
 
 
 def composition_torus_sum(degree: int) -> RingElem:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from divzeta.graph import (
     GraphError,
-    counts,
     graph_to_json,
     parse_graph,
     total_genus,
@@ -151,16 +150,15 @@ def test_counts_figures():
     two_component = parse_graph(
         {"vertices": [vertex("u", 2), vertex("w", 2)], "edges": [["u", "w"]]}
     )
-    got = counts(two_component)
-    assert got.num_edges == 1 and got.num_legs == 0
-    assert got.per_vertex["u"].valence == 1 and got.per_vertex["w"].valence == 1
+    assert two_component.num_edges == 1 and two_component.num_legs == 0
+    assert two_component.valence("u") == 1 and two_component.valence("w") == 1
 
     marked = parse_graph({"vertices": [vertex("m", 2)], "legs": ["m"]})
-    got = counts(marked)
-    assert got.num_edges == 0 and got.num_legs == 1
+    assert marked.num_edges == 0 and marked.num_legs == 1
+    assert marked.legs_at("m") == 1
 
     loop = parse_graph({"vertices": [vertex(genus=1)], "edges": [["v", "v"]]})
-    assert counts(loop).per_vertex["v"].valence == 2
+    assert loop.valence("v") == 2
 
 
 def test_edges_are_stored_in_id_order():
