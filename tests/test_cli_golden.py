@@ -72,9 +72,9 @@ CASES = _cases()
 
 
 def _run(case: str, directory: Path) -> dict:
-    path = directory / f"{case.split('/')[0]}.json"
-    if not path.exists():
-        path.write_text(json.dumps(GRAPHS[case.split("/")[0]]))
+    graph = case.split("/")[0]
+    path = directory / f"{graph}.json"
+    path.write_text(json.dumps(GRAPHS[graph]))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(["--input", str(path)] + CASES[case])
