@@ -48,6 +48,7 @@ from .strata import (
     StablePair,
     composition_torus_sum,
     divisor_class_from_strata,
+    divisor_series_from_strata,
     punctured_sym_class,
     stable_pair_count,
     stable_pairs,
@@ -93,6 +94,7 @@ __all__ = [
     "apply_measure",
     "composition_torus_sum",
     "divisor_class_from_strata",
+    "divisor_series_from_strata",
     "divisorial_zeta_rational",
     "divisorial_zeta_series",
     "euler_for_graph",

@@ -18,9 +18,13 @@ form.
 A stable pair is an independent choice per slot (vertex, edge, leg) and its
 class is a product of per-slot factors, so by distributivity the sum over
 all pairs of degree d is the ``t^d`` coefficient of a product of per-slot
-series.  ``divisor_class_from_strata`` and ``stable_pair_count`` evaluate
-that product; ``stable_pairs`` and ``stratum_class`` are the literal
-enumeration they are tested against at small degree.
+series.  ``divisor_series_from_strata`` evaluates that product for every
+degree at once, in the ring of a motivic measure: each factor is mapped
+before the slots are multiplied, so a measured product runs over the
+integers.  ``divisor_class_from_strata`` is its symbolic coefficient of one
+degree, and ``stable_pair_count`` counts the pairs the same way;
+``stable_pairs`` and ``stratum_class`` are the literal enumeration they are
+tested against at small degree.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from functools import lru_cache, reduce
 from typing import Iterator
 
 from .graph import DualGraph, Vertex
+from .measures import MotivicMeasure, SymbolicIdentity
 from .ring import RingElem, TruncSeries, lefschetz, one, sum_elems
 from .zeta import one_minus_t, vertex_zeta_series
 
@@ -187,37 +192,50 @@ def _holes(graph: DualGraph, v: Vertex) -> int:
     return graph.valence(v.id) + graph.legs_at(v.id) + v.punctures
 
 
-def _chain_series(order: int) -> TruncSeries:
+def _chain_series(order: int, measure: MotivicMeasure) -> TruncSeries:
     """Sum of torus products over ordered compositions, per total up to ``order``.
 
     A chain is empty or a first bubble followed by a chain, so the series
     ``C`` satisfies ``C = 1 + T*C`` with ``T = sum_{a>=1} torus_class(a-1) t^a``
-    and is the inverse of ``1 - T``; no composition is listed.
+    and is the inverse of ``1 - T``, here taken in ``measure``'s ring; no
+    composition is listed.
     """
-    tori = [-torus_class(a - 1) for a in range(1, order + 1)]
-    return TruncSeries([one()] + tori).inverse()
+    image = measure.of_elem
+    tori = [-image(torus_class(a - 1)) for a in range(1, order + 1)]
+    return TruncSeries([image(one())] + tori).inverse()
 
 
-def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:
-    """Class of the degree-d divisor space as a sum over strata.
+def divisor_series_from_strata(
+    graph: DualGraph, order: int, measure: MotivicMeasure
+) -> TruncSeries:
+    """Classes of the divisor spaces of degree 0 through ``order`` as a sum
+    over strata, as one series in ``measure``'s ring.
 
-    This is the independent counterpart of the degree-d coefficient of the
-    closed-form divisorial zeta.  The sum over all stable pairs of degree d
-    is evaluated slot by slot: the ``t^d`` coefficient of the product of one
-    series ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex and
-    one chain series of torus classes per edge and leg.  Equal, term for
-    term, to summing ``stratum_class`` over ``stable_pairs(graph, degree)``.
+    This is the independent counterpart of the closed-form divisorial zeta.
+    The sum over all stable pairs of degree d is evaluated slot by slot: the
+    ``t^d`` coefficient of the product of one series
+    ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex and one
+    chain series of torus classes per edge and leg.  A measure is a ring
+    homomorphism, so each slot's classes are mapped before the product is
+    taken.  Under ``SymbolicIdentity`` the ``t^d`` coefficient equals, term
+    for term, the sum of ``stratum_class`` over ``stable_pairs(graph, d)``.
     """
-    if degree < 0:
+    if order < 0:
         raise ValueError("degree must be nonnegative")
+    image = measure.of_elem
     factors = [
         TruncSeries(
-            punctured_sym_class(v.model, _holes(graph, v), d) for d in range(degree + 1)
+            image(punctured_sym_class(v.model, _holes(graph, v), d)) for d in range(order + 1)
         )
         for v in graph.vertices
     ]
-    factors += [_chain_series(degree)] * (graph.num_edges + graph.num_legs)
-    return reduce(operator.mul, factors)[degree]
+    factors += [_chain_series(order, measure)] * (graph.num_edges + graph.num_legs)
+    return reduce(operator.mul, factors)
+
+
+def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:
+    """Class of the degree-d divisor space as a sum over strata, symbolically."""
+    return divisor_series_from_strata(graph, degree, SymbolicIdentity())[degree]
 
 
 def composition_torus_sum(degree: int) -> RingElem:

@@ -68,20 +68,22 @@ class Leaves:
 _SYMBOLIC = SymbolicIdentity()
 
 
-def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves:
+def leaf_images(
+    graph: DualGraph, measure: MotivicMeasure, order: int, rational: bool = True
+) -> Leaves:
     """The leaves of ``graph``'s closed forms under ``measure``.
 
-    Each model's classes run through ``t^max(order, 2g)``: enough for the
-    series to ``order`` and for the rational form.  A model the measure
-    does not realize raises ``MeasureError`` here.
+    Each model's classes run through ``t^order``, enough for the series, and
+    with ``rational`` through ``t^2g`` as well, as the rational form's
+    vertex numerators need.  A model the measure does not realize to that
+    degree raises ``MeasureError`` here.
     """
     classes: dict[str, Sequence[Coeff]] = {}
     for v in graph.vertices:
         model = v.model
         if model.kind != "p1" and model.name not in classes:
-            classes[model.name] = measure.class_series(
-                model.name, max(order, 2 * model.genus)
-            )
+            degree = max(order, 2 * model.genus) if rational else order
+            classes[model.name] = measure.class_series(model.name, degree)
     return Leaves(measure.lefschetz_image(), classes)
 
 

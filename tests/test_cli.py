@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: modes, outputs, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -8,7 +9,7 @@ import divzeta.strata as strata
 from divzeta.cli import main
 from divzeta.graph import parse_graph
 from divzeta.measures import PRIME_POWER_LIMIT
-from divzeta.ring import lefschetz, parse_elem
+from divzeta.ring import lefschetz, one, parse_elem
 from divzeta.zeta import divisorial_zeta_series
 
 from conftest import vertex
@@ -126,6 +127,76 @@ def test_mutation_is_detected(graph_file, capsys, monkeypatch):
                  "--max-degree", "4"])
     assert code == 3
     assert "verified: MISMATCH" in capsys.readouterr().out
+
+
+ELLIPTIC_PAIR = {
+    "vertices": [vertex("u", 1, {"type": "elliptic", "trace": 2}),
+                 vertex("w", 1, {"type": "elliptic", "trace": -1})],
+    "edges": [["u", "w"]],
+}
+
+
+def _shifted_torus(m):
+    return L ** (m + 1) - L**m if m else one()
+
+
+def _plain_torus(m):
+    return L**m
+
+
+@pytest.mark.parametrize(
+    "measure, mutant, detected",
+    [
+        (["--measure", "point-count", "--q", "7"], _shifted_torus, True),
+        (["--measure", "point-count", "--q", "7"], _plain_torus, True),
+        (["--measure", "euler"], _plain_torus, True),
+        # L -> 1 sends both L^(m+1) - L^m and L^m - L^(m-1) to 0.
+        (["--measure", "euler"], _shifted_torus, False),
+    ],
+)
+def test_mutation_is_detected_under_a_measure(graph_file, capsys, monkeypatch,
+                                              measure, mutant, detected):
+    monkeypatch.setattr(strata, "torus_class", mutant)
+    code = main(["--input", graph_file(ELLIPTIC_PAIR), "--mode", "verify",
+                 "--max-degree", "4"] + measure)
+    out = capsys.readouterr().out
+    assert code == (3 if detected else 0)
+    assert ("verified: MISMATCH" if detected else "verified: OK") in out
+
+
+CHAIN4 = {
+    "vertices": [vertex(name, 1) for name in "abcd"],
+    "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
+}
+
+
+@pytest.mark.parametrize("document", [CHAIN4, TWO_COMPONENTS])
+def test_verify_unrealized_models_at_degree_zero(graph_file, capsys, document):
+    # Degree 0 needs only c[m,0] = 1, so symbolic models pass unrealized.
+    argv = ["--input", graph_file(document), "--mode", "verify", "--measure",
+            "point-count", "--q", "7", "--max-degree"]
+    assert main(argv + ["0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "d=0: oracle=1 closed=1 diff=0",
+        "verified: OK",
+    ]
+    assert main(argv + ["1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no realization for generator c[" in captured.err
+
+
+@pytest.mark.parametrize("output", ["coefficients", "json"])
+def test_integer_past_the_digit_limit(graph_file, capsys, output):
+    q = 2**61 - 1
+    assert main(["--input", graph_file(TORUS), "--allow-unstable", "--measure",
+                 "point-count", "--q", str(q), "--max-degree", "260",
+                 "--output", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than {sys.get_int_max_str_digits()} decimal digits" in captured.err
+    assert f"--max-degree (260) or --q ({q})" in captured.err
+    assert "set_int_max_str_digits" not in captured.err
 
 
 # -- exit codes ------------------------------------------------------------------

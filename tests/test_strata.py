@@ -5,12 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divzeta.graph import CurveModel, GraphError, parse_graph
+from divzeta.measures import SymbolicIdentity, euler_for_graph, point_count_for_graph
 from divzeta.ring import RationalFn, lefschetz, one, sum_elems, sym_pow
 from divzeta.strata import (
     StablePair,
     composition_torus_sum,
     compositions,
     divisor_class_from_strata,
+    divisor_series_from_strata,
     punctured_sym_class,
     stable_pair_count,
     stable_pairs,
@@ -202,6 +204,8 @@ def test_factorized_oracle_rejects_negative_degree():
     with pytest.raises(ValueError):
         divisor_class_from_strata(marked_curve(), -1)
     with pytest.raises(ValueError):
+        divisor_series_from_strata(marked_curve(), -1, SymbolicIdentity())
+    with pytest.raises(ValueError):
         stable_pair_count(marked_curve(), -1)
 
 
@@ -230,3 +234,64 @@ def small_graphs(draw):
 @settings(max_examples=60, deadline=None)
 def test_factorized_oracle_matches_enumeration_on_random_graphs(graph, degree):
     assert_matches_enumeration(graph, degree)
+
+
+# -- the oracle series in a measure's ring ---------------------------------------------
+
+
+def _series_graphs():
+    graphs = battery()
+    graphs["punctured"] = parse_graph(
+        {
+            "vertices": [
+                vertex("u", 0, {"type": "p1"}, punctures=2),
+                vertex("w", 1, {"type": "elliptic", "trace": 2}, punctures=1),
+            ],
+            "edges": [["u", "w"], ["u", "w"], ["u", "w"]],
+        }
+    )
+    graphs["legs"] = parse_graph(
+        {
+            "vertices": [
+                vertex("a", 2, {"type": "weil", "numerator": [1, -1]}),
+                vertex("b", 1),
+            ],
+            "edges": [["a", "b"]],
+            "legs": ["a", "a", "b"],
+        }
+    )
+    return graphs
+
+
+_SERIES_GRAPHS = _series_graphs()
+
+# Weil numerators for the symbolic models, by genus, at q = 7 and at q = 4.
+# The genus-2 numerator at q = 7 has degree below 2g.
+_NUMERATORS = {
+    7: {0: [1], 1: [1, -3, 7], 2: [1, -1]},
+    4: {0: [1], 1: [1, 3, 4], 2: [1, 1, 1, 4, 16]},
+}
+
+
+def _oracle_measures(graph):
+    yield euler_for_graph(graph)
+    symbolic = {v.model.name: v.genus for v in graph.vertices if v.model.kind == "symbolic"}
+    for q, numerators in _NUMERATORS.items():
+        extra = {name: numerators[genus] for name, genus in symbolic.items()}
+        yield point_count_for_graph(graph, q, extra)
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_GRAPHS))
+def test_oracle_series_matches_oracle_classes(name):
+    graph = _SERIES_GRAPHS[name]
+    order = 6
+    series = divisor_series_from_strata(graph, order, SymbolicIdentity())
+    assert series.order == order
+    for degree in range(order + 1):
+        assert series[degree] == divisor_class_from_strata(graph, degree)
+    # The measure applied to each slot's classes (early) or to the symbolic
+    # coefficients (late) gives the same integers.
+    for measure in _oracle_measures(graph):
+        early = divisor_series_from_strata(graph, order, measure).coefficients()
+        assert all(type(c) is int for c in early)
+        assert list(early) == measure.of_series(series), measure.name
