@@ -27,7 +27,6 @@ from .measures import (
     MotivicMeasure,
     PointCount,
     SymbolicIdentity,
-    apply_measure,
     euler_for_graph,
     point_count_for_graph,
     weil_series,
@@ -91,7 +90,6 @@ __all__ = [
     "TruncSeries",
     "Vertex",
     "ZetaKind",
-    "apply_measure",
     "composition_torus_sum",
     "divisor_class_from_strata",
     "divisor_series_from_strata",

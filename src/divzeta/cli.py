@@ -15,7 +15,8 @@ Each mode builds one report of raw values (``RingElem`` or ``int``) under a
 shared ``graph``/``mode`` header; it is written either as indented JSON, ring
 elements in their canonical text form, or as plain text.
 
-Exit codes: 0 success/verified, 1 usage error, 2 validation error,
+Exit codes: 0 success/verified, 1 usage error (including a
+``--max-degree`` above ``MAX_DEGREE_LIMIT``), 2 validation error,
 3 verification mismatch.
 """
 
@@ -53,6 +54,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
+
+# The largest --max-degree accepted.  Series products are quadratic in the
+# degree over the integers and far worse symbolically, so a larger degree is
+# refused before the graph is read rather than left to run without end.
+MAX_DEGREE_LIMIT = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +104,8 @@ def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.max_degree < 0:
         parser.error("--max-degree must be nonnegative")
+    if args.max_degree > MAX_DEGREE_LIMIT:
+        parser.error(f"--max-degree {args.max_degree} exceeds the limit of {MAX_DEGREE_LIMIT}")
     if args.mode == "verify" and args.zeta != "divisorial":
         parser.error("--mode verify only applies to the divisorial zeta")
     if args.measure == "point-count" and args.q is None:

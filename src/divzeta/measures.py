@@ -27,7 +27,7 @@ import math
 from typing import Iterable, Mapping, Sequence
 
 from .graph import DualGraph
-from .ring import Generator, RingElem, TPoly, TruncSeries, lefschetz, sym_pow
+from .ring import Generator, RingElem, lefschetz, sym_pow
 
 
 class MeasureError(ValueError):
@@ -156,12 +156,6 @@ class MotivicMeasure:
             total += value
         return total
 
-    def of_series(self, series: TruncSeries) -> list[int]:
-        return [self.of_elem(c) for c in series.coefficients()]
-
-    def of_poly(self, poly: TPoly) -> list[int]:
-        return [self.of_elem(c) for c in poly.coefficients()]
-
 
 class SymbolicIdentity(MotivicMeasure):
     """The identity: apply is a no-op, useful as a uniform interface."""
@@ -263,17 +257,6 @@ class PointCount(MotivicMeasure):
         if order == 0:  # c[m,0] is the unit: no numerator needed
             return [1]
         return weil_series(self._numerator(model, 1), self.q, order)
-
-
-def apply_measure(value, measure: MotivicMeasure):
-    """Apply a measure to a RingElem, TruncSeries, or TPoly."""
-    if isinstance(value, RingElem):
-        return measure.of_elem(value)
-    if isinstance(value, TruncSeries):
-        return measure.of_series(value)
-    if isinstance(value, TPoly):
-        return measure.of_poly(value)
-    raise TypeError(f"cannot apply a measure to {type(value).__name__}")
 
 
 def euler_for_graph(graph: DualGraph) -> EulerCharacteristic:

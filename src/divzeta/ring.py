@@ -14,6 +14,15 @@ are all ``RingElem`` or all plain ``int`` (the image of a measure), and the
 arithmetic uses only ``+``, ``*``, negation, zero and one.  Input mixing the
 two is lifted to ``RingElem``, as are the products of mixed operands.
 
+Generators are interned: ``Generator(model, degree)`` returns the one
+validated instance for that pair, so hashing and comparing monomials is
+identity work done in C, and each generator carries its sort key.  A
+monomial is a tuple of ``(generator, exponent)`` pairs, ascending in the
+generator order with no zero exponent; two monomials multiply by one merge
+of their tuples (the sparse representation of Monagan and Pearce, "Sparse
+polynomial multiplication and division in Maple 14").  Every ``**`` here is
+exponentiation by repeated squaring.
+
 Canonical text form
 -------------------
 
@@ -37,41 +46,65 @@ output the parse is exact: ``parse_elem(str(x)) == x``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping
 
 MODEL_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 
 
-@dataclass(frozen=True)
 class Generator:
-    """One ring generator: ``L`` (model None) or ``c[model,degree]``."""
+    """One ring generator: ``L`` (model None) or ``c[model,degree]``.
 
-    model: str | None = None
-    degree: int = 0
+    Interned: the constructor returns the one instance for each ``(model,
+    degree)``, validated and with its sort key computed when first made, so
+    equality and hashing are identity.  Instances are immutable.
+    """
 
-    def __post_init__(self) -> None:
-        if self.model is None:
-            if self.degree:
-                raise ValueError("the Lefschetz generator carries no degree")
-        else:
-            if not MODEL_ID_RE.fullmatch(self.model):
-                raise ValueError(f"invalid model id: {self.model!r}")
-            if self.degree < 1:
-                raise ValueError("symmetric-power degree must be at least 1")
+    __slots__ = ("model", "degree", "_key")
+
+    def __new__(cls, model: str | None = None, degree: int = 0) -> Generator:
+        if type(degree) is not int:
+            raise ValueError(f"generator degree must be an int, got {degree!r}")
+        gen = _GENERATORS.get((model, degree))
+        if gen is None:
+            if model is None:
+                if degree:
+                    raise ValueError("the Lefschetz generator carries no degree")
+                key = (0, "", 0)
+            else:
+                if not MODEL_ID_RE.fullmatch(model):
+                    raise ValueError(f"invalid model id: {model!r}")
+                if degree < 1:
+                    raise ValueError("symmetric-power degree must be at least 1")
+                key = (1, model, degree)
+            gen = super().__new__(cls)
+            for name, value in (("model", model), ("degree", degree), ("_key", key)):
+                object.__setattr__(gen, name, value)
+            _GENERATORS[model, degree] = gen
+        return gen
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Generator is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Generator is immutable")
+
+    def __reduce__(self):
+        return (Generator, (self.model, self.degree))
 
     def sort_key(self) -> tuple[int, str, int]:
-        if self.model is None:
-            return (0, "", 0)
-        return (1, self.model, self.degree)
+        return self._key
 
     def __str__(self) -> str:
         if self.model is None:
             return "L"
         return f"c[{self.model},{self.degree}]"
 
+    def __repr__(self) -> str:
+        return f"Generator(model={self.model!r}, degree={self.degree!r})"
 
+
+_GENERATORS: dict[tuple[str | None, int], Generator] = {}
 LEFSCHETZ_GEN = Generator()
 
 # A monomial maps generators to positive exponents, stored as a tuple of
@@ -84,10 +117,28 @@ def _mono_sorted(items: Iterable[tuple[Generator, int]]) -> Monomial:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps = dict(a)
-    for gen, exp in b:
-        exps[gen] = exps.get(gen, 0) + exp
-    return _mono_sorted(exps.items())
+    """Product of two monomials: one merge of the ascending factor lists."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        gen_a, exp_a = a[i]
+        gen_b, exp_b = b[j]
+        if gen_a is gen_b:
+            out.append((gen_a, exp_a + exp_b))
+            i += 1
+            j += 1
+        elif gen_a._key < gen_b._key:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _mono_cmp(a: Monomial, b: Monomial) -> int:
@@ -110,6 +161,18 @@ def _mono_str(mono: Monomial) -> str:
     for gen, exp in reversed(mono):
         factors.append(str(gen) if exp == 1 else f"{gen}^{exp}")
     return "*".join(factors)
+
+
+def _power(base, exponent: int, unit):
+    """``base ** exponent`` by repeated squaring; ``unit`` when the exponent is 0."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return unit if result is None else result
 
 
 class RingElem:
@@ -190,10 +253,7 @@ class RingElem:
     def __pow__(self, exponent: int) -> RingElem:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("ring exponent must be a nonnegative integer")
-        result = one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(self, exponent, _ONE)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -497,10 +557,8 @@ class TruncSeries:
     def __pow__(self, exponent: int) -> TruncSeries:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("series exponent must be a nonnegative integer")
-        result = TruncSeries.from_coeffs([_one_of(self._coeffs)], self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        unit = TruncSeries.from_coeffs([_one_of(self._coeffs)], self.order)
+        return _power(self, exponent, unit)
 
     def inverse(self) -> TruncSeries:
         """Multiplicative inverse; requires unit constant coefficient."""
@@ -609,10 +667,7 @@ class TPoly:
     def __pow__(self, exponent: int) -> TPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = TPoly([_one_of(self._coeffs)])
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return _power(self, exponent, TPoly([_one_of(self._coeffs)]))
 
     def series(self, order: int) -> TruncSeries:
         return TruncSeries.from_coeffs(self._coeffs, order)

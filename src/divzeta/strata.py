@@ -165,6 +165,8 @@ def punctured_sym_class(model, holes: int, degree: int) -> RingElem:
     """Class of the degree-d symmetric power of a component minus ``holes`` points.
 
     Coefficient of ``t^degree`` in the vertex zeta times ``(1-t)^holes``.
+    The literal reference ``stratum_class`` asks for one degree at a time;
+    the factorized oracle builds the whole series once (``_vertex_factor``).
     """
     series = vertex_zeta_series(model, 0, degree) * one_minus_t(degree) ** holes
     return series[degree]
@@ -205,6 +207,17 @@ def _chain_series(order: int, measure: MotivicMeasure) -> TruncSeries:
     return TruncSeries([image(one())] + tori).inverse()
 
 
+def _vertex_factor(model, holes: int, order: int, measure: MotivicMeasure) -> TruncSeries:
+    """``sum_d punctured_sym_class(model, holes, d) t^d`` through ``order``,
+    in ``measure``'s ring: the image of the vertex zeta times ``(1-t)^holes``,
+    one series product for every degree at once.
+    """
+    image = measure.of_elem
+    zeta = TruncSeries(image(c) for c in vertex_zeta_series(model, 0, order).coefficients())
+    unit = image(one())
+    return zeta * TruncSeries.from_coeffs([unit, -unit], order) ** holes
+
+
 def divisor_series_from_strata(
     graph: DualGraph, order: int, measure: MotivicMeasure
 ) -> TruncSeries:
@@ -214,21 +227,16 @@ def divisor_series_from_strata(
     This is the independent counterpart of the closed-form divisorial zeta.
     The sum over all stable pairs of degree d is evaluated slot by slot: the
     ``t^d`` coefficient of the product of one series
-    ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex and one
-    chain series of torus classes per edge and leg.  A measure is a ring
-    homomorphism, so each slot's classes are mapped before the product is
-    taken.  Under ``SymbolicIdentity`` the ``t^d`` coefficient equals, term
-    for term, the sum of ``stratum_class`` over ``stable_pairs(graph, d)``.
+    ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex (built in
+    one product, ``_vertex_factor``) and one chain series of torus classes
+    per edge and leg.  A measure is a ring homomorphism, so each slot's
+    classes are mapped before the product is taken.  Under
+    ``SymbolicIdentity`` the ``t^d`` coefficient equals, term for term, the
+    sum of ``stratum_class`` over ``stable_pairs(graph, d)``.
     """
     if order < 0:
         raise ValueError("degree must be nonnegative")
-    image = measure.of_elem
-    factors = [
-        TruncSeries(
-            image(punctured_sym_class(v.model, _holes(graph, v), d)) for d in range(order + 1)
-        )
-        for v in graph.vertices
-    ]
+    factors = [_vertex_factor(v.model, _holes(graph, v), order, measure) for v in graph.vertices]
     factors += [_chain_series(order, measure)] * (graph.num_edges + graph.num_legs)
     return reduce(operator.mul, factors)
 

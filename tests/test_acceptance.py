@@ -155,7 +155,8 @@ def test_criterion_6_euler_specialization():
             + sum(2 * v.genus - 2 for v in graph.vertices)
             + sum(v.punctures for v in graph.vertices)
         )
-        image = euler_for_graph(graph).of_series(divisorial_zeta_series(graph, 10))
+        euler = euler_for_graph(graph)
+        image = [euler.of_elem(c) for c in divisorial_zeta_series(graph, 10).coefficients()]
         expected = [one_minus_t_coefficient(exponent, d) for d in range(11)]
         ok = ok and image == expected
     report("criterion 6: Euler image is (1-t)^(|E| + sum(2g-2) + punctures)", ok)
@@ -172,7 +173,7 @@ def test_criterion_7_point_count_specialization():
             ),
             8,
         )
-        counts = measure.of_series(series)
+        counts = [measure.of_elem(c) for c in series.coefficients()]
         ok = ok and counts == [(q ** (d + 1) - 1) // (q - 1) for d in range(9)]
     elliptic = PointCount(5, {"E": [1, -2, 5]}, {"E": 1})
     ok = ok and elliptic.of_elem(sym_pow("E", 1)) == 4

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import divzeta.strata as strata
-from divzeta.cli import main
+from divzeta.cli import MAX_DEGREE_LIMIT, main, parse_config
 from divzeta.graph import parse_graph
 from divzeta.measures import PRIME_POWER_LIMIT
 from divzeta.ring import lefschetz, one, parse_elem
@@ -211,6 +211,31 @@ def test_usage_errors(graph_file, capsys):
     assert main(["--input", path, "--max-degree", "-1"]) == 1
     assert main(["--input", path, "--numerators", "{oops"]) == 1
     assert main(["--input", path, "--mode", "fly"]) == 1
+    capsys.readouterr()
+
+
+ELLIPTIC_CHAIN4 = {
+    "vertices": [vertex(name, 1, {"type": "elliptic", "trace": 1}) for name in "abcd"],
+    "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
+}
+
+
+def test_degree_above_the_limit_is_refused_up_front(graph_file, capsys, monkeypatch):
+    # Refused before the graph is read: nothing past argument parsing runs.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the graph was loaded")
+
+    monkeypatch.setattr("divzeta.cli.load_graph", unreachable)
+    assert main(["--input", graph_file(ELLIPTIC_CHAIN4), "--measure", "euler",
+                 "--max-degree", "20000", "--output", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--max-degree 20000 exceeds the limit of {MAX_DEGREE_LIMIT}" in captured.err
+    path = graph_file(MARKED)
+    assert parse_config(["--input", path, "--max-degree", str(MAX_DEGREE_LIMIT)])
+    with pytest.raises(SystemExit) as refused:
+        parse_config(["--input", path, "--max-degree", str(MAX_DEGREE_LIMIT + 1)])
+    assert refused.value.code == 1
     capsys.readouterr()
 
 

@@ -1,14 +1,19 @@
 """Ring, series, and rational-function arithmetic."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divzeta.ring import (
+    Generator,
     RationalFn,
     RingElem,
     TPoly,
     TruncSeries,
+    _mono_mul,
     lefschetz,
     one,
     parse_elem,
@@ -95,6 +100,61 @@ def test_mul_associative(a, b, c_):
 @settings(max_examples=40, deadline=None)
 def test_distributive(a, b, c_):
     assert a * (b + c_) == a * b + a * c_
+
+
+# -- generators and monomials ---------------------------------------------------
+
+
+def test_generators_are_interned_and_immutable():
+    gen = Generator("m", 1)
+    assert gen is Generator("m", 1) and Generator() is Generator(None, 0)
+    assert (gen.model, gen.degree, gen.sort_key(), str(gen)) == ("m", 1, (1, "m", 1), "c[m,1]")
+    assert copy.deepcopy(gen) is gen and pickle.loads(pickle.dumps(gen)) is gen
+    for attempt in (lambda: setattr(gen, "degree", 2), lambda: setattr(gen, "extra", 0),
+                    lambda: delattr(gen, "model")):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert (gen.model, gen.degree) == ("m", 1)
+    for model, degree in [("1m", 1), ("", 1), ("m", 0), ("m", -1), (None, 2),
+                          ("m", 1.0), ("m", True)]:
+        with pytest.raises(ValueError):
+            Generator(model, degree)
+    x = c("m", 1) ** 2 * L - 3 * c("m", 10) * c("n", 1) + c("m.x_2", 3) - 7
+    assert parse_elem(str(x)) == x
+
+
+_MONO_GENS = [Generator(), Generator("m", 1), Generator("m", 2), Generator("m", 10),
+              Generator("n", 1), Generator("n_2", 3)]
+
+
+def _ascending(exps):
+    return tuple(sorted(exps, key=lambda pair: pair[0].sort_key()))
+
+
+@st.composite
+def monomials(draw):
+    """Ascending ``(generator, exponent)`` tuples without zero exponents."""
+    exps = draw(st.dictionaries(st.sampled_from(_MONO_GENS), st.integers(1, 5)))
+    return _ascending(exps.items())
+
+
+def _dict_and_sort_product(a, b):
+    """The reference product: add exponents in a dict, then sort."""
+    exps = dict(a)
+    for gen, exp in b:
+        exps[gen] = exps.get(gen, 0) + exp
+    return _ascending(exps.items())
+
+
+@given(monomials(), monomials(), monomials())
+def test_merge_product_matches_dict_and_sort(a, b, c_):
+    product = _mono_mul(a, b)
+    assert type(product) is tuple and product == _dict_and_sort_product(a, b)
+    keys = [gen.sort_key() for gen, _ in product]
+    assert keys == sorted(set(keys))
+    assert all(exp > 0 for _, exp in product)
+    assert product == _mono_mul(b, a)
+    assert _mono_mul(product, c_) == _mono_mul(a, _mono_mul(b, c_))
 
 
 # -- canonical text -----------------------------------------------------------
@@ -193,6 +253,31 @@ def test_series_pow():
     one_minus_t = TruncSeries.from_coeffs([1, -1], order)
     assert one_minus_t**0 == TruncSeries.one(order)
     assert one_minus_t**2 == TruncSeries.from_coeffs([1, -2, 1], order)
+
+
+_POWER_BASES = [
+    (TruncSeries([1, -2, 3, 0, 5]), TruncSeries.from_coeffs([1], 4)),
+    (TruncSeries([one(), L - 1, c("m", 1), zero(), 2 * L]), TruncSeries.one(4)),
+    (TPoly([2, -1, 3]), TPoly([1])),
+    (TPoly([one(), L - 1, c("m", 1)]), TPoly([one()])),
+    (L - c("m", 1) + 2, one()),
+]
+
+
+def _coefficient_types(value):
+    if isinstance(value, RingElem):
+        return [RingElem]
+    return [type(x) for x in value.coefficients()]
+
+
+@pytest.mark.parametrize("base, unit", _POWER_BASES)
+def test_pow_is_repeated_multiplication(base, unit):
+    product = unit
+    for exponent in range(8):
+        power = base**exponent
+        assert power == product, exponent
+        assert _coefficient_types(power) == _coefficient_types(product), exponent
+        product = product * base
 
 
 def test_series_pow_square_of_torus_zeta():

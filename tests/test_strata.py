@@ -17,6 +17,8 @@ from divzeta.strata import (
     stable_pair_count,
     stable_pairs,
     stratum_class,
+    _holes,
+    _vertex_factor,
     torus_class,
     weak_compositions,
 )
@@ -294,4 +296,20 @@ def test_oracle_series_matches_oracle_classes(name):
     for measure in _oracle_measures(graph):
         early = divisor_series_from_strata(graph, order, measure).coefficients()
         assert all(type(c) is int for c in early)
-        assert list(early) == measure.of_series(series), measure.name
+        assert list(early) == [measure.of_elem(c) for c in series.coefficients()], measure.name
+
+
+@pytest.mark.parametrize("name", sorted(_SERIES_GRAPHS))
+def test_vertex_factor_is_the_punctured_classes(name):
+    # One product per vertex gives, at every degree, the class the literal
+    # reference computes one degree at a time; under a measure, its image.
+    graph = _SERIES_GRAPHS[name]
+    order = 6
+    for v in graph.vertices:
+        holes = _holes(graph, v)
+        classes = [punctured_sym_class(v.model, holes, d) for d in range(order + 1)]
+        factor = _vertex_factor(v.model, holes, order, SymbolicIdentity())
+        assert list(factor.coefficients()) == classes, v.id
+        for measure in _oracle_measures(graph):
+            image = _vertex_factor(v.model, holes, order, measure).coefficients()
+            assert list(image) == [measure.of_elem(c) for c in classes], (v.id, measure.name)
