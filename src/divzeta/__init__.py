@@ -56,16 +56,7 @@ from .strata import (
 )
 from .zeta import (
     ZetaKind,
-    divisorial_zeta_rational,
-    divisorial_zeta_series,
-    hilbert_zeta_rational,
-    hilbert_zeta_series,
-    nodal_zeta_rational,
-    nodal_zeta_series,
     node_factor_rational,
-    node_factor_series,
-    smooth_zeta_series,
-    vertex_zeta_rational,
     vertex_zeta_series,
     zeta_rational,
     zeta_series,
@@ -93,31 +84,22 @@ __all__ = [
     "composition_torus_sum",
     "divisor_class_from_strata",
     "divisor_series_from_strata",
-    "divisorial_zeta_rational",
-    "divisorial_zeta_series",
     "euler_for_graph",
     "graph_to_json",
-    "hilbert_zeta_rational",
-    "hilbert_zeta_series",
     "lefschetz",
     "load_graph",
-    "nodal_zeta_rational",
-    "nodal_zeta_series",
     "node_factor_rational",
-    "node_factor_series",
     "one",
     "parse_elem",
     "parse_graph",
     "point_count_for_graph",
     "punctured_sym_class",
-    "smooth_zeta_series",
     "stable_pair_count",
     "stable_pairs",
     "stratum_class",
     "sym_pow",
     "torus_class",
     "total_genus",
-    "vertex_zeta_rational",
     "vertex_zeta_series",
     "weil_series",
     "zero",

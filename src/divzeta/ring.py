@@ -207,13 +207,6 @@ class RingElem:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_one(self) -> bool:
-        return self._terms == {(): 1}
-
-    def constant_coefficient(self) -> int:
-        return self._terms.get((), 0)
-
     def __add__(self, other: RingElem | int) -> RingElem:
         other = _as_elem(other)
         if other is NotImplemented:

@@ -22,9 +22,10 @@ series.  ``divisor_series_from_strata`` evaluates that product for every
 degree at once, in the ring of a motivic measure: each factor is mapped
 before the slots are multiplied, so a measured product runs over the
 integers.  ``divisor_class_from_strata`` is its symbolic coefficient of one
-degree, and ``stable_pair_count`` counts the pairs the same way;
-``stable_pairs`` and ``stratum_class`` are the literal enumeration they are
-tested against at small degree.
+degree.  ``stable_pair_count`` counts the pairs from the same factorization,
+with the per-slot series in closed form, as one sum of binomials per
+degree; ``stable_pairs`` and ``stratum_class`` are the literal enumeration
+they are tested against at small degree.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from functools import lru_cache, reduce
 from typing import Iterator
 
 from .graph import DualGraph, Vertex
-from .measures import MotivicMeasure, SymbolicIdentity
+from .measures import MotivicMeasure, SymbolicIdentity, one_minus_t_coefficient
 from .ring import RingElem, TruncSeries, lefschetz, one, sum_elems
-from .zeta import one_minus_t, vertex_zeta_series
+from .zeta import vertex_zeta_series
 
 
 @dataclass(frozen=True)
@@ -141,14 +142,20 @@ def stable_pair_count(graph: DualGraph, degree: int) -> int:
     A vertex takes any degree, ``1/(1-t)``; an edge or leg takes an ordered
     composition, of which a positive total ``s`` has ``2^(s-1)``, giving
     ``(1-t)/(1-2t)``.  The count is the ``t^degree`` coefficient of
-    ``(1-t)^(-|V|) * ((1-t)/(1-2t))^(|E|+n)``.
+    ``(1-t)^(-|V|) * ((1-t)/(1-2t))^K = (1-t)^(K-|V|) * (1-2t)^(-K)`` with
+    ``K = |E|+n``, a sum of ``degree + 1`` products of binomials, since
+    ``[t^j] (1-2t)^(-K) = 2^j [t^j] (1-t)^(-K)``.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    vertex = TruncSeries([1] * (degree + 1))
-    chain = TruncSeries([1] + [2 ** (s - 1) for s in range(1, degree + 1)])
-    factors = [vertex] * len(graph.vertices) + [chain] * (graph.num_edges + graph.num_legs)
-    return reduce(operator.mul, factors)[degree]
+    chains = graph.num_edges + graph.num_legs
+    free = chains - len(graph.vertices)
+    return sum(
+        one_minus_t_coefficient(free, i)
+        * 2 ** (degree - i)
+        * one_minus_t_coefficient(-chains, degree - i)
+        for i in range(degree + 1)
+    )
 
 
 def torus_class(m: int) -> RingElem:
@@ -164,12 +171,12 @@ def torus_class(m: int) -> RingElem:
 def punctured_sym_class(model, holes: int, degree: int) -> RingElem:
     """Class of the degree-d symmetric power of a component minus ``holes`` points.
 
-    Coefficient of ``t^degree`` in the vertex zeta times ``(1-t)^holes``.
-    The literal reference ``stratum_class`` asks for one degree at a time;
-    the factorized oracle builds the whole series once (``_vertex_factor``).
+    Coefficient of ``t^degree`` in the vertex zeta times ``(1-t)^holes``,
+    the zeta of the component with ``holes`` punctures.  The literal
+    reference ``stratum_class`` asks for one degree at a time; the
+    factorized oracle builds the whole series once (``_vertex_factor``).
     """
-    series = vertex_zeta_series(model, 0, degree) * one_minus_t(degree) ** holes
-    return series[degree]
+    return vertex_zeta_series(model, holes, degree)[degree]
 
 
 def stratum_class(graph: DualGraph, pair: StablePair) -> RingElem:

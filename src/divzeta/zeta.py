@@ -1,23 +1,26 @@
 """Closed forms for the zeta functions of a stable marked curve.
 
-With ``E`` the edge multiset, ``n`` the leg count, and ``Z_v`` the zeta
-series of the normalization of the component at vertex ``v`` (including its
-puncture factor), every closed form is one product
+With ``E`` the edge multiset, ``n`` the leg count, ``p`` the total number
+of punctures, and ``Z_v`` the Kapranov zeta of the normalization of the
+component at vertex ``v``, every closed form is one graph scalar times the
+vertex zetas,
 
-    ``node_factor^a * (1-t)^b * (1 - t + L*t^2)^c * prod_v Z_v``
+    ``node_factor^a * (1-t)^(b+p) * (1 - t + L*t^2)^c * prod_v Z_v``
 
 where ``node_factor = (1 - L*t) / (1 - L*t - t + t^2)`` and the kind fixes
-the exponents (factors with exponent 0 are left out):
+the exponents (the scalar is left out when all three are 0):
 
 * divisorial:      ``a = |E|+n``, ``b = 2|E|+n``
 * Hilbert:         ``c = |E|``   (legs ignored)
 * nodal Kapranov:  ``b = |E|``
-* smooth Kapranov: none, the plain product of vertex zetas.
+* smooth Kapranov: none, only the punctures' ``(1-t)^p``.
 
-One builder per target evaluates the product: ``zeta_series_image`` as a
-truncated series, ``zeta_rational_image`` as an unreduced rational function
-in ``t``.  Both take the product's leaves (``Leaves``): the image of ``L``
-and, per model, the images of ``c[m,0], c[m,1], ...``.  ``zeta_series`` and
+The scalar is built once per call as an unreduced rational function.  It
+has two targets: ``zeta_rational_image`` multiplies it into each vertex's
+``numerator / ((1-t)(1-L*t))``, and ``zeta_series_image`` multiplies the
+truncated vertex series together and the scalar's expansion in last.  Both
+take the product's leaves (``Leaves``): the image of ``L`` and, per model,
+the images of ``c[m,0], c[m,1], ...``.  ``zeta_series`` and
 ``zeta_rational`` are the symbolic reference: their leaves are the free
 generators.  A motivic measure is a ring homomorphism, so applying it to the
 leaves (``leaf_images``) and then running the same builder over the integers
@@ -35,10 +38,11 @@ through a Weil numerator of degree at most 2g.
 from __future__ import annotations
 
 import enum
-import functools
+import operator
+from functools import reduce
 from typing import Mapping, Sequence
 
-from .graph import CurveModel, DualGraph
+from .graph import CurveModel, DualGraph, Vertex
 from .measures import MotivicMeasure, SymbolicIdentity
 from .ring import Coeff, RationalFn, TPoly, TruncSeries, lefschetz
 
@@ -87,50 +91,34 @@ def leaf_images(
     return Leaves(measure.lefschetz_image(), classes)
 
 
-def _model_leaves(model: CurveModel | None = None, order: int = 0) -> Leaves:
-    """Symbolic leaves for one model, or for none."""
-    classes = {}
-    if model is not None and model.kind != "p1":
-        classes[model.name] = _SYMBOLIC.class_series(model.name, order)
-    return Leaves(lefschetz(), classes)
-
-
 # -- factors -------------------------------------------------------------------
 
 
 def _exponents(kind: ZetaKind, graph: DualGraph) -> tuple[int, int, int]:
     """Exponents of the node factor, ``(1-t)`` and the Hilbert factor."""
     edges, legs = graph.num_edges, graph.num_legs
+    punctures = sum(v.punctures for v in graph.vertices)
     if kind is ZetaKind.DIVISORIAL:
-        return edges + legs, 2 * edges + legs, 0
+        return edges + legs, 2 * edges + legs + punctures, 0
     if kind is ZetaKind.HILBERT:
-        return 0, 0, edges
+        return 0, punctures, edges
     if kind is ZetaKind.KAPRANOV_NODAL:
-        return 0, edges, 0
-    return 0, 0, 0
+        return 0, edges + punctures, 0
+    return 0, punctures, 0
 
 
-def _graph_factors(
-    kind: ZetaKind, graph: DualGraph, leaves: Leaves
-) -> list[tuple[TPoly, TPoly | None, int]]:
-    """``(numerator, denominator or None, exponent)`` per factor used."""
+def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn | None:
+    """The factor fixed by the edges, legs and punctures, or None if it is 1."""
     a, b, c = _exponents(kind, graph)
-    factors = [
-        (*_node_factor(leaves), a),
-        (_one_minus_t(leaves), None, b),
-        (TPoly([leaves.one, -leaves.one, leaves.lefschetz]), None, c),
-    ]
-    return [factor for factor in factors if factor[2]]
-
-
-def _node_factor(leaves: Leaves) -> tuple[TPoly, TPoly]:
-    """``1 - L*t`` over ``1 - L*t - t + t^2``."""
+    if not (a or b or c):
+        return None
     one_, lef = leaves.one, leaves.lefschetz
-    return TPoly([one_, -lef]), TPoly([one_, -(lef + one_), one_])
-
-
-def _one_minus_t(leaves: Leaves) -> TPoly:
-    return TPoly([leaves.one, -leaves.one])
+    numerator = (
+        TPoly([one_, -lef]) ** a
+        * TPoly([one_, -one_]) ** b
+        * TPoly([one_, -one_, lef]) ** c
+    )
+    return RationalFn(numerator, TPoly([one_, -(lef + one_), one_]) ** a)
 
 
 def _sym_denominator(leaves: Leaves) -> TPoly:
@@ -140,7 +128,11 @@ def _sym_denominator(leaves: Leaves) -> TPoly:
 
 
 def _sym_numerator(model: CurveModel, leaves: Leaves) -> TPoly:
-    """Degree-2g numerator with coefficients c_d - (L+1) c_{d-1} + L c_{d-2}."""
+    """Numerator of the vertex zeta over ``(1-t)(1-L*t)``: 1 for a projective
+    line, else of degree 2g with coefficients c_d - (L+1) c_{d-1} + L c_{d-2}.
+    """
+    if model.kind == "p1":
+        return TPoly([leaves.one])
     lef = leaves.lefschetz
     c = [0, 0, *leaves.classes[model.name][: 2 * model.genus + 1]]
     return TPoly(
@@ -165,7 +157,7 @@ def rational_coefficients(
     a, b, c = _exponents(kind, graph)
     numerator = a + b + 2 * c
     for v in graph.vertices:
-        numerator += v.punctures + (0 if v.model.kind == "p1" else 2 * v.model.genus)
+        numerator += 0 if v.model.kind == "p1" else 2 * v.model.genus
     denominator = 2 * a + 2 * len(graph.vertices)
     return _padded(fn.numerator, numerator), _padded(fn.denominator, denominator)
 
@@ -174,90 +166,38 @@ def _padded(poly: TPoly, degree: int) -> list[Coeff]:
     return list(poly.coefficients()) + [0] * (degree - poly.degree)
 
 
-# -- truncated series ---------------------------------------------------------------
+# -- the two targets -----------------------------------------------------------------
 
 
-def _vertex_series(model: CurveModel, punctures: int, order: int, leaves: Leaves) -> TruncSeries:
+def _vertex_series(model: CurveModel, order: int, leaves: Leaves) -> TruncSeries:
     if model.kind == "p1":
-        base = RationalFn(TPoly([leaves.one]), _sym_denominator(leaves)).series(order)
-    else:
-        base = TruncSeries(leaves.classes[model.name][: order + 1])
-    if punctures:
-        base = base * _one_minus_t(leaves).series(order) ** punctures
-    return base
+        return RationalFn(TPoly([leaves.one]), _sym_denominator(leaves)).series(order)
+    return TruncSeries(leaves.classes[model.name][: order + 1])
 
 
 def zeta_series_image(
     kind: ZetaKind, graph: DualGraph, order: int, leaves: Leaves
 ) -> TruncSeries:
     """The closed form of ``kind``, truncated at ``order``, in the leaves' ring."""
-    product = TruncSeries.from_coeffs([leaves.one], order)
-    for v in graph.vertices:
-        product = product * _vertex_series(v.model, v.punctures, order, leaves)
-    scalar = None
-    for numerator, denominator, exponent in _graph_factors(kind, graph, leaves):
-        factor = numerator.series(order)
-        if denominator is not None:
-            factor = denominator.series(order).inverse() * factor
-        power = factor**exponent
-        scalar = power if scalar is None else scalar * power
-    return product if scalar is None else scalar * product
-
-
-def zeta_series(kind: ZetaKind, graph: DualGraph, order: int) -> TruncSeries:
-    """The closed form of ``kind`` in free generators, truncated at ``order``."""
-    return zeta_series_image(kind, graph, order, leaf_images(graph, _SYMBOLIC, order))
-
-
-def vertex_zeta_series(model: CurveModel, punctures: int, order: int) -> TruncSeries:
-    """Kapranov zeta of one normalized component, with its puncture factor.
-
-    Symbolic, elliptic, and weil models keep free coefficients
-    ``c[name,d]``; a projective line expands to ``1/((1-t)(1-L*t))``.
-    Each puncture multiplies by ``(1-t)``.
-    """
-    return _vertex_series(model, punctures, order, _model_leaves(model, order))
-
-
-def one_minus_t(order: int) -> TruncSeries:
-    return _one_minus_t(_model_leaves()).series(order)
-
-
-def node_factor_rational() -> RationalFn:
-    """The per-node (and per-mark) factor (1 - L*t) / (1 - L*t - t + t^2)."""
-    return RationalFn(*_node_factor(_model_leaves()))
-
-
-def node_factor_series(order: int) -> TruncSeries:
-    return node_factor_rational().series(order)
-
-
-# -- rational forms ------------------------------------------------------------------
-
-
-def _vertex_rational(model: CurveModel, punctures: int, leaves: Leaves) -> RationalFn:
-    if model.kind == "p1":
-        numerator = TPoly([leaves.one])
-    else:
-        numerator = _sym_numerator(model, leaves)
-    if punctures:
-        numerator = numerator * _one_minus_t(leaves) ** punctures
-    return RationalFn(numerator, _sym_denominator(leaves))
+    product = reduce(operator.mul, (_vertex_series(v.model, order, leaves) for v in graph.vertices))
+    scalar = _graph_scalar(kind, graph, leaves)
+    # Operand order sets each coefficient's term order, and with it the cost
+    # of the display sort in str(); this order keeps the established cost.
+    return product if scalar is None else scalar.series(order) * product
 
 
 def zeta_rational_image(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn:
     """The closed form of ``kind`` as an unreduced rational function, in the leaves' ring."""
-    product = RationalFn([leaves.one], [leaves.one])
-    for v in graph.vertices:
-        product = product * _vertex_rational(v.model, v.punctures, leaves)
-    scalar = None
-    for numerator, denominator, exponent in _graph_factors(kind, graph, leaves):
-        power = RationalFn(
-            numerator**exponent,
-            TPoly([leaves.one]) if denominator is None else denominator**exponent,
-        )
-        scalar = power if scalar is None else scalar * power
-    return product if scalar is None else scalar * product
+    denominator = _sym_denominator(leaves)
+    factors = [RationalFn(_sym_numerator(v.model, leaves), denominator) for v in graph.vertices]
+    scalar = _graph_scalar(kind, graph, leaves)
+    return reduce(operator.mul, factors if scalar is None else [scalar, *factors])
+
+
+def zeta_series(kind: ZetaKind, graph: DualGraph, order: int) -> TruncSeries:
+    """The closed form of ``kind`` in free generators, truncated at ``order``."""
+    leaves = leaf_images(graph, _SYMBOLIC, order, rational=False)
+    return zeta_series_image(kind, graph, order, leaves)
 
 
 def zeta_rational(kind: ZetaKind, graph: DualGraph) -> RationalFn:
@@ -265,17 +205,18 @@ def zeta_rational(kind: ZetaKind, graph: DualGraph) -> RationalFn:
     return zeta_rational_image(kind, graph, leaf_images(graph, _SYMBOLIC, 0))
 
 
-def vertex_zeta_rational(model: CurveModel, punctures: int) -> RationalFn:
-    return _vertex_rational(model, punctures, _model_leaves(model, 2 * model.genus))
+def vertex_zeta_series(model: CurveModel, punctures: int, order: int) -> TruncSeries:
+    """Kapranov zeta of one normalized component, times ``(1-t)^punctures``:
+    the smooth Kapranov zeta of the one-vertex graph.
+
+    Symbolic, elliptic, and weil models keep free coefficients
+    ``c[name,d]``; a projective line expands to ``1/((1-t)(1-L*t))``.
+    """
+    graph = DualGraph((Vertex(model.name, model.genus, model, punctures),), (), ())
+    return zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order)
 
 
-# -- one name per kind ---------------------------------------------------------------
-
-divisorial_zeta_series = functools.partial(zeta_series, ZetaKind.DIVISORIAL)
-divisorial_zeta_rational = functools.partial(zeta_rational, ZetaKind.DIVISORIAL)
-hilbert_zeta_series = functools.partial(zeta_series, ZetaKind.HILBERT)
-hilbert_zeta_rational = functools.partial(zeta_rational, ZetaKind.HILBERT)
-nodal_zeta_series = functools.partial(zeta_series, ZetaKind.KAPRANOV_NODAL)
-nodal_zeta_rational = functools.partial(zeta_rational, ZetaKind.KAPRANOV_NODAL)
-smooth_zeta_series = functools.partial(zeta_series, ZetaKind.KAPRANOV_SMOOTH)
-smooth_zeta_rational = functools.partial(zeta_rational, ZetaKind.KAPRANOV_SMOOTH)
+def node_factor_rational() -> RationalFn:
+    """The per-node (and per-mark) factor (1 - L*t) / (1 - L*t - t + t^2)."""
+    lef = lefschetz()
+    return RationalFn([1, -lef], [1, -(lef + 1), 1])

@@ -24,13 +24,7 @@ from divzeta.strata import (
     stratum_class,
     torus_class,
 )
-from divzeta.zeta import (
-    ZetaKind,
-    divisorial_zeta_series,
-    hilbert_zeta_series,
-    node_factor_series,
-    zeta_series,
-)
+from divzeta.zeta import ZetaKind, node_factor_rational, zeta_series
 from divzeta.graph import CurveModel
 
 from conftest import battery, marked_curve, two_components, vertex
@@ -52,7 +46,7 @@ def battery_numerators(graph, q):
 def battery_holds(order=6, q=None):
     """Criterion-2 check: oracle equals closed form on every battery graph."""
     for graph in battery().values():
-        closed = divisorial_zeta_series(graph, order)
+        closed = zeta_series(ZetaKind.DIVISORIAL, graph, order)
         if q is None:
             measure = None
         else:
@@ -101,7 +95,7 @@ def test_criterion_3_torus_classes():
 
 
 def test_criterion_4_marked_point_factor():
-    node = node_factor_series(8)
+    node = node_factor_rational().series(8)
     ok = all(composition_torus_sum(d) == node[d] for d in range(1, 9))
     ok = ok and composition_torus_sum(2) == L
     ok = ok and composition_torus_sum(3) == L**2 + L - 1
@@ -156,7 +150,8 @@ def test_criterion_6_euler_specialization():
             + sum(v.punctures for v in graph.vertices)
         )
         euler = euler_for_graph(graph)
-        image = [euler.of_elem(c) for c in divisorial_zeta_series(graph, 10).coefficients()]
+        series = zeta_series(ZetaKind.DIVISORIAL, graph, 10)
+        image = [euler.of_elem(c) for c in series.coefficients()]
         expected = [one_minus_t_coefficient(exponent, d) for d in range(11)]
         ok = ok and image == expected
     report("criterion 6: Euler image is (1-t)^(|E| + sum(2g-2) + punctures)", ok)
@@ -202,7 +197,7 @@ def test_criterion_9_hilbert_formula():
 
     product = [convolve(z_u, z_w, d) for d in range(5)]
     expected = [convolve(window, product, d) for d in range(5)]
-    series = hilbert_zeta_series(graph, 4)
+    series = zeta_series(ZetaKind.HILBERT, graph, 4)
     ok = all(series[d] == expected[d] for d in range(5))
     report("criterion 9: Hilbert coefficients match the hand expansion, d <= 4", ok)
 
@@ -225,7 +220,7 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
 
     # Dropping any single stable pair from a representative check.
     graph = two_components(2)
-    closed = divisorial_zeta_series(graph, 2)
+    closed = zeta_series(ZetaKind.DIVISORIAL, graph, 2)
     pairs = stable_pairs(graph, 2)
     full = divisor_class_from_strata(graph, 2)
     assert full == closed[2]

@@ -9,8 +9,8 @@ import divzeta.strata as strata
 from divzeta.cli import MAX_DEGREE_LIMIT, main, parse_config
 from divzeta.graph import parse_graph
 from divzeta.measures import PRIME_POWER_LIMIT
-from divzeta.ring import lefschetz, one, parse_elem
-from divzeta.zeta import divisorial_zeta_series
+from divzeta.ring import RationalFn, lefschetz, one, parse_elem
+from divzeta.zeta import ZetaKind, zeta_series
 
 from conftest import vertex
 
@@ -79,7 +79,7 @@ def test_compute_json_round_trips(graph_file, capsys):
                  "--max-degree", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["graph"] == {"vertices": 2, "edges": 1, "legs": 0, "genus": 4}
-    series = divisorial_zeta_series(parse_graph(TWO_COMPONENTS), 3)
+    series = zeta_series(ZetaKind.DIVISORIAL, parse_graph(TWO_COMPONENTS), 3)
     parsed = [parse_elem(text) for text in report["coefficients"]]
     assert parsed == list(series.coefficients())
     assert parse_elem(report["rational"]["denominator"][0]) == 1
@@ -346,6 +346,18 @@ def test_point_count_rational_text_signs(graph_file, capsys):
     assert main(["--input", punctured_line, "--allow-unstable", "--measure",
                  "point-count", "--q", "3", "--output", "rational"]) == 0
     assert "rational: (1 - t) / (1 - 4*t + 3*t^2)" in capsys.readouterr().out
+
+
+def test_printed_rational_form_expands_to_printed_coefficients(graph_file, capsys):
+    path = graph_file(ELLIPTIC_CHAIN4)
+    for kind in ("divisorial", "hilbert", "kapranov-nodal"):
+        for measure in (["--measure", "euler"], ["--measure", "point-count", "--q", "5"]):
+            assert main(["--input", path, "--zeta", kind, *measure,
+                         "--max-degree", "12", "--output", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            rational = RationalFn(report["rational"]["numerator"],
+                                  report["rational"]["denominator"])
+            assert list(rational.series(12).coefficients()) == report["coefficients"]
 
 
 def test_unrealized_model_fails_in_every_output_mode(graph_file, capsys):

@@ -19,11 +19,10 @@ from divzeta.measures import (
     point_count_for_graph,
     weil_series,
 )
-from divzeta.ring import RingElem, lefschetz, one, sym_pow, zero
+from divzeta.ring import RationalFn, RingElem, lefschetz, one, sym_pow, zero
 from divzeta.strata import torus_class
 from divzeta.zeta import (
     ZetaKind,
-    divisorial_zeta_series,
     leaf_images,
     rational_coefficients,
     vertex_zeta_series,
@@ -210,7 +209,8 @@ def test_euler_image_of_divisorial_zeta_smoke():
     graph = loop_vertex(1)
     euler = euler_for_graph(graph)
     # |E| + sum(2g-2) + punctures = 1 + 0 + 0.
-    image = [euler.of_elem(c) for c in divisorial_zeta_series(graph, 6).coefficients()]
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, 6)
+    image = [euler.of_elem(c) for c in series.coefficients()]
     expected = [one_minus_t_coefficient(1, d) for d in range(7)]
     assert image == expected
 
@@ -318,6 +318,26 @@ def test_measure_applied_early_equals_applied_late(name):
                 [measure.of_elem(c) for c in fn.numerator.coefficients()],
                 [measure.of_elem(c) for c in fn.denominator.coefficients()],
             ), (kind, measure.name)
+
+
+@pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_GRAPHS))
+def test_printed_rational_form_expands_to_the_printed_series(name):
+    # The two targets share the graph scalar and differ in the vertex
+    # factors.  Under a measure realizing every model through a Weil
+    # numerator of degree at most 2g they agree at every order; in free
+    # generators, through t^(2g) of the lowest-genus curve vertex.
+    graph = _DIFFERENTIAL_GRAPHS[name]
+    order = 12
+    exact = min((2 * v.genus for v in graph.vertices if v.model.kind != "p1"), default=order)
+    for kind in ZetaKind:
+        for measure in _integer_measures(graph):
+            leaves = leaf_images(graph, measure, order)
+            fn = zeta_rational_image(kind, graph, leaves)
+            expansion = RationalFn(*rational_coefficients(kind, graph, fn)).series(order)
+            assert expansion == zeta_series_image(kind, graph, order, leaves), (kind, measure.name)
+        fn = zeta_rational(kind, graph)
+        expansion = RationalFn(*rational_coefficients(kind, graph, fn)).series(exact)
+        assert expansion == zeta_series(kind, graph, exact), kind
 
 
 def test_class_series_matches_class_images():

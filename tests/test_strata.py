@@ -1,12 +1,15 @@
 """Stable-pair enumeration and the strata oracle."""
 
+import operator
+from functools import reduce
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divzeta.graph import CurveModel, GraphError, parse_graph
 from divzeta.measures import SymbolicIdentity, euler_for_graph, point_count_for_graph
-from divzeta.ring import RationalFn, lefschetz, one, sum_elems, sym_pow
+from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sum_elems, sym_pow
 from divzeta.strata import (
     StablePair,
     composition_torus_sum,
@@ -22,7 +25,7 @@ from divzeta.strata import (
     torus_class,
     weak_compositions,
 )
-from divzeta.zeta import divisorial_zeta_series, node_factor_series
+from divzeta.zeta import ZetaKind, node_factor_rational, zeta_series
 
 from conftest import (
     battery,
@@ -160,14 +163,14 @@ def test_composition_torus_sum_values():
 
 
 def test_composition_torus_sum_matches_node_factor():
-    series = node_factor_series(8)
+    series = node_factor_rational().series(8)
     for d in range(1, 9):
         assert composition_torus_sum(d) == series[d]
 
 
 def test_oracle_matches_closed_form_smoke():
     graph = two_components(2)
-    series = divisorial_zeta_series(graph, 4)
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, 4)
     for d in range(5):
         assert divisor_class_from_strata(graph, d) == series[d]
 
@@ -200,6 +203,35 @@ def assert_matches_enumeration(graph, degree):
 def test_factorized_oracle_matches_enumeration_on_battery(name):
     for degree in range(7):
         assert_matches_enumeration(battery()[name], degree)
+
+
+def _pair_count_reference(graph, order):
+    """``(1-t)^(-|V|) * ((1-t)/(1-2t))^(|E|+n)`` as a product of integer series."""
+    vertex = TruncSeries([1] * (order + 1))
+    chain = TruncSeries([1] + [2 ** (s - 1) for s in range(1, order + 1)])
+    factors = [vertex] * len(graph.vertices) + [chain] * (graph.num_edges + graph.num_legs)
+    return reduce(operator.mul, factors)
+
+
+_COUNT_GRAPHS = {
+    **battery(),
+    "chain4": parse_graph(
+        {
+            "vertices": [vertex(name, 1) for name in "abcd"],
+            "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
+        }
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_GRAPHS))
+def test_pair_count_matches_the_series_product(name):
+    # The closed-form count against the per-slot series product it sums,
+    # far past the degrees the literal enumeration reaches.
+    graph = _COUNT_GRAPHS[name]
+    order = 40
+    counts = [stable_pair_count(graph, degree) for degree in range(order + 1)]
+    assert counts == list(_pair_count_reference(graph, order).coefficients())
 
 
 def test_factorized_oracle_rejects_negative_degree():

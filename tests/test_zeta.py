@@ -6,16 +6,9 @@ from divzeta.graph import CurveModel, parse_graph
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sym_pow
 from divzeta.zeta import (
     ZetaKind,
-    divisorial_zeta_rational,
-    divisorial_zeta_series,
-    hilbert_zeta_series,
     node_factor_rational,
-    node_factor_series,
-    nodal_zeta_series,
-    one_minus_t,
-    smooth_zeta_series,
-    vertex_zeta_rational,
     vertex_zeta_series,
+    zeta_rational,
     zeta_series,
 )
 
@@ -74,7 +67,7 @@ def test_elliptic_vertex_stays_symbolic():
 
 
 def test_node_factor_series_values():
-    series = node_factor_series(3)
+    series = node_factor_rational().series(3)
     assert series[0] == one()
     assert series[2] == L
     assert series[3] == L**2 + L - 1
@@ -98,25 +91,25 @@ def test_smooth_unmarked_vertex_equals_vertex_zeta():
 
 def test_divisorial_loop_first_coefficient():
     # node_factor*(1-t)^2*Z at order 1: 1 - 2 + c[m,1].
-    series = divisorial_zeta_series(loop_vertex(1), 1)
+    series = zeta_series(ZetaKind.DIVISORIAL, loop_vertex(1), 1)
     assert series[1] == c("m", 1) - 1
 
 
 def test_divisorial_marked_first_coefficient():
-    series = divisorial_zeta_series(marked_curve(2), 1)
+    series = zeta_series(ZetaKind.DIVISORIAL, marked_curve(2), 1)
     assert series[1] == c("m", 1)
 
 
 def test_hilbert_no_edges_is_vertex_product():
     graph = marked_curve(2)  # legs must be ignored
-    assert hilbert_zeta_series(graph, 4) == vertex_zeta_series(
+    assert zeta_series(ZetaKind.HILBERT, graph, 4) == vertex_zeta_series(
         CurveModel.symbolic("m", 2), 0, 4
     )
 
 
 def test_hilbert_two_components_coefficient():
     # (1 - t + L t^2) * Z_u * Z_w at t^2, expanded by hand.
-    series = hilbert_zeta_series(two_components(2), 2)
+    series = zeta_series(ZetaKind.HILBERT, two_components(2), 2)
     expected = (
         c("u", 2) + c("u", 1) * c("w", 1) + c("w", 2) - c("u", 1) - c("w", 1) + L
     )
@@ -124,12 +117,12 @@ def test_hilbert_two_components_coefficient():
 
 
 def test_hilbert_loop_coefficient():
-    series = hilbert_zeta_series(loop_vertex(1), 1)
+    series = zeta_series(ZetaKind.HILBERT, loop_vertex(1), 1)
     assert series[1] == c("m", 1) - 1
 
 
 def test_nodal_loop_coefficient():
-    series = nodal_zeta_series(loop_vertex(1), 1)
+    series = zeta_series(ZetaKind.KAPRANOV_NODAL, loop_vertex(1), 1)
     assert series[1] == c("m", 1) - 1
 
 
@@ -139,11 +132,11 @@ def test_divisorial_to_nodal_ratio():
     for graph in (loop_vertex(1), marked_curve(2), two_components(2)):
         scale = graph.num_edges + graph.num_legs
         expected = (
-            nodal_zeta_series(graph, order)
-            * node_factor_series(order) ** scale
-            * one_minus_t(order) ** scale
+            zeta_series(ZetaKind.KAPRANOV_NODAL, graph, order)
+            * node_factor_rational().series(order) ** scale
+            * TruncSeries.from_coeffs([1, -1], order) ** scale
         )
-        assert divisorial_zeta_series(graph, order) == expected
+        assert zeta_series(ZetaKind.DIVISORIAL, graph, order) == expected
 
 
 def test_unit_constant_terms():
@@ -160,9 +153,9 @@ def test_multiplicativity_across_separating_edge():
     joined = two_components(2)
     left = parse_graph({"vertices": [vertex("u", 2)], "legs": ["u"]})
     right = parse_graph({"vertices": [vertex("w", 2, punctures=1)]})
-    assert divisorial_zeta_series(joined, order) == divisorial_zeta_series(
-        left, order
-    ) * divisorial_zeta_series(right, order)
+    assert zeta_series(ZetaKind.DIVISORIAL, joined, order) == zeta_series(
+        ZetaKind.DIVISORIAL, left, order
+    ) * zeta_series(ZetaKind.DIVISORIAL, right, order)
 
 
 def test_loop_and_mark_puncture_exchange():
@@ -177,15 +170,16 @@ def test_loop_and_mark_puncture_exchange():
             "legs": ["m"],
         }
     )
-    assert divisorial_zeta_series(with_loop, order) == divisorial_zeta_series(
-        with_mark, order
+    assert zeta_series(ZetaKind.DIVISORIAL, with_loop, order) == zeta_series(
+        ZetaKind.DIVISORIAL, with_mark, order
     )
     base = parse_graph(
         {"vertices": [vertex("m", 1), vertex("o", 2)], "edges": [["m", "o"]]}
     )
-    factor = node_factor_series(order) * one_minus_t(order) ** 2
-    assert divisorial_zeta_series(with_loop, order) == (
-        divisorial_zeta_series(base, order) * factor
+    one_minus_t = TruncSeries.from_coeffs([1, -1], order)
+    factor = node_factor_rational().series(order) * one_minus_t**2
+    assert zeta_series(ZetaKind.DIVISORIAL, with_loop, order) == (
+        zeta_series(ZetaKind.DIVISORIAL, base, order) * factor
     )
 
 
@@ -193,9 +187,9 @@ def test_puncture_multiplies_by_one_minus_t():
     order = 6
     plain = parse_graph({"vertices": [vertex("m", 2)]})
     punctured = parse_graph({"vertices": [vertex("m", 2, punctures=1)]})
-    assert divisorial_zeta_series(punctured, order) == divisorial_zeta_series(
-        plain, order
-    ) * one_minus_t(order)
+    assert zeta_series(ZetaKind.DIVISORIAL, punctured, order) == zeta_series(
+        ZetaKind.DIVISORIAL, plain, order
+    ) * TruncSeries.from_coeffs([1, -1], order)
 
 
 # -- rational forms -----------------------------------------------------------------
@@ -213,38 +207,46 @@ def test_rational_matches_series_for_concrete_models():
         }
     )
     order = 8
-    assert divisorial_zeta_rational(graph).series(order) == divisorial_zeta_series(
-        graph, order
+    assert zeta_rational(ZetaKind.DIVISORIAL, graph).series(order) == zeta_series(
+        ZetaKind.DIVISORIAL, graph, order
     )
 
 
 def test_rational_matches_series_through_twice_genus():
     graph = parse_graph({"vertices": [vertex("m", 2)]})
-    expansion = divisorial_zeta_rational(graph).series(4)
-    series = divisorial_zeta_series(graph, 4)
+    expansion = zeta_rational(ZetaKind.DIVISORIAL, graph).series(4)
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, 4)
     for d in range(5):
         assert expansion[d] == series[d]
 
 
 def test_rational_is_unreduced_product():
     graph = marked_curve(2)
-    fn = divisorial_zeta_rational(graph)
+    fn = zeta_rational(ZetaKind.DIVISORIAL, graph)
     # |E| = 0, n = 1: numerator carries (1 - L t) * (1 - t) * Q(t).
     assert fn.denominator.degree == 2 + 2  # node denominator * (1-t)(1-Lt)
     assert fn == RationalFn(fn.numerator, fn.denominator)
 
 
-def test_smooth_vertex_rational_agrees_with_vertex_rational():
-    graph = parse_graph({"vertices": [vertex("m", 2)]})
-    assert divisorial_zeta_rational(graph) == vertex_zeta_rational(
-        CurveModel.symbolic("m", 2), 0
-    )
+def test_divisorial_equals_smooth_kapranov_on_smooth_unmarked_curves():
+    # The paper: on a smooth unmarked curve the divisorial zeta function is
+    # Kapranov's, as a series and as a rational function.
+    for genus, model in ((2, None), (1, {"type": "elliptic", "trace": 3}), (0, {"type": "p1"})):
+        graph = parse_graph({"vertices": [vertex("m", genus, model)]}, allow_unstable=True)
+        divisorial = zeta_rational(ZetaKind.DIVISORIAL, graph)
+        kapranov = zeta_rational(ZetaKind.KAPRANOV_SMOOTH, graph)
+        assert divisorial == kapranov
+        assert divisorial.numerator == kapranov.numerator
+        assert divisorial.denominator == kapranov.denominator
+        assert zeta_series(ZetaKind.DIVISORIAL, graph, 8) == zeta_series(
+            ZetaKind.KAPRANOV_SMOOTH, graph, 8
+        )
 
 
 def test_smooth_zeta_is_vertex_product():
     graph = two_components(2)
     order = 3
-    series = smooth_zeta_series(graph, order)
+    series = zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order)
     expected = vertex_zeta_series(
         CurveModel.symbolic("u", 2), 0, order
     ) * vertex_zeta_series(CurveModel.symbolic("w", 2), 0, order)
