@@ -13,7 +13,10 @@ Three modes over a dual-graph JSON document:
 
 Each mode builds one report of raw values (``RingElem`` or ``int``) under a
 shared ``graph``/``mode`` header; it is written either as indented JSON, ring
-elements in their canonical text form, or as plain text.
+elements in their canonical text form, or as plain text.  A verified row of
+``verify`` holds the oracle's element in both columns, and both writers
+render through a ``_Render``, which reuses the text of the element it
+rendered last, so each verified coefficient is rendered once.
 
 Exit codes: 0 success/verified, 1 usage error (including a
 ``--max-degree`` above ``MAX_DEGREE_LIMIT``), 2 validation error,
@@ -181,15 +184,19 @@ def _verify(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure)
     oracle = divisor_series_from_strata(graph, order, measure)
     leaves = leaf_images(graph, measure, order, rational=False)
     closed = zeta_series_image(ZetaKind.DIVISORIAL, graph, order, leaves)
-    rows = [
-        {
-            "degree": degree,
-            "oracle": oracle[degree],
-            "closed": closed[degree],
-            "difference": oracle[degree] - closed[degree],
-        }
-        for degree in range(order + 1)
-    ]
+    rows = []
+    for degree in range(order + 1):
+        difference = oracle[degree] - closed[degree]
+        rows.append(
+            {
+                "degree": degree,
+                "oracle": oracle[degree],
+                # A verified row shows one element twice; sharing the object
+                # lets the renderer write its text once.
+                "closed": oracle[degree] if difference == 0 else closed[degree],
+                "difference": difference,
+            }
+        )
     return {
         "max_degree": order,
         "measure": args.measure,
@@ -206,11 +213,29 @@ def _count(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure) 
 _MODES = {"compute": _compute, "verify": _verify, "count-strata": _count}
 
 
-def _json_value(value) -> str:
-    """``json.dumps`` hook: a ring element as its canonical text."""
-    if isinstance(value, RingElem):
-        return str(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+class _Render:
+    """``str`` of report values, reusing the last text when handed the same
+    object again.
+
+    A one-slot memo keyed on identity, one per written report: it hashes no
+    coefficient and keeps one value alive, which is all a verified row needs.
+    """
+
+    __slots__ = ("_last", "_text")
+
+    def __init__(self):
+        self._last, self._text = None, "None"
+
+    def __call__(self, value) -> str:
+        if value is not self._last:
+            self._last, self._text = value, str(value)
+        return self._text
+
+    def json_value(self, value) -> str:
+        """``json.dumps`` hook: a ring element as its canonical text."""
+        if isinstance(value, RingElem):
+            return self(value)
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _text(report: dict) -> str:
@@ -226,9 +251,10 @@ def _text(report: dict) -> str:
             f" / ({TPoly(rational['denominator'])})"
         )
     elif report["mode"] == "verify":
+        render = _Render()
         lines += [
-            f"d={row['degree']}: oracle={row['oracle']}"
-            f" closed={row['closed']} diff={row['difference']}"
+            f"d={row['degree']}: oracle={render(row['oracle'])}"
+            f" closed={render(row['closed'])} diff={row['difference']}"
             for row in report["degrees"]
         ]
         lines.append(f"verified: {'OK' if report['verified'] else 'MISMATCH'}")
@@ -267,7 +293,7 @@ def run(args: argparse.Namespace) -> int:
     # Python's digit limit raises ValueError, and stdout stays empty.
     try:
         if args.output == "json":
-            text = json.dumps(report, indent=2, default=_json_value)
+            text = json.dumps(report, indent=2, default=_Render().json_value)
         else:
             text = _text(report)
     except ValueError:

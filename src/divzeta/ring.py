@@ -23,6 +23,11 @@ of their tuples (the sparse representation of Monagan and Pearce, "Sparse
 polynomial multiplication and division in Maple 14").  Every ``**`` here is
 exponentiation by repeated squaring.
 
+Series products, series inverses and polynomial products share one
+multiply-accumulate kernel, after the same paper: a coefficient
+``sum_i a[i]*b[d-i]`` adds every term product of every pair into one dict,
+with no intermediate ``RingElem``; over the integers it is a plain ``sum``.
+
 Canonical text form
 -------------------
 
@@ -45,6 +50,7 @@ output the parse is exact: ``parse_elem(str(x)) == x``.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping
@@ -477,9 +483,44 @@ def _one_of(coeffs: tuple[Coeff, ...]) -> Coeff:
     return _ONE if _is_symbolic(coeffs) else 1
 
 
-def _summer(a: tuple[Coeff, ...], b: tuple[Coeff, ...]):
-    """Accumulator for sums of products ``a[i] * b[j]``: one dict for ``RingElem``."""
-    return sum_elems if _is_symbolic(a) or _is_symbolic(b) else sum
+def _dot(xs: Iterable[RingElem], ys: Iterable[RingElem]) -> RingElem:
+    """``sum(x * y for x, y in zip(xs, ys))`` for ``RingElem`` coefficients.
+
+    The multiply-accumulate kernel of the t-layers: every term product of
+    every pair goes into one dict, with no intermediate ``RingElem``.
+    """
+    total: dict[Monomial, int] = {}
+    get = total.get
+    for x, y in zip(xs, ys):
+        y_terms = y._terms.items()
+        for mono_a, coeff_a in x._terms.items():
+            for mono_b, coeff_b in y_terms:
+                mono = _mono_mul(mono_a, mono_b)
+                total[mono] = get(mono, 0) + coeff_a * coeff_b
+    return RingElem(total)
+
+
+def _int_dot(xs: Iterable[int], ys: Iterable[int]) -> int:
+    """The same over the integers: a plain ``sum``."""
+    return sum(map(operator.mul, xs, ys))
+
+
+def _product_coeffs(a: tuple[Coeff, ...], b: tuple[Coeff, ...], count: int) -> list[Coeff]:
+    """The first ``count`` coefficients of the product of the t-polynomials
+    with coefficients ``a`` and ``b``, each one dot product of a run of ``a``
+    against reversed ``b`` (``zip`` stops at the shorter side).  An ``int``
+    side is lifted when the other is symbolic.
+    """
+    symbolic = _is_symbolic(a)
+    if symbolic != _is_symbolic(b):
+        a, b = tuple(map(_require_elem, a)), tuple(map(_require_elem, b))
+        symbolic = True
+    dot = _dot if symbolic else _int_dot
+    last, reversed_b = len(b) - 1, b[::-1]
+    return [
+        dot(a[: d + 1], reversed_b[last - d :]) if d < last else dot(a[d - last : d + 1], reversed_b)
+        for d in range(count)
+    ]
 
 
 # -- truncated power series ---------------------------------------------------
@@ -541,11 +582,7 @@ class TruncSeries:
 
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         self._check_order(other)
-        a, b = self._coeffs, other._coeffs
-        add = _summer(a, b)
-        return TruncSeries(
-            add(a[i] * b[d - i] for i in range(d + 1)) for d in range(len(a))
-        )
+        return TruncSeries(_product_coeffs(self._coeffs, other._coeffs, len(self._coeffs)))
 
     def __pow__(self, exponent: int) -> TruncSeries:
         if not isinstance(exponent, int) or exponent < 0:
@@ -558,11 +595,10 @@ class TruncSeries:
         coeffs = self._coeffs
         if coeffs[0] != 1:
             raise ValueError(f"series is not invertible: constant term is {coeffs[0]}")
-        add = _summer(coeffs, coeffs)
+        dot = _dot if _is_symbolic(coeffs) else _int_dot
         inv = [_one_of(coeffs)]
         for d in range(1, self.order + 1):
-            acc = add(coeffs[i] * inv[d - i] for i in range(1, d + 1))
-            inv.append(-acc)
+            inv.append(-dot(coeffs[1 : d + 1], reversed(inv)))
         return TruncSeries(inv)
 
     def __eq__(self, other: object) -> bool:
@@ -651,11 +687,7 @@ class TPoly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return TPoly()
-        out = [_zero_of(a)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return TPoly(out)
+        return TPoly(_product_coeffs(a, b, len(a) + len(b) - 1))
 
     def __pow__(self, exponent: int) -> TPoly:
         if not isinstance(exponent, int) or exponent < 0:

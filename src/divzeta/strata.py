@@ -21,11 +21,13 @@ all pairs of degree d is the ``t^d`` coefficient of a product of per-slot
 series.  ``divisor_series_from_strata`` evaluates that product for every
 degree at once, in the ring of a motivic measure: each factor is mapped
 before the slots are multiplied, so a measured product runs over the
-integers.  ``divisor_class_from_strata`` is its symbolic coefficient of one
-degree.  ``stable_pair_count`` counts the pairs from the same factorization,
-with the per-slot series in closed form, as one sum of binomials per
-degree; ``stable_pairs`` and ``stratum_class`` are the literal enumeration
-they are tested against at small degree.
+integers.  Every edge and leg has the same chain series, so it enters last
+as one power, after the vertex factors are multiplied together.
+``divisor_class_from_strata`` is its symbolic coefficient of one degree.
+``stable_pair_count`` counts the pairs from the same factorization, with the
+per-slot series in closed form, as one sum of binomials per degree;
+``stable_pairs`` and ``stratum_class`` are the literal enumeration they are
+tested against at small degree.
 """
 
 from __future__ import annotations
@@ -236,16 +238,22 @@ def divisor_series_from_strata(
     ``t^d`` coefficient of the product of one series
     ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex (built in
     one product, ``_vertex_factor``) and one chain series of torus classes
-    per edge and leg.  A measure is a ring homomorphism, so each slot's
-    classes are mapped before the product is taken.  Under
-    ``SymbolicIdentity`` the ``t^d`` coefficient equals, term for term, the
-    sum of ``stratum_class`` over ``stable_pairs(graph, d)``.
+    per edge and leg.  The chain series is multiplied in last, raised to
+    ``|E|+n`` by repeated squaring: symbolically its coefficients hold only
+    ``L``, so the power stays narrow and one wide product replaces ``|E|+n``.
+    A measure is a ring homomorphism, so each slot's classes are mapped
+    before the product is taken.  Under ``SymbolicIdentity`` the ``t^d``
+    coefficient equals, term for term, the sum of ``stratum_class`` over
+    ``stable_pairs(graph, d)``.
     """
     if order < 0:
         raise ValueError("degree must be nonnegative")
     factors = [_vertex_factor(v.model, _holes(graph, v), order, measure) for v in graph.vertices]
-    factors += [_chain_series(order, measure)] * (graph.num_edges + graph.num_legs)
-    return reduce(operator.mul, factors)
+    product = reduce(operator.mul, factors)
+    chains = graph.num_edges + graph.num_legs
+    if chains:
+        product = product * _chain_series(order, measure) ** chains
+    return product
 
 
 def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:

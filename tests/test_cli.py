@@ -9,7 +9,7 @@ import divzeta.strata as strata
 from divzeta.cli import MAX_DEGREE_LIMIT, main, parse_config
 from divzeta.graph import parse_graph
 from divzeta.measures import PRIME_POWER_LIMIT
-from divzeta.ring import RationalFn, lefschetz, one, parse_elem
+from divzeta.ring import RationalFn, RingElem, lefschetz, one, parse_elem
 from divzeta.zeta import ZetaKind, zeta_series
 
 from conftest import vertex
@@ -162,6 +162,56 @@ def test_mutation_is_detected_under_a_measure(graph_file, capsys, monkeypatch,
     out = capsys.readouterr().out
     assert code == (3 if detected else 0)
     assert ("verified: MISMATCH" if detected else "verified: OK") in out
+
+
+def _verify_rows(out, output):
+    """``(degree, oracle, closed, difference)`` texts of a verify report."""
+    if output == "json":
+        return [(row["degree"], row["oracle"], row["closed"], row["difference"])
+                for row in json.loads(out)["degrees"]]
+    rows = []
+    for line in out.splitlines():
+        if line.startswith("d="):
+            degree, rest = line[2:].split(": oracle=", 1)
+            oracle, rest = rest.split(" closed=", 1)
+            closed, difference = rest.split(" diff=", 1)
+            rows.append((int(degree), oracle, closed, difference))
+    return rows
+
+
+@pytest.mark.parametrize("output", ["json", "coefficients"])
+def test_shared_render_cannot_hide_a_mismatch(graph_file, capsys, monkeypatch, output):
+    # A verified row shows the oracle's element in both columns; a
+    # mismatching row must still print the closed form's own coefficient.
+    monkeypatch.setattr(strata, "torus_class", _shifted_torus)
+    closed = zeta_series(ZetaKind.DIVISORIAL, parse_graph(TWO_COMPONENTS), 4)
+    assert main(["--input", graph_file(TWO_COMPONENTS), "--mode", "verify",
+                 "--max-degree", "4", "--output", output]) == 3
+    rows = _verify_rows(capsys.readouterr().out, output)
+    assert [row[0] for row in rows] == [0, 1, 2, 3, 4]
+    assert [row[2] for row in rows] == [str(closed[degree]) for degree in range(5)]
+    mismatched = [row for row in rows if row[3] != "0"]
+    assert mismatched
+    assert all(row[2] != row[1] for row in mismatched)
+
+
+@pytest.mark.parametrize("output", ["json", "coefficients"])
+def test_verified_rows_render_each_coefficient_once(graph_file, capsys, monkeypatch, output):
+    rendered = []
+    plain = RingElem.__str__
+
+    def counting(self):
+        rendered.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(RingElem, "__str__", counting)
+    assert main(["--input", graph_file(TWO_COMPONENTS), "--mode", "verify",
+                 "--max-degree", "4", "--output", output]) == 0
+    rows = _verify_rows(capsys.readouterr().out, output)
+    assert all(closed == oracle for _, oracle, closed, _ in rows)
+    # Per row: the shared coefficient once, then the zero difference.
+    oracle = zeta_series(ZetaKind.DIVISORIAL, parse_graph(TWO_COMPONENTS), 4)
+    assert rendered == [value for degree in range(5) for value in (oracle[degree], 0)]
 
 
 CHAIN4 = {

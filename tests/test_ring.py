@@ -17,6 +17,7 @@ from divzeta.ring import (
     lefschetz,
     one,
     parse_elem,
+    sum_elems,
     sym_pow,
     zero,
 )
@@ -293,6 +294,85 @@ def test_series_add_sub():
     b = TruncSeries.from_coeffs([1, 1], order)
     assert a - b == TruncSeries.from_coeffs([0, L - 1], order)
     assert (a - b) + b == a
+
+
+# -- products against their naive definitions ---------------------------------
+
+_KINDS = ("symbolic", "int", "mixed")
+
+
+@st.composite
+def sparse_coeffs(draw, kind, size):
+    """``size`` coefficients, about half of them zero: ``RingElem`` for
+    ``symbolic``, ``int`` for ``int``, and either, entry by entry, for ``mixed``."""
+    coeffs = []
+    for _ in range(size):
+        if not draw(st.booleans()):
+            coeffs.append(zero() if kind == "symbolic" else 0)
+        elif kind == "int" or (kind == "mixed" and draw(st.booleans())):
+            coeffs.append(draw(st.integers(-4, 4)))
+        else:
+            coeffs.append(draw(small_elems()))
+    return coeffs
+
+
+def _alternating(coeffs):
+    """``f(-t)``: multiplied by ``f(t)``, every odd coefficient cancels."""
+    return [x if d % 2 == 0 else -x for d, x in enumerate(coeffs)]
+
+
+def _naive_sum(products):
+    """A sum of pairwise products, in ``RingElem`` if any product is one."""
+    products = list(products)
+    if any(isinstance(p, RingElem) for p in products):
+        return sum_elems(RingElem.from_int(p) if isinstance(p, int) else p for p in products)
+    return sum(products)
+
+
+def _naive_series_mul(a, b):
+    return [_naive_sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(a.order + 1)]
+
+
+def _naive_inverse(a):
+    inv = [a[0]]
+    for d in range(1, a.order + 1):
+        inv.append(-_naive_sum(a[i] * inv[d - i] for i in range(1, d + 1)))
+    return inv
+
+
+def _naive_poly_mul(a, b):
+    x, y = a.coefficients(), b.coefficients()
+    if not x or not y:
+        return []
+    out = [0] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            out[i + j] = out[i + j] + u * v
+    return out
+
+
+def _same(coeffs, expected):
+    """Equal values, and one ring: ``int`` exactly where the reference is."""
+    expected = list(expected)
+    while len(expected) > len(coeffs) and expected[-1] == 0:
+        expected.pop()  # TPoly strips trailing zeros
+    assert list(coeffs) == expected
+    assert [type(c) is int for c in coeffs] == [type(c) is int for c in expected]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_products_match_the_naive_definitions(data):
+    order = data.draw(st.integers(0, 7))
+    kind_a, kind_b = data.draw(st.sampled_from(_KINDS)), data.draw(st.sampled_from(_KINDS))
+    raw_a = data.draw(sparse_coeffs(kind_a, order + 1))
+    raw_b = data.draw(sparse_coeffs(kind_b, data.draw(st.integers(0, order + 1))))
+    for x, y in [(raw_a, raw_b), (raw_a, _alternating(raw_a))]:
+        a, b = TruncSeries(x), TruncSeries.from_coeffs(y or [0], order)
+        _same((a * b).coefficients(), _naive_series_mul(a, b))
+        _same((TPoly(x) * TPoly(y)).coefficients(), _naive_poly_mul(TPoly(x), TPoly(y)))
+    unit = TruncSeries([1 if kind_a == "int" else one()] + raw_a[1:])
+    _same(unit.inverse().coefficients(), _naive_inverse(unit))
 
 
 # -- rational functions -------------------------------------------------------

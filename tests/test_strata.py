@@ -20,6 +20,7 @@ from divzeta.strata import (
     stable_pair_count,
     stable_pairs,
     stratum_class,
+    _chain_series,
     _holes,
     _vertex_factor,
     torus_class,
@@ -345,3 +346,27 @@ def test_vertex_factor_is_the_punctured_classes(name):
         for measure in _oracle_measures(graph):
             image = _vertex_factor(v.model, holes, order, measure).coefficients()
             assert list(image) == [measure.of_elem(c) for c in classes], (v.id, measure.name)
+
+
+def _factor_by_factor(graph, order, measure):
+    """The oracle series as the product of its slots in graph order: every
+    vertex factor, then one chain series per edge and leg."""
+    factors = [_vertex_factor(v.model, _holes(graph, v), order, measure) for v in graph.vertices]
+    factors += [_chain_series(order, measure)] * (graph.num_edges + graph.num_legs)
+    return reduce(operator.mul, factors)
+
+
+_ORDER_GRAPHS = {
+    **_COUNT_GRAPHS,
+    "no-chains": parse_graph({"vertices": [vertex("m", 2, punctures=1)]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_GRAPHS))
+def test_oracle_product_order_is_immaterial(name):
+    # The oracle multiplies the vertex factors first and the chain series in
+    # last as one power; the slot-by-slot product must give the same series.
+    graph = _ORDER_GRAPHS[name]
+    for order, measure in [(10, SymbolicIdentity()), (40, euler_for_graph(graph))]:
+        series = divisor_series_from_strata(graph, order, measure)
+        assert series == _factor_by_factor(graph, order, measure), measure.name
