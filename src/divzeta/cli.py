@@ -184,17 +184,18 @@ def _verify(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure)
     oracle = divisor_series_from_strata(graph, order, measure)
     leaves = leaf_images(graph, measure, order, rational=False)
     closed = zeta_series_image(ZetaKind.DIVISORIAL, graph, order, leaves)
+    zero = leaves.one - leaves.one  # "0" symbolically, 0 under a measure
     rows = []
     for degree in range(order + 1):
-        difference = oracle[degree] - closed[degree]
+        verified = oracle[degree] == closed[degree]  # no difference built unless it fails
         rows.append(
             {
                 "degree": degree,
                 "oracle": oracle[degree],
                 # A verified row shows one element twice; sharing the object
                 # lets the renderer write its text once.
-                "closed": oracle[degree] if difference == 0 else closed[degree],
-                "difference": difference,
+                "closed": oracle[degree] if verified else closed[degree],
+                "difference": zero if verified else oracle[degree] - closed[degree],
             }
         )
     return {

@@ -16,6 +16,8 @@ Model objects: ``{"type": "symbolic"}``, ``{"type": "p1"}``,
 ``{"type": "elliptic", "trace": a}``, and
 ``{"type": "weil", "numerator": [1, ...]}``; each may carry an ``"id"`` to
 share one generator namespace between vertices (default: the vertex id).
+Vertices that share a model id must describe the same curve (kind, genus,
+trace, numerator); a graph that gives one id two curves is refused.
 ``model`` defaults to symbolic, ``punctures`` to 0, ``edges``/``legs`` to
 empty.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from .ring import MODEL_ID_RE
 
@@ -102,8 +104,12 @@ class DualGraph:
     legs: tuple[str, ...]
 
     @cached_property
-    def _vertex_map(self) -> dict[str, Vertex]:
-        return {v.id: v for v in self.vertices}
+    def models(self) -> Mapping[str, CurveModel]:
+        """Each model id's curve, in order of first use (``parse_graph`` checks they agree)."""
+        models: dict[str, CurveModel] = {}
+        for v in self.vertices:
+            models.setdefault(v.model.name, v.model)
+        return models
 
     @cached_property
     def _valences(self) -> dict[str, int]:
@@ -119,9 +125,6 @@ class DualGraph:
         for vid in self.legs:
             legs[vid] += 1
         return legs
-
-    def vertex(self, vid: str) -> Vertex:
-        return self._vertex_map[vid]
 
     def valence(self, vid: str) -> int:
         """Edge endpoints at the vertex; a loop counts twice."""
@@ -281,6 +284,12 @@ def _parse_model(item: Any, vid: str, genus: int) -> CurveModel:
 
 
 def _validate(graph: DualGraph, *, allow_unstable: bool) -> None:
+    for v in graph.vertices:
+        if graph.models[v.model.name] != v.model:
+            raise GraphError(
+                f"vertex {v.id!r}: model id {v.model.name!r} already names a different curve"
+            )
+
     # Connectivity (legs attach to vertices, they connect nothing).
     adjacency: dict[str, set[str]] = {v.id: set() for v in graph.vertices}
     for u, w in graph.edges:

@@ -37,8 +37,10 @@ class MeasureError(ValueError):
 def weil_series(numerator: Sequence[int], q: int, order: int) -> list[int]:
     """Truncated expansion of ``P(t) / ((1-t)(1-q t))`` over the integers.
 
-    Kept independent of the symbolic ring machinery so it can serve as an
-    oracle for point counts.  ``q = 1`` is accepted for expansion checks.
+    The production leaf source for point counting (``PointCount.class_series``)
+    and the reference that the per-coefficient ``class_image`` is tested
+    against; it uses no symbolic ring machinery.  ``q = 1`` is accepted for
+    expansion checks.
     """
     numerator = list(numerator)
     if not numerator or numerator[0] != 1:
@@ -261,7 +263,7 @@ class PointCount(MotivicMeasure):
 
 def euler_for_graph(graph: DualGraph) -> EulerCharacteristic:
     """Euler measure realizing every model of the graph."""
-    return EulerCharacteristic(_model_genera(graph))
+    return EulerCharacteristic({name: model.genus for name, model in graph.models.items()})
 
 
 def point_count_for_graph(
@@ -276,28 +278,15 @@ def point_count_for_graph(
     covered by ``extra_numerators`` to be realizable; models left without a
     numerator raise ``MeasureError`` when first applied.
     """
-    genera = _model_genera(graph)
     numerators: dict[str, tuple[int, ...]] = {}
-    for v in graph.vertices:
-        model = v.model
+    for name, model in graph.models.items():
         if model.kind == "elliptic":
-            numerators[model.name] = (1, -model.trace, q)
+            numerators[name] = (1, -model.trace, q)
         elif model.kind == "weil":
-            numerators[model.name] = model.numerator
-    for model_name, coeffs in (extra_numerators or {}).items():
-        if model_name not in genera:
-            raise ValueError(f"numerator given for unknown model {model_name!r}")
-        numerators[model_name] = tuple(coeffs)
+            numerators[name] = model.numerator
+    for name, coeffs in (extra_numerators or {}).items():
+        if name not in graph.models:
+            raise ValueError(f"numerator given for unknown model {name!r}")
+        numerators[name] = tuple(coeffs)
+    genera = {name: model.genus for name, model in graph.models.items()}
     return PointCount(q, numerators, genera)
-
-
-def _model_genera(graph: DualGraph) -> dict[str, int]:
-    genera: dict[str, int] = {}
-    for v in graph.vertices:
-        name = v.model.name
-        if name in genera and genera[name] != v.model.genus:
-            raise ValueError(
-                f"model {name!r} is shared by vertices of different genera"
-            )
-        genera[name] = v.model.genus
-    return genera

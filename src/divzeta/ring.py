@@ -86,7 +86,9 @@ class Generator:
             gen = super().__new__(cls)
             for name, value in (("model", model), ("degree", degree), ("_key", key)):
                 object.__setattr__(gen, name, value)
-            _GENERATORS[model, degree] = gen
+            # One atomic step, so two threads making the same generator both
+            # get the instance that landed first.
+            gen = _GENERATORS.setdefault((model, degree), gen)
         return gen
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -209,10 +211,6 @@ class RingElem:
     def terms(self) -> Iterator[tuple[Monomial, int]]:
         return iter(self._terms.items())
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __add__(self, other: RingElem | int) -> RingElem:
         other = _as_elem(other)
         if other is NotImplemented:
@@ -240,12 +238,7 @@ class RingElem:
         other = _as_elem(other)
         if other is NotImplemented:
             return NotImplemented
-        product: dict[Monomial, int] = {}
-        for mono_a, coeff_a in self._terms.items():
-            for mono_b, coeff_b in other._terms.items():
-                mono = _mono_mul(mono_a, mono_b)
-                product[mono] = product.get(mono, 0) + coeff_a * coeff_b
-        return RingElem(product)
+        return _dot((self,), (other,))
 
     __rmul__ = __mul__
 

@@ -20,13 +20,14 @@ has two targets: ``zeta_rational_image`` multiplies it into each vertex's
 ``numerator / ((1-t)(1-L*t))``, and ``zeta_series_image`` multiplies the
 truncated vertex series together and the scalar's expansion in last.  Both
 take the product's leaves (``Leaves``): the image of ``L`` and, per model,
-the images of ``c[m,0], c[m,1], ...``.  ``zeta_series`` and
+the images of ``c[m,0], c[m,1], ...``; a projective line's classes are
+``1 + L + ... + L^d``, built from the image of ``L``.  ``zeta_series`` and
 ``zeta_rational`` are the symbolic reference: their leaves are the free
 generators.  A motivic measure is a ring homomorphism, so applying it to the
 leaves (``leaf_images``) and then running the same builder over the integers
 gives the measure's image of the symbolic closed form, without expanding it.
 
-For a symbolic (or elliptic/weil) vertex of genus g the rational form uses
+For a vertex of genus g the rational form uses
 the numerator ``sum_d (c_d - (L+1) c_{d-1} + L c_{d-2}) t^d`` of degree 2g
 over ``(1-t)(1-L*t)``; its expansion realizes the symmetric-power recurrence
 ``c_d = (L+1) c_{d-1} - L c_{d-2}`` that holds for curve classes beyond
@@ -57,8 +58,8 @@ class ZetaKind(enum.Enum):
 class Leaves:
     """The leaves of the closed forms, all in one coefficient ring.
 
-    ``classes`` maps each model id to the images of ``c[m,0..N]``; a
-    projective line needs none, its zeta is built from ``L`` alone.
+    ``classes`` maps each model id to the images of ``c[m,0..N]``, the
+    classes of the model's symmetric powers.
     """
 
     __slots__ = ("lefschetz", "classes", "one")
@@ -79,16 +80,24 @@ def leaf_images(
 
     Each model's classes run through ``t^order``, enough for the series, and
     with ``rational`` through ``t^2g`` as well, as the rational form's
-    vertex numerators need.  A model the measure does not realize to that
-    degree raises ``MeasureError`` here.
+    vertex numerators need.  A projective line's classes are
+    ``1 + L + ... + L^d``, computed from the image of ``L`` in any ring;
+    every other model's come from the measure, and one it does not realize
+    to that degree raises ``MeasureError`` here.
     """
+    lef = measure.lefschetz_image()
+    one_ = lef**0
     classes: dict[str, Sequence[Coeff]] = {}
-    for v in graph.vertices:
-        model = v.model
-        if model.kind != "p1" and model.name not in classes:
-            degree = max(order, 2 * model.genus) if rational else order
-            classes[model.name] = measure.class_series(model.name, degree)
-    return Leaves(measure.lefschetz_image(), classes)
+    for name, model in graph.models.items():
+        degree = max(order, 2 * model.genus) if rational else order
+        if model.kind == "p1":
+            powers = [one_]
+            for _ in range(degree):
+                powers.append(lef * powers[-1] + one_)
+            classes[name] = powers
+        else:
+            classes[name] = measure.class_series(name, degree)
+    return Leaves(lef, classes)
 
 
 # -- factors -------------------------------------------------------------------
@@ -128,11 +137,9 @@ def _sym_denominator(leaves: Leaves) -> TPoly:
 
 
 def _sym_numerator(model: CurveModel, leaves: Leaves) -> TPoly:
-    """Numerator of the vertex zeta over ``(1-t)(1-L*t)``: 1 for a projective
-    line, else of degree 2g with coefficients c_d - (L+1) c_{d-1} + L c_{d-2}.
+    """Numerator of the vertex zeta over ``(1-t)(1-L*t)``, of degree 2g with
+    coefficients c_d - (L+1) c_{d-1} + L c_{d-2} (1 for a projective line).
     """
-    if model.kind == "p1":
-        return TPoly([leaves.one])
     lef = leaves.lefschetz
     c = [0, 0, *leaves.classes[model.name][: 2 * model.genus + 1]]
     return TPoly(
@@ -155,9 +162,7 @@ def rational_coefficients(
     below 2g); its image is padded with zeros back to the symbolic length.
     """
     a, b, c = _exponents(kind, graph)
-    numerator = a + b + 2 * c
-    for v in graph.vertices:
-        numerator += 0 if v.model.kind == "p1" else 2 * v.model.genus
+    numerator = a + b + 2 * c + sum(2 * v.model.genus for v in graph.vertices)
     denominator = 2 * a + 2 * len(graph.vertices)
     return _padded(fn.numerator, numerator), _padded(fn.denominator, denominator)
 
@@ -169,17 +174,14 @@ def _padded(poly: TPoly, degree: int) -> list[Coeff]:
 # -- the two targets -----------------------------------------------------------------
 
 
-def _vertex_series(model: CurveModel, order: int, leaves: Leaves) -> TruncSeries:
-    if model.kind == "p1":
-        return RationalFn(TPoly([leaves.one]), _sym_denominator(leaves)).series(order)
-    return TruncSeries(leaves.classes[model.name][: order + 1])
-
-
 def zeta_series_image(
     kind: ZetaKind, graph: DualGraph, order: int, leaves: Leaves
 ) -> TruncSeries:
     """The closed form of ``kind``, truncated at ``order``, in the leaves' ring."""
-    product = reduce(operator.mul, (_vertex_series(v.model, order, leaves) for v in graph.vertices))
+    product = reduce(
+        operator.mul,
+        (TruncSeries(leaves.classes[v.model.name][: order + 1]) for v in graph.vertices),
+    )
     scalar = _graph_scalar(kind, graph, leaves)
     # Operand order sets each coefficient's term order, and with it the cost
     # of the display sort in str(); this order keeps the established cost.

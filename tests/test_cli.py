@@ -1,13 +1,19 @@
 """End-to-end CLI behaviour: modes, outputs, exit codes."""
 
+import io
 import json
+import os
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divzeta.strata as strata
 from divzeta.cli import MAX_DEGREE_LIMIT, main, parse_config
-from divzeta.graph import parse_graph
+from divzeta.graph import GraphError, parse_graph
 from divzeta.measures import PRIME_POWER_LIMIT
 from divzeta.ring import RationalFn, RingElem, lefschetz, one, parse_elem
 from divzeta.zeta import ZetaKind, zeta_series
@@ -435,3 +441,93 @@ def test_rational_output_skips_the_series(graph_file, capsys, monkeypatch):
     for measure in ("symbolic", "euler"):
         assert main(["--input", path, "--measure", measure, "--output", "rational"]) == 0
         assert "rational: " in capsys.readouterr().out
+
+
+# -- model ids shared between vertices ------------------------------------------
+
+_EVERY_MODE = [
+    ["--mode", mode, "--measure", measure, *extra]
+    for mode in ("compute", "verify", "count-strata")
+    for measure, extra in (("symbolic", []), ("euler", []), ("point-count", ["--q", "7"]))
+]
+
+_SHARED_ID_CLASHES = {
+    # Symbolic compute once ended in an IndexError and verify passed.
+    "genus": {
+        "vertices": [vertex("u", 1, {"type": "symbolic", "id": "m"}),
+                     vertex("w", 2, {"type": "symbolic", "id": "m"})],
+        "edges": [["u", "w"]],
+    },
+    # Point counting once used the last trace for both curves.
+    "trace": {
+        "vertices": [vertex("u", 1, {"type": "elliptic", "id": "e", "trace": 1}),
+                     vertex("w", 1, {"type": "elliptic", "id": "e", "trace": 2})],
+        "edges": [["u", "w"]],
+    },
+    "p1-symbolic": {
+        "vertices": [vertex("u", 0, {"type": "p1", "id": "m"}),
+                     vertex("w", 0, {"type": "symbolic", "id": "m"})],
+        "edges": [["u", "w"]] * 3,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_ID_CLASHES))
+def test_a_model_id_naming_two_curves_is_refused(graph_file, capsys, name):
+    path = graph_file(_SHARED_ID_CLASHES[name])
+    for argv in _EVERY_MODE:
+        assert main(["--input", path, "--max-degree", "2", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("divzeta: invalid graph: ")
+        assert "model id" in captured.err and "Traceback" not in captured.err
+
+
+@st.composite
+def _model_vertices(draw, vid):
+    kind = draw(st.sampled_from(["symbolic", "p1", "elliptic", "weil"]))
+    model = {"type": kind, "id": draw(st.sampled_from(["a", "b"]))}
+    genus = {"p1": 0, "elliptic": 1}.get(kind)
+    if genus is None:
+        genus = draw(st.integers(0, 2))
+    if kind == "elliptic":
+        model["trace"] = draw(st.integers(-2, 2))
+    elif kind == "weil":
+        model["numerator"] = [1, *draw(st.lists(st.integers(-2, 2), max_size=2 * genus))]
+    return vertex(vid, genus, model, draw(st.integers(0, 1)))
+
+
+@st.composite
+def _cli_graphs(draw):
+    """1-3 vertices on a path, plus loops, multi-edges and legs at random."""
+    ids = ["u", "v", "w"][: draw(st.integers(1, 3))]
+    ends = st.sampled_from(ids)
+    extra = draw(st.lists(st.tuples(ends, ends).map(list), max_size=3))
+    return {
+        "vertices": [draw(_model_vertices(vid)) for vid in ids],
+        "edges": [list(pair) for pair in zip(ids, ids[1:])] + extra,
+        "legs": draw(st.lists(ends, max_size=2)),
+    }
+
+
+@given(_cli_graphs())
+@settings(max_examples=100, deadline=None)
+def test_every_accepted_graph_runs_in_every_mode(document):
+    # An accepted graph exits 0 in compute (both outputs) and in verify under
+    # the symbolic and Euler measures; a refused one exits 2 with no output.
+    try:
+        parse_graph(document)
+        expected = 0
+    except GraphError:
+        expected = 2
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        for argv in ([], ["--output", "rational"], ["--mode", "verify"],
+                     ["--mode", "verify", "--measure", "euler"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                status = main(["--input", path, "--max-degree", "2", *argv])
+            assert status == expected, (argv, err.getvalue())
+            assert bool(out.getvalue()) == (expected == 0)

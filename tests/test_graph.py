@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divzeta.graph import (
+    CurveModel,
     GraphError,
     graph_to_json,
     parse_graph,
@@ -137,6 +138,22 @@ def test_weil_model_validation():
         parse_graph(
             {"vertices": [vertex("a", 1, {"type": "weil", "numerator": [1, 0, 0, 5]})]}
         )
+
+
+def test_models_list_each_id_once_in_order_of_first_use():
+    elliptic = {"type": "elliptic", "id": "e", "trace": 1}
+    path = {"vertices": [vertex("u", 1, elliptic), vertex("w", 2), vertex("x", 1, elliptic)],
+            "edges": [["u", "w"], ["w", "x"]]}
+    graph = parse_graph(path)
+    assert graph.models == {"e": CurveModel.elliptic("e", 1), "w": CurveModel.symbolic("w", 2)}
+    assert list(graph.models) == ["e", "w"]
+    for genus, clash in ((1, {**elliptic, "trace": 2}),
+                         (1, {"type": "weil", "id": "e", "numerator": [1, -1, 2]}),
+                         (1, {"type": "symbolic", "id": "e"}),
+                         (2, {"type": "symbolic", "id": "e"})):
+        path["vertices"][2] = vertex("x", genus, clash)
+        with pytest.raises(GraphError, match="vertex 'x': model id 'e'"):
+            parse_graph(path)
 
 
 def test_total_genus():

@@ -2,6 +2,9 @@
 
 import copy
 import pickle
+import sys
+import threading
+import uuid
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +125,36 @@ def test_generators_are_interned_and_immutable():
             Generator(model, degree)
     x = c("m", 1) ** 2 * L - 3 * c("m", 10) * c("n", 1) + c("m.x_2", 3) - 7
     assert parse_elem(str(x)) == x
+
+
+def test_generator_interning_is_atomic_under_threads():
+    # Eight threads released together make the same fresh generators.  A
+    # tiny switch interval makes a check-then-insert intern table hand two
+    # threads different instances of one generator; then c - c is not 0.
+    threads, degrees = 8, range(1, 101)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            model = f"race_{uuid.uuid4().hex}"
+            barrier = threading.Barrier(threads, timeout=30)
+            made = [None] * threads
+
+            def make(slot):
+                barrier.wait()
+                made[slot] = [Generator(model, d) for d in degrees]
+
+            workers = [threading.Thread(target=make, args=(slot,)) for slot in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            for gens in zip(*made):
+                assert all(gen is gens[0] for gen in gens)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sym_pow(model, 1) - sym_pow(model, 1) == zero()
 
 
 _MONO_GENS = [Generator(), Generator("m", 1), Generator("m", 2), Generator("m", 10),
