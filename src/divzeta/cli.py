@@ -18,16 +18,26 @@ elements in their canonical text form, or as plain text.  A verified row of
 render through a ``_Render``, which reuses the text of the element it
 rendered last, so each verified coefficient is rendered once.
 
-Exit codes: 0 success/verified, 1 usage error (including a
-``--max-degree`` above ``MAX_DEGREE_LIMIT``), 2 validation error,
+Arguments are long options, read with ``getopt`` against one table
+(``_OPTIONS``) of defaults and value types, in the forms argparse accepted:
+``--flag value``, ``--flag=value``, any unique prefix of a flag, and the last
+of a repeated flag wins.  ``-h``/``--help`` prints the usage to stdout.  A
+value is taken as given even when it looks like an option (``--input -x``
+reads the file ``-x``), where argparse refused it.  The package imports
+neither ``argparse`` nor ``dataclasses``: every call runs in a fresh
+interpreter, and those two were most of the package's import time.
+
+Exit codes: 0 success/verified (and ``--help``), 1 usage error (including
+a ``--max-degree`` above ``MAX_DEGREE_LIMIT``), 2 validation error,
 3 verification mismatch.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import json
 import sys
+from types import SimpleNamespace
 
 from .graph import DualGraph, GraphError, load_graph, total_genus
 from .measures import (
@@ -64,80 +74,151 @@ EXIT_MISMATCH = 3
 MAX_DEGREE_LIMIT = 1000
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+# One entry per long option: its default, then its choices, ``int`` or
+# ``str`` for the value it takes, or None for a flag that takes none.
+_OPTIONS = {
+    "input": (None, str),
+    "mode": ("compute", ("compute", "verify", "count-strata")),
+    "zeta": ("divisorial", ("divisorial", "hilbert", "kapranov-nodal")),
+    "max-degree": (10, int),
+    "measure": ("symbolic", ("symbolic", "euler", "point-count")),
+    "q": (None, int),
+    "numerators": (None, str),
+    "output": ("coefficients", ("coefficients", "rational", "json")),
+    "allow-unstable": (False, None),
+}
+_LONG_OPTIONS = ["help"] + [
+    name if kind is None else f"{name}=" for name, (_, kind) in _OPTIONS.items()
+]
+# What --help says of each option that has no choices to list.
+_NOTES = {
+    "input": "path to the dual-graph JSON (required)",
+    "q": "field size for point counting",
+    "numerators": "JSON object mapping model ids to Weil numerator coefficients",
+    "allow-unstable": "accept a smooth one-vertex graph that is not stable",
+}
+_HELP_HEAD = """
+Motivic zeta functions of stable marked curves from dual graphs.
+
+options (each may be shortened to a unique prefix):
+  -h, --help        show this message and exit
+"""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="divzeta",
-        description="Motivic zeta functions of stable marked curves from dual graphs.",
-    )
-    parser.add_argument("--input", required=True, help="path to the dual-graph JSON")
-    parser.add_argument(
-        "--mode", choices=["compute", "verify", "count-strata"], default="compute"
-    )
-    parser.add_argument(
-        "--zeta",
-        choices=["divisorial", "hilbert", "kapranov-nodal"],
-        default="divisorial",
-    )
-    parser.add_argument("--max-degree", type=int, default=10, metavar="N")
-    parser.add_argument(
-        "--measure", choices=["symbolic", "euler", "point-count"], default="symbolic"
-    )
-    parser.add_argument("--q", type=int, help="field size for point counting")
-    parser.add_argument(
-        "--numerators",
-        help="JSON object mapping model ids to Weil numerator coefficients",
-    )
-    parser.add_argument(
-        "--output", choices=["coefficients", "rational", "json"], default="coefficients"
-    )
-    parser.add_argument("--allow-unstable", action="store_true")
-    return parser
+def _usage() -> str:
+    words = ["[-h]"]
+    for name, (default, kind) in _OPTIONS.items():
+        if kind is None:
+            word = f"--{name}"
+        elif isinstance(kind, tuple):
+            word = f"--{name} {{{','.join(kind)}}}"
+        else:
+            word = f"--{name} {'N' if kind is int else name.upper()}"
+        words.append(word if name == "input" else f"[{word}]")
+    lines, line = [], "usage: divzeta"
+    for word in words:
+        if len(line) + 1 + len(word) > 79:
+            lines.append(line)
+            line = " " * len("usage: divzeta")
+        line += " " + word
+    return "\n".join(lines + [line]) + "\n"
 
 
-def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
-    """The validated arguments, with ``numerators`` decoded and ``zeta`` a ``ZetaKind``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _usage_error(message: str) -> SystemExit:
+    """Print the usage and ``message`` to stderr; the exit to raise."""
+    sys.stderr.write(_usage())
+    print(f"divzeta: error: {message}", file=sys.stderr)
+    return SystemExit(EXIT_USAGE)
+
+
+def _help() -> str:
+    lines = [
+        f"  --{name:<16}{_NOTES.get(name) or f'default: {default}'}\n"
+        for name, (default, _) in _OPTIONS.items()
+    ]
+    return _usage() + _HELP_HEAD + "".join(lines)
+
+
+def _option_value(name: str, text: str) -> object:
+    kind = _OPTIONS[name][1]
+    if kind is None:
+        return True
+    if kind is str:
+        return text
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _usage_error(f"argument --{name}: invalid int value: {text!r}") from None
+    if text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise _usage_error(
+            f"argument --{name}: invalid choice: {text!r} (choose from {choices})"
+        )
+    return text
+
+
+def parse_config(argv: list[str] | None = None) -> SimpleNamespace:
+    """The validated arguments, with ``numerators`` decoded and ``zeta`` a ``ZetaKind``.
+
+    Options are read in order, and the last of a repeated option wins.
+    ``-h``/``--help`` prints the usage and exits 0; a usage error prints the
+    usage and the error to stderr and exits 1 (``SystemExit``).
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A lone "--" ends the options, and everything from it on is positional:
+    # refused below, like any positional, since the command takes none.
+    cut = argv.index("--") if "--" in argv else len(argv)
+    try:
+        options, stray = getopt.gnu_getopt(argv[:cut], "h", _LONG_OPTIONS)
+    except getopt.GetoptError as exc:
+        raise _usage_error(str(exc)) from None
+    values = {name: default for name, (default, _) in _OPTIONS.items()}
+    for flag, text in options:
+        if flag in ("-h", "--help"):
+            print(_help(), end="")
+            raise SystemExit(EXIT_OK)
+        values[flag[2:]] = _option_value(flag[2:], text)
+    args = SimpleNamespace(**{name.replace("-", "_"): value for name, value in values.items()})
+    if args.input is None:
+        raise _usage_error("the following arguments are required: --input")
+    if stray or cut < len(argv):
+        raise _usage_error(f"unrecognized arguments: {' '.join(stray + argv[cut:])}")
     if args.max_degree < 0:
-        parser.error("--max-degree must be nonnegative")
+        raise _usage_error("--max-degree must be nonnegative")
     if args.max_degree > MAX_DEGREE_LIMIT:
-        parser.error(f"--max-degree {args.max_degree} exceeds the limit of {MAX_DEGREE_LIMIT}")
+        raise _usage_error(
+            f"--max-degree {args.max_degree} exceeds the limit of {MAX_DEGREE_LIMIT}"
+        )
     if args.mode == "verify" and args.zeta != "divisorial":
-        parser.error("--mode verify only applies to the divisorial zeta")
+        raise _usage_error("--mode verify only applies to the divisorial zeta")
     if args.measure == "point-count" and args.q is None:
-        parser.error("--measure point-count requires --q")
+        raise _usage_error("--measure point-count requires --q")
     if args.measure != "point-count" and args.q is not None:
-        parser.error("--q only applies to --measure point-count")
+        raise _usage_error("--q only applies to --measure point-count")
     if args.q is not None and args.q >= PRIME_POWER_LIMIT:
-        parser.error(
+        raise _usage_error(
             f"--q {args.q} is too large: the prime-power test is exact only"
             f" below {PRIME_POWER_LIMIT}"
         )
     if args.numerators is not None:
         if args.measure != "point-count":
-            parser.error("--numerators only applies to --measure point-count")
+            raise _usage_error("--numerators only applies to --measure point-count")
         try:
             args.numerators = json.loads(args.numerators)
         except json.JSONDecodeError as exc:
-            parser.error(f"--numerators is not valid JSON: {exc}")
+            raise _usage_error(f"--numerators is not valid JSON: {exc}") from None
         if not isinstance(args.numerators, dict) or not all(
             isinstance(v, list)
             and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
             for v in args.numerators.values()
         ):
-            parser.error("--numerators must map model ids to integer lists")
+            raise _usage_error("--numerators must map model ids to integer lists")
     args.zeta = ZetaKind(args.zeta)
     return args
 
 
-def _build_measure(args: argparse.Namespace, graph: DualGraph) -> MotivicMeasure:
+def _build_measure(args: SimpleNamespace, graph: DualGraph) -> MotivicMeasure:
     if args.measure == "euler":
         return euler_for_graph(graph)
     if args.measure == "point-count":
@@ -154,7 +235,7 @@ def _graph_summary(graph: DualGraph) -> dict:
     }
 
 
-def _compute(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
+def _compute(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
     kind, order = args.zeta, args.max_degree
     wants_series = args.output != "rational"
     if args.measure == "symbolic":
@@ -176,7 +257,7 @@ def _compute(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure
     return report
 
 
-def _verify(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
+def _verify(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
     order = args.max_degree
     # Both columns in the measure's ring, every degree in one pass.  Only the
     # rational form reads the classes up to t^2g, so the closed column's
@@ -206,7 +287,7 @@ def _verify(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure)
     }
 
 
-def _count(args: argparse.Namespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
+def _count(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
     counts = [stable_pair_count(graph, degree) for degree in range(args.max_degree + 1)]
     return {"max_degree": args.max_degree, "counts": counts}
 
@@ -264,7 +345,7 @@ def _text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _digit_limit_message(args: argparse.Namespace) -> str:
+def _digit_limit_message(args: SimpleNamespace) -> str:
     flags = f"--max-degree ({args.max_degree})"
     if args.q is not None:
         flags += f" or --q ({args.q})"
@@ -274,7 +355,7 @@ def _digit_limit_message(args: argparse.Namespace) -> str:
     )
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: SimpleNamespace) -> int:
     try:
         graph = load_graph(args.input, allow_unstable=args.allow_unstable)
     except OSError as exc:

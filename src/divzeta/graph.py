@@ -29,9 +29,7 @@ half-edges are distinguished and chains are read from the first slot.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Iterable, Mapping
+from collections.abc import Iterable
 
 from .ring import MODEL_ID_RE
 
@@ -40,8 +38,49 @@ class GraphError(ValueError):
     """Raised for schema violations, invalid references, or unstable input."""
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class Record:
+    """An immutable record over the fields named in ``_fields``.
+
+    Two records are equal when they have the same type and equal fields, and
+    hash and print field by field; setting or deleting an attribute raises
+    ``AttributeError``, and copies and pickles rebuild through the
+    constructor.  A subclass lists its fields (and any values it derives from
+    them) in ``__slots__`` and sets them in ``__init__`` with ``_assign``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, **values: object) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), self._values())
+
+
+class CurveModel(Record):
     """The normalization of one component.
 
     ``symbolic``, ``elliptic``, and ``weil`` models contribute free
@@ -51,17 +90,21 @@ class CurveModel:
     Lefschetz class.
     """
 
-    kind: str
-    name: str
-    genus: int
-    trace: int | None = None
-    numerator: tuple[int, ...] | None = None
+    __slots__ = _fields = ("kind", "name", "genus", "trace", "numerator")
 
-    def __post_init__(self) -> None:
-        if not MODEL_ID_RE.fullmatch(self.name):
-            raise GraphError(f"invalid model id: {self.name!r}")
-        if self.genus < 0:
+    def __init__(
+        self,
+        kind: str,
+        name: str,
+        genus: int,
+        trace: int | None = None,
+        numerator: tuple[int, ...] | None = None,
+    ):
+        if not MODEL_ID_RE.fullmatch(name):
+            raise GraphError(f"invalid model id: {name!r}")
+        if genus < 0:
             raise GraphError("genus must be nonnegative")
+        self._assign(kind=kind, name=name, genus=genus, trace=trace, numerator=numerator)
 
     @classmethod
     def symbolic(cls, name: str, genus: int) -> CurveModel:
@@ -87,44 +130,48 @@ class CurveModel:
         return cls("weil", name, genus, numerator=coeffs)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    genus: int
-    model: CurveModel
-    punctures: int = 0
+class Vertex(Record):
+    __slots__ = _fields = ("id", "genus", "model", "punctures")
+
+    def __init__(self, id: str, genus: int, model: CurveModel, punctures: int = 0):
+        self._assign(id=id, genus=genus, model=model, punctures=punctures)
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Validated dual graph; immutable and freely shareable."""
+class DualGraph(Record):
+    """Validated dual graph; immutable and freely shareable.
 
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[str, str], ...]
-    legs: tuple[str, ...]
+    ``models`` maps each model id to its curve, in order of first use
+    (``parse_graph`` checks that the vertices sharing an id agree).  It and
+    the per-vertex valences and leg counts are built with the graph.
+    """
 
-    @cached_property
-    def models(self) -> Mapping[str, CurveModel]:
-        """Each model id's curve, in order of first use (``parse_graph`` checks they agree)."""
+    _fields = ("vertices", "edges", "legs")
+    __slots__ = _fields + ("models", "_valences", "_legs_at")
+
+    def __init__(
+        self,
+        vertices: tuple[Vertex, ...],
+        edges: tuple[tuple[str, str], ...],
+        legs: tuple[str, ...],
+    ):
         models: dict[str, CurveModel] = {}
-        for v in self.vertices:
+        valences = {v.id: 0 for v in vertices}
+        legs_at = dict(valences)
+        for v in vertices:
             models.setdefault(v.model.name, v.model)
-        return models
-
-    @cached_property
-    def _valences(self) -> dict[str, int]:
-        val = {v.id: 0 for v in self.vertices}
-        for u, w in self.edges:
-            val[u] += 1
-            val[w] += 1
-        return val
-
-    @cached_property
-    def _legs_at(self) -> dict[str, int]:
-        legs = {v.id: 0 for v in self.vertices}
-        for vid in self.legs:
-            legs[vid] += 1
-        return legs
+        for u, w in edges:
+            valences[u] += 1
+            valences[w] += 1
+        for vid in legs:
+            legs_at[vid] += 1
+        self._assign(
+            vertices=vertices,
+            edges=edges,
+            legs=legs,
+            models=models,
+            _valences=valences,
+            _legs_at=legs_at,
+        )
 
     def valence(self, vid: str) -> int:
         """Edge endpoints at the vertex; a loop counts twice."""
@@ -194,7 +241,7 @@ def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> 
     return graph
 
 
-def _is_int(value: Any) -> bool:
+def _is_int(value: object) -> bool:
     """JSON integer test; ``bool`` is an ``int`` subclass but not an integer here."""
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -206,7 +253,7 @@ def _list_field(data: dict, key: str) -> list:
     return items
 
 
-def _check_endpoint(end: Any, known: set[str], kind: str) -> None:
+def _check_endpoint(end: object, known: set[str], kind: str) -> None:
     if not isinstance(end, str):
         raise GraphError(f"{kind} endpoint must be a vertex id string: {end!r}")
     if end not in known:
@@ -218,7 +265,7 @@ def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:
         return parse_graph(handle.read(), allow_unstable=allow_unstable)
 
 
-def _parse_vertex(item: Any) -> Vertex:
+def _parse_vertex(item: object) -> Vertex:
     if not isinstance(item, dict):
         raise GraphError(f"vertex must be an object: {item!r}")
     unknown = set(item) - {"id", "genus", "model", "punctures"}
@@ -237,7 +284,7 @@ def _parse_vertex(item: Any) -> Vertex:
     return Vertex(vid, genus, model, punctures)
 
 
-def _parse_model(item: Any, vid: str, genus: int) -> CurveModel:
+def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
     if not isinstance(item, dict):
         raise GraphError(f"vertex {vid!r}: model must be an object")
     kind = item.get("type")
@@ -323,7 +370,7 @@ def graph_to_json(graph: DualGraph) -> dict:
     """Schema-shaped dict; ``parse_graph`` of the result returns an equal graph."""
     vertices = []
     for v in graph.vertices:
-        model: dict[str, Any] = {"type": v.model.kind}
+        model: dict[str, object] = {"type": v.model.kind}
         if v.model.name != v.id:
             model["id"] = v.model.name
         if v.model.kind == "elliptic":

@@ -24,7 +24,7 @@ forms directly in the target ring.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .graph import DualGraph
 from .ring import Generator, RingElem, lefschetz, sym_pow

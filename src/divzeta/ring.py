@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from functools import cmp_to_key
-from typing import Iterable, Iterator, Mapping
 
 MODEL_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 

@@ -34,27 +34,33 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache, reduce
-from typing import Iterator
 
-from .graph import DualGraph, Vertex
+from .graph import DualGraph, Record, Vertex
 from .measures import MotivicMeasure, SymbolicIdentity, one_minus_t_coefficient
 from .ring import RingElem, TruncSeries, lefschetz, one, sum_elems
 from .zeta import vertex_zeta_series
 
 
-@dataclass(frozen=True)
-class StablePair:
+class StablePair(Record):
     """One stratum: degrees on original vertices plus chain compositions.
 
     Entries align with ``graph.vertices``, ``graph.edges``, and
     ``graph.legs`` by position.  Chain entries are all positive.
     """
 
-    vertex_degrees: tuple[int, ...]
-    edge_chains: tuple[tuple[int, ...], ...]
-    leg_chains: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("vertex_degrees", "edge_chains", "leg_chains")
+
+    def __init__(
+        self,
+        vertex_degrees: tuple[int, ...],
+        edge_chains: tuple[tuple[int, ...], ...],
+        leg_chains: tuple[tuple[int, ...], ...],
+    ):
+        self._assign(
+            vertex_degrees=vertex_degrees, edge_chains=edge_chains, leg_chains=leg_chains
+        )
 
     def total_degree(self) -> int:
         return (

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections.abc import Mapping, Sequence
 from functools import reduce
-from typing import Mapping, Sequence
 
 from .graph import CurveModel, DualGraph, Vertex
 from .measures import MotivicMeasure, SymbolicIdentity

@@ -1,7 +1,9 @@
 """Dual-graph parsing, validation, and bookkeeping."""
 
+import copy
 import itertools
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,16 @@ from hypothesis import strategies as st
 
 from divzeta.graph import (
     CurveModel,
+    DualGraph,
     GraphError,
+    Vertex,
     graph_to_json,
     parse_graph,
     total_genus,
 )
+from divzeta.strata import StablePair
+
+from conftest import battery
 
 
 def vertex(vid="v", genus=0, model=None, punctures=0):
@@ -288,3 +295,75 @@ def test_parse_graph_raises_only_graph_error(document, allow_unstable):
             parse_graph(source, allow_unstable=allow_unstable)
         except GraphError:
             pass
+
+
+# -- records ----------------------------------------------------------------------
+
+ELLIPTIC = CurveModel.elliptic("e", 1)
+RECORDS = {
+    "curve-model": (ELLIPTIC, CurveModel.elliptic("e", 2)),
+    "weil-model": (CurveModel.weil("w", [1, -1, 3], 1), CurveModel.weil("w", [1, -1, 2], 1)),
+    "vertex": (Vertex("u", 1, ELLIPTIC, 2), Vertex("u", 1, ELLIPTIC)),
+    "graph": (
+        DualGraph((Vertex("u", 1, ELLIPTIC),), (("u", "u"),), ()),
+        DualGraph((Vertex("u", 1, ELLIPTIC),), (("u", "u"),), ("u",)),
+    ),
+    "stable-pair": (StablePair((1, 0), ((2, 1),), ()), StablePair((1, 0), ((1, 2),), ())),
+}
+
+
+@pytest.mark.parametrize("record, other", RECORDS.values(), ids=list(RECORDS))
+def test_records_compare_hash_and_copy_field_by_field(record, other):
+    rebuilt = pickle.loads(pickle.dumps(record))
+    assert rebuilt is not record
+    for twin in (rebuilt, copy.copy(record), copy.deepcopy(record)):
+        assert twin == record and hash(twin) == hash(record)
+        assert repr(twin) == repr(record)
+    assert record != other  # one field differs
+
+    class Subclass(type(record)):
+        __slots__ = ()
+
+    assert Subclass(*rebuilt._values()) != record
+    assert record != rebuilt._values()
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(record, type(record)._fields[0], None)
+    with pytest.raises(AttributeError):
+        delattr(record, type(record)._fields[0])
+
+
+def test_record_repr_lists_the_fields():
+    assert repr(ELLIPTIC) == (
+        "CurveModel(kind='elliptic', name='e', genus=1, trace=1, numerator=None)"
+    )
+    assert repr(StablePair((2,), (), ((1,),))) == (
+        "StablePair(vertex_degrees=(2,), edge_chains=(), leg_chains=((1,),))"
+    )
+
+
+def test_curve_model_validates_its_fields():
+    with pytest.raises(GraphError, match="invalid model id"):
+        CurveModel("symbolic", "1m", 1)
+    with pytest.raises(GraphError, match="genus must be nonnegative"):
+        CurveModel("symbolic", "m", -1)
+
+
+def test_derived_graph_data_on_the_battery():
+    expected = {
+        "loop-on-genus-1": (["m"], {"m": (2, 0)}),
+        "marked-genus-2": (["m"], {"m": (0, 1)}),
+        "two-components-genus-2": (["u", "w"], {"u": (1, 0), "w": (1, 0)}),
+        "parallel-edges-genus-1": (["u", "w"], {"u": (2, 0), "w": (2, 0)}),
+        "theta": (["u", "w"], {"u": (3, 0), "w": (3, 0)}),
+        "genus-2-two-marks": (["m"], {"m": (0, 2)}),
+    }
+    for name, graph in battery().items():
+        model_ids, counts = expected[name]
+        assert list(graph.models) == model_ids
+        assert all(graph.models[v.model.name] == v.model for v in graph.vertices)
+        assert {v.id: (graph.valence(v.id), graph.legs_at(v.id)) for v in graph.vertices} == counts
+        rebuilt = pickle.loads(pickle.dumps(graph))
+        assert rebuilt.models == graph.models
+        assert all(rebuilt.valence(v.id) == graph.valence(v.id) for v in graph.vertices)
