@@ -1,16 +1,14 @@
 """Motivic measures: ring homomorphisms to concrete targets.
 
-A measure fixes an integer image for the Lefschetz class and for every
-symmetric-power generator of the model ids it knows about, then extends
-multiplicatively and additively.  Applying a measure to an expression that
-mentions a model it does not realize raises ``MeasureError`` naming the
-offending generator.
-
-Each measure supplies its leaf images two ways: one generator at a time
-(``lefschetz_image``, ``class_image``), which ``of_elem`` uses to map a
-finished symbolic expression, and a model's whole image series in one call
-(``class_series``), which ``zeta.leaf_images`` uses to evaluate the closed
-forms directly in the target ring.
+A measure fixes an integer image for the Lefschetz class
+(``lefschetz_image``) and, per model id it knows about, the images of the
+model's symmetric-power generators in one call (``class_series``), then
+extends multiplicatively and additively.  ``zeta.leaf_images`` reads those
+images to evaluate the closed forms and the strata oracle directly in the
+target ring; ``of_elem`` maps a finished symbolic expression, reading each
+generator's image from the same series.  Applying a measure to a model it
+does not realize raises ``MeasureError`` naming the model's first
+generator, ``c[m,1]`` (``c[m,0]`` is the unit and needs no realization).
 
 * ``PointCount(q, numerators, genera)``: counting points over a field with
   q elements.  ``L`` goes to q and ``c[m,d]`` to the ``t^d`` coefficient of
@@ -27,7 +25,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 
 from .graph import DualGraph
-from .ring import Generator, RingElem, lefschetz, sym_pow
+from .ring import RingElem, lefschetz, sym_pow
 
 
 class MeasureError(ValueError):
@@ -37,10 +35,9 @@ class MeasureError(ValueError):
 def weil_series(numerator: Sequence[int], q: int, order: int) -> list[int]:
     """Truncated expansion of ``P(t) / ((1-t)(1-q t))`` over the integers.
 
-    The production leaf source for point counting (``PointCount.class_series``)
-    and the reference that the per-coefficient ``class_image`` is tested
-    against; it uses no symbolic ring machinery.  ``q = 1`` is accepted for
-    expansion checks.
+    The leaf source for point counting (``PointCount.class_series``); it
+    uses no symbolic ring machinery.  ``q = 1`` is accepted for expansion
+    checks.
     """
     numerator = list(numerator)
     if not numerator or numerator[0] != 1:
@@ -137,24 +134,19 @@ class MotivicMeasure:
     def lefschetz_image(self) -> int:
         raise NotImplementedError
 
-    def class_image(self, model: str, degree: int) -> int:
-        raise NotImplementedError
-
     def class_series(self, model: str, order: int) -> list[int]:
         """Images of ``c[model,0]`` (the unit) through ``c[model,order]``."""
-        return [1] + [self.class_image(model, d) for d in range(1, order + 1)]
-
-    def _generator_image(self, gen: Generator) -> int:
-        if gen.model is None:
-            return self.lefschetz_image()
-        return self.class_image(gen.model, gen.degree)
+        raise NotImplementedError
 
     def of_elem(self, elem: RingElem) -> int:
         total = 0
         for mono, coeff in elem.terms():
             value = coeff
             for gen, exp in mono:
-                value *= self._generator_image(gen) ** exp
+                if gen.model is None:
+                    value *= self.lefschetz_image() ** exp
+                else:
+                    value *= self.class_series(gen.model, gen.degree)[gen.degree] ** exp
             total += value
         return total
 
@@ -183,13 +175,16 @@ class EulerCharacteristic(MotivicMeasure):
     def lefschetz_image(self) -> int:
         return 1
 
-    def class_image(self, model: str, degree: int) -> int:
+    def class_series(self, model: str, order: int) -> list[int]:
+        if order == 0:  # c[m,0] is the unit: no genus needed
+            return [1]
         if model not in self._genera:
             raise MeasureError(
-                f"no realization for generator c[{model},{degree}] under the"
+                f"no realization for generator c[{model},1] under the"
                 " Euler-characteristic measure"
             )
-        return one_minus_t_coefficient(2 * self._genera[model] - 2, degree)
+        exponent = 2 * self._genera[model] - 2
+        return [one_minus_t_coefficient(exponent, d) for d in range(order + 1)]
 
 
 class PointCount(MotivicMeasure):
@@ -238,27 +233,15 @@ class PointCount(MotivicMeasure):
     def lefschetz_image(self) -> int:
         return self.q
 
-    def _numerator(self, model: str, degree: int) -> tuple[int, ...]:
-        if model not in self._numerators:
-            raise MeasureError(
-                f"no realization for generator c[{model},{degree}] under"
-                f" point counting with q = {self.q}"
-            )
-        return self._numerators[model]
-
-    def class_image(self, model: str, degree: int) -> int:
-        # The t^degree coefficient of P(t) / ((1-t)(1-qt)) alone: 1/((1-t)(1-qt))
-        # has coefficient (q^(k+1) - 1) / (q - 1) at t^k, and q >= 2.
-        numerator, q = self._numerator(model, degree), self.q
-        return sum(
-            numerator[i] * ((q ** (degree - i + 1) - 1) // (q - 1))
-            for i in range(min(degree, len(numerator) - 1) + 1)
-        )
-
     def class_series(self, model: str, order: int) -> list[int]:
         if order == 0:  # c[m,0] is the unit: no numerator needed
             return [1]
-        return weil_series(self._numerator(model, 1), self.q, order)
+        if model not in self._numerators:
+            raise MeasureError(
+                f"no realization for generator c[{model},1] under"
+                f" point counting with q = {self.q}"
+            )
+        return weil_series(self._numerators[model], self.q, order)
 
 
 def euler_for_graph(graph: DualGraph) -> EulerCharacteristic:
@@ -276,7 +259,8 @@ def point_count_for_graph(
     Elliptic models contribute ``1 - a t + q t^2`` and weil models their
     stored numerator; projective lines need none.  Symbolic models must be
     covered by ``extra_numerators`` to be realizable; models left without a
-    numerator raise ``MeasureError`` when first applied.
+    numerator raise ``MeasureError`` when first applied.  A numerator for a
+    model that declares its curve, or for an unknown model, is refused.
     """
     numerators: dict[str, tuple[int, ...]] = {}
     for name, model in graph.models.items():
@@ -287,6 +271,12 @@ def point_count_for_graph(
     for name, coeffs in (extra_numerators or {}).items():
         if name not in graph.models:
             raise ValueError(f"numerator given for unknown model {name!r}")
+        kind = graph.models[name].kind
+        if kind != "symbolic":
+            raise ValueError(
+                f"numerator given for {kind} model {name!r}: only symbolic models"
+                " take one, the others fix their own"
+            )
         numerators[name] = tuple(coeffs)
     genera = {name: model.genus for name, model in graph.models.items()}
     return PointCount(q, numerators, genera)

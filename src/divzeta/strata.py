@@ -19,10 +19,13 @@ A stable pair is an independent choice per slot (vertex, edge, leg) and its
 class is a product of per-slot factors, so by distributivity the sum over
 all pairs of degree d is the ``t^d`` coefficient of a product of per-slot
 series.  ``divisor_series_from_strata`` evaluates that product for every
-degree at once, in the ring of a motivic measure: each factor is mapped
-before the slots are multiplied, so a measured product runs over the
-integers.  Every edge and leg has the same chain series, so it enters last
-as one power, after the vertex factors are multiplied together.
+degree at once, in the ring of a motivic measure, so a measured product
+runs over the integers.  A vertex's factor starts from its model's classes
+as the measure realizes them (``zeta.leaf_images``, the same leaves the
+closed form reads); the punctures, the chain series and their product are
+the oracle's own, independent of the closed form's graph scalar.  Every
+edge and leg has the same chain series, so it enters last as one power,
+after the vertex factors are multiplied together.
 ``divisor_class_from_strata`` is its symbolic coefficient of one degree.
 ``stable_pair_count`` counts the pairs from the same factorization, with the
 per-slot series in closed form, as one sum of binomials per degree;
@@ -40,7 +43,7 @@ from functools import lru_cache, reduce
 from .graph import DualGraph, Record, Vertex
 from .measures import MotivicMeasure, SymbolicIdentity, one_minus_t_coefficient
 from .ring import RingElem, TruncSeries, lefschetz, one, sum_elems
-from .zeta import vertex_zeta_series
+from .zeta import leaf_images, vertex_zeta_series
 
 
 class StablePair(Record):
@@ -180,9 +183,10 @@ def punctured_sym_class(model, holes: int, degree: int) -> RingElem:
     """Class of the degree-d symmetric power of a component minus ``holes`` points.
 
     Coefficient of ``t^degree`` in the vertex zeta times ``(1-t)^holes``,
-    the zeta of the component with ``holes`` punctures.  The literal
-    reference ``stratum_class`` asks for one degree at a time; the
-    factorized oracle builds the whole series once (``_vertex_factor``).
+    the zeta of the component with ``holes`` punctures, built symbolically
+    for the literal reference ``stratum_class``, one degree at a time.  The
+    factorized oracle builds the same series for every degree at once, from
+    the model's classes in a measure's ring.
     """
     return vertex_zeta_series(model, holes, degree)[degree]
 
@@ -222,17 +226,6 @@ def _chain_series(order: int, measure: MotivicMeasure) -> TruncSeries:
     return TruncSeries([image(one())] + tori).inverse()
 
 
-def _vertex_factor(model, holes: int, order: int, measure: MotivicMeasure) -> TruncSeries:
-    """``sum_d punctured_sym_class(model, holes, d) t^d`` through ``order``,
-    in ``measure``'s ring: the image of the vertex zeta times ``(1-t)^holes``,
-    one series product for every degree at once.
-    """
-    image = measure.of_elem
-    zeta = TruncSeries(image(c) for c in vertex_zeta_series(model, 0, order).coefficients())
-    unit = image(one())
-    return zeta * TruncSeries.from_coeffs([unit, -unit], order) ** holes
-
-
 def divisor_series_from_strata(
     graph: DualGraph, order: int, measure: MotivicMeasure
 ) -> TruncSeries:
@@ -242,11 +235,13 @@ def divisor_series_from_strata(
     This is the independent counterpart of the closed-form divisorial zeta.
     The sum over all stable pairs of degree d is evaluated slot by slot: the
     ``t^d`` coefficient of the product of one series
-    ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex (built in
-    one product, ``_vertex_factor``) and one chain series of torus classes
-    per edge and leg.  The chain series is multiplied in last, raised to
-    ``|E|+n`` by repeated squaring: symbolically its coefficients hold only
-    ``L``, so the power stays narrow and one wide product replaces ``|E|+n``.
+    ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex and one
+    chain series of torus classes per edge and leg.  A vertex's series is
+    its model's classes in the measure's ring (``leaf_images``), the vertex
+    zeta, times ``(1-t)^holes``, one product for every degree at once.  The
+    chain series is multiplied in last, raised to ``|E|+n`` by repeated
+    squaring: symbolically its coefficients hold only ``L``, so the power
+    stays narrow and one wide product replaces ``|E|+n``.
     A measure is a ring homomorphism, so each slot's classes are mapped
     before the product is taken.  Under ``SymbolicIdentity`` the ``t^d``
     coefficient equals, term for term, the sum of ``stratum_class`` over
@@ -254,7 +249,12 @@ def divisor_series_from_strata(
     """
     if order < 0:
         raise ValueError("degree must be nonnegative")
-    factors = [_vertex_factor(v.model, _holes(graph, v), order, measure) for v in graph.vertices]
+    leaves = leaf_images(graph, measure, order, rational=False)
+    punctured = TruncSeries.from_coeffs([leaves.one, -leaves.one], order)
+    factors = [
+        TruncSeries(leaves.classes[v.model.name]) * punctured ** _holes(graph, v)
+        for v in graph.vertices
+    ]
     product = reduce(operator.mul, factors)
     chains = graph.num_edges + graph.num_legs
     if chains:

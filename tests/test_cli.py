@@ -429,6 +429,31 @@ def test_unrealized_model_fails_in_every_output_mode(graph_file, capsys):
             assert captured.out == "" and "no realization for generator c[" in captured.err
 
 
+def test_numerators_are_refused_for_models_that_declare_their_curve(graph_file, capsys):
+    # Elliptic and weil numerators come from the model, and a projective
+    # line needs none: a --numerators entry for one would be silently
+    # overridden or ignored, so it is refused before anything is printed.
+    elliptic = graph_file({"vertices": [vertex("e", 1, {"type": "elliptic", "trace": 2})],
+                           "legs": ["e"]})
+    argv = ["--input", elliptic, "--measure", "point-count", "--q", "7",
+            "--output", "rational"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--numerators", '{"e": [1, 0, 7]}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "elliptic model 'e'" in captured.err and "Traceback" not in captured.err
+    for model, document in (("u", {"vertices": [vertex("u", 2, {"type": "weil", "numerator": [1, -1]})],
+                                   "legs": ["u"]}),
+                            ("g", TORUS)):
+        for mode in ("compute", "verify"):
+            assert main(["--input", graph_file(document), "--allow-unstable", "--mode", mode,
+                         "--measure", "point-count", "--q", "7",
+                         "--numerators", json.dumps({model: [1]})]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"model '{model}'" in captured.err
+
+
 def test_rational_output_skips_the_series(graph_file, capsys, monkeypatch):
     from divzeta import cli
 

@@ -1,6 +1,8 @@
 """Measure homomorphisms and integer specializations."""
 
+import itertools
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from divzeta.measures import (
     point_count_for_graph,
     weil_series,
 )
-from divzeta.ring import RationalFn, RingElem, lefschetz, one, sym_pow, zero
+from divzeta.ring import RationalFn, RingElem, TruncSeries, lefschetz, one, sym_pow, zero
 from divzeta.strata import torus_class
 from divzeta.zeta import (
     ZetaKind,
@@ -128,9 +130,9 @@ def test_euler_kills_torus_classes():
 
 def test_euler_class_images():
     euler = EulerCharacteristic({"g0": 0, "g1": 1, "g2": 2})
-    assert [euler.class_image("g0", d) for d in range(4)] == [1, 2, 3, 4]
-    assert [euler.class_image("g1", d) for d in range(4)] == [1, 0, 0, 0]
-    assert [euler.class_image("g2", d) for d in range(4)] == [1, -2, 1, 0]
+    assert euler.class_series("g0", 3) == [1, 2, 3, 4]
+    assert euler.class_series("g1", 3) == [1, 0, 0, 0]
+    assert euler.class_series("g2", 3) == [1, -2, 1, 0]
 
 
 def test_point_count_projective_plane():
@@ -144,8 +146,10 @@ def test_point_count_elliptic_degree_one():
 
 
 def test_unrealized_generator_is_named():
+    # A model is realized as a whole, so the first generator past the unit
+    # is named whichever degree was asked for.
     counting = PointCount(3)
-    with pytest.raises(MeasureError, match=r"c\[mystery,2\]"):
+    with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
         counting.of_elem(sym_pow("mystery", 2))
     euler = EulerCharacteristic()
     with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
@@ -230,6 +234,24 @@ def test_point_count_for_graph_pulls_model_data():
     assert counting.of_elem(sym_pow("w", 1)) == 5 + 1
     with pytest.raises(ValueError, match="unknown model"):
         point_count_for_graph(graph, 5, {"nope": [1]})
+
+
+def test_point_count_for_graph_refuses_numerators_for_declared_curves():
+    graph = parse_graph(
+        {
+            "vertices": [
+                vertex("u", 1, {"type": "elliptic", "trace": 2}),
+                vertex("w", 1, {"type": "weil", "numerator": [1, 0, 5]}),
+                vertex("p", 0, {"type": "p1"}),
+                vertex("s", 1),
+            ],
+            "edges": [["u", "w"], ["w", "p"], ["p", "s"], ["p", "u"]],
+        }
+    )
+    for model, kind in (("u", "elliptic"), ("w", "weil"), ("p", "p1")):
+        with pytest.raises(ValueError, match=f"{kind} model '{model}'"):
+            point_count_for_graph(graph, 5, {model: [1, 0, 5], "s": [1, 0, 5]})
+    assert point_count_for_graph(graph, 5, {"s": [1, 0, 5]}).class_series("s", 1) == [1, 6]
 
 
 def test_point_count_for_graph_leaves_uncovered_models_unrealized():
@@ -340,18 +362,117 @@ def test_printed_rational_form_expands_to_the_printed_series(name):
         assert expansion == zeta_series(kind, graph, exact), kind
 
 
-def test_class_series_matches_class_images():
-    counting = PointCount(5, {"m": [1, -1], "e": [1, -2, 5]}, {"m": 2, "e": 1})
-    euler = EulerCharacteristic({"m": 2, "e": 1})
-    for measure in (counting, euler):
-        for model in ("m", "e"):
-            assert measure.class_series(model, 6) == [1] + [
-                measure.class_image(model, d) for d in range(1, 7)
-            ]
+def _weil_coefficient(numerator, q, degree):
+    """``[t^degree] P(t)/((1-t)(1-qt))`` alone, for q >= 2: ``1/((1-t)(1-qt))``
+    has coefficient ``(q^(k+1) - 1)/(q - 1)`` at ``t^k``."""
+    return sum(
+        numerator[i] * ((q ** (degree - i + 1) - 1) // (q - 1))
+        for i in range(min(degree, len(numerator) - 1) + 1)
+    )
+
+
+def _reference_numerators(q):
+    """Numerators by genus, of degree below 2g and equal to 2g (these
+    satisfy the functional equation)."""
+    return [
+        (1, [1]),
+        (1, [1, -2, q]),
+        (2, [1, -1]),
+        (2, [1, 2, 3]),
+        (2, [1, 1, 1, q, q * q]),
+        (3, [1, -3, 0, 5, 0, -3 * q * q, q**3]),
+    ]
+
+
+def test_class_series_matches_the_per_coefficient_formula():
+    for q in (2, 3, 4, 5, 7, 9):
+        for genus, numerator in _reference_numerators(q):
+            counting = PointCount(q, {"m": numerator}, {"m": genus})
+            expected = [_weil_coefficient(numerator, q, d) for d in range(13)]
+            assert counting.class_series("m", 12) == expected, (q, numerator)
+    for genus in range(4):
+        euler = EulerCharacteristic({"m": genus})
+        one_minus_t = TruncSeries.from_coeffs([1, -1], 12)
+        if genus == 0:
+            expansion = (one_minus_t**2).inverse()
+        else:
+            expansion = one_minus_t ** (2 * genus - 2)
+        assert euler.class_series("m", 12) == list(expansion.coefficients()), genus
     assert SymbolicIdentity().class_series("m", 2) == [one(), sym_pow("m", 1), sym_pow("m", 2)]
     # c[m,0] is the unit, so degree 0 needs no realization.
     assert PointCount(3).class_series("mystery", 0) == [1]
+    assert EulerCharacteristic().class_series("mystery", 0) == [1]
     with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
         PointCount(3).class_series("mystery", 2)
     with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
         EulerCharacteristic().class_series("mystery", 2)
+
+
+# -- point counts of real elliptic curves ------------------------------------------
+
+
+def _field(p, k):
+    """The elements of ``F_{p^k}`` as coefficient tuples, and its product,
+    modulo the first monic irreducible of degree ``k`` (no root in ``F_p``
+    suffices for ``k <= 3``)."""
+    elements = list(itertools.product(range(p), repeat=k))
+    for tail in elements:
+        modulus = (*tail, 1)  # x^k + tail[k-1] x^(k-1) + ... + tail[0]
+        if k == 1 or all(
+            sum(c * x**i for i, c in enumerate(modulus)) % p for x in range(p)
+        ):
+            break
+
+    def mul(a, b):
+        product = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+        for top in range(2 * k - 2, k - 1, -1):  # x^k = -(tail)
+            c = product[top]
+            for i in range(k):
+                product[top - k + i] -= c * modulus[i]
+        return tuple(c % p for c in product[:k])
+
+    return elements, mul
+
+
+def _count_points(a, b, p, k):
+    """Points of ``y^2 = x^3 + ax + b`` over ``F_{p^k}``, with the one at infinity."""
+    elements, mul = _field(p, k)
+    squares = {}
+    for y in elements:
+        square = mul(y, y)
+        squares[square] = squares.get(square, 0) + 1
+    points = 1
+    for x in elements:
+        cube = mul(x, mul(x, x))
+        rhs = tuple((c + a * u + (b if i == 0 else 0)) % p for i, (c, u) in enumerate(zip(cube, x)))
+        points += squares.get(rhs, 0)
+    return points
+
+
+def _effective_divisors(counts, order):
+    """``[t^d] exp(sum_k N_k t^k / k)`` for ``d <= order``: with ``Z' = S' Z``,
+    ``d z_d = sum_k N_k z_(d-k)``."""
+    z = [Fraction(1)]
+    for d in range(1, order + 1):
+        z.append(sum(counts[k - 1] * z[d - k] for k in range(1, d + 1)) / d)
+    assert all(c.denominator == 1 for c in z)
+    return [int(c) for c in z]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_weil_series_counts_divisors_on_real_elliptic_curves(p):
+    curves = [(a, b) for a, b in ((1, 1), (2, 3), (0, 1), (3, 0)) if (4 * a**3 + 27 * b**2) % p]
+    assert len(curves) >= 3
+    for a, b in curves:
+        counts = [_count_points(a, b, p, k) for k in (1, 2, 3)]
+        trace = p + 1 - counts[0]
+        expected = _effective_divisors(counts, 3)
+        assert weil_series([1, -trace, p], p, 3) == expected, (a, b)
+        graph = parse_graph(
+            {"vertices": [vertex("v", 1, {"type": "elliptic", "id": "e", "trace": trace})],
+             "legs": ["v"]}
+        )
+        assert point_count_for_graph(graph, p).class_series("e", 3) == expected, (a, b)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divzeta.graph import CurveModel, GraphError, parse_graph
+from divzeta.graph import CurveModel, DualGraph, GraphError, Vertex, parse_graph
 from divzeta.measures import SymbolicIdentity, euler_for_graph, point_count_for_graph
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sum_elems, sym_pow
 from divzeta.strata import (
@@ -22,7 +22,6 @@ from divzeta.strata import (
     stratum_class,
     _chain_series,
     _holes,
-    _vertex_factor,
     torus_class,
     weak_compositions,
 )
@@ -332,26 +331,37 @@ def test_oracle_series_matches_oracle_classes(name):
         assert list(early) == [measure.of_elem(c) for c in series.coefficients()], measure.name
 
 
+def _punctured_vertex(v, holes):
+    """``v`` alone, its holes as punctures: a graph whose oracle series is
+    the vertex factor, with no chain series."""
+    return DualGraph((Vertex(v.id, v.genus, v.model, holes),), (), ())
+
+
 @pytest.mark.parametrize("name", sorted(_SERIES_GRAPHS))
 def test_vertex_factor_is_the_punctured_classes(name):
-    # One product per vertex gives, at every degree, the class the literal
-    # reference computes one degree at a time; under a measure, its image.
+    # The oracle's one product per vertex gives, at every degree, the class
+    # the literal reference computes one degree at a time; under a measure,
+    # its image.
     graph = _SERIES_GRAPHS[name]
     order = 6
     for v in graph.vertices:
         holes = _holes(graph, v)
+        alone = _punctured_vertex(v, holes)
         classes = [punctured_sym_class(v.model, holes, d) for d in range(order + 1)]
-        factor = _vertex_factor(v.model, holes, order, SymbolicIdentity())
+        factor = divisor_series_from_strata(alone, order, SymbolicIdentity())
         assert list(factor.coefficients()) == classes, v.id
         for measure in _oracle_measures(graph):
-            image = _vertex_factor(v.model, holes, order, measure).coefficients()
+            image = divisor_series_from_strata(alone, order, measure).coefficients()
             assert list(image) == [measure.of_elem(c) for c in classes], (v.id, measure.name)
 
 
 def _factor_by_factor(graph, order, measure):
     """The oracle series as the product of its slots in graph order: every
     vertex factor, then one chain series per edge and leg."""
-    factors = [_vertex_factor(v.model, _holes(graph, v), order, measure) for v in graph.vertices]
+    factors = [
+        divisor_series_from_strata(_punctured_vertex(v, _holes(graph, v)), order, measure)
+        for v in graph.vertices
+    ]
     factors += [_chain_series(order, measure)] * (graph.num_edges + graph.num_legs)
     return reduce(operator.mul, factors)
 
