@@ -206,7 +206,7 @@ def parse_config(argv: list[str] | None = None) -> SimpleNamespace:
             raise _usage_error("--numerators only applies to --measure point-count")
         try:
             args.numerators = json.loads(args.numerators)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as in graph.parse_graph
             raise _usage_error(f"--numerators is not valid JSON: {exc}") from None
         if not isinstance(args.numerators, dict) or not all(
             isinstance(v, list)

@@ -201,9 +201,11 @@ def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> 
     single-vertex graph without edges (the smooth case).
     """
     if isinstance(source, (str, bytes)):
+        # A ValueError covers bad syntax, bytes that do not decode and an
+        # integer past Python's digit limit; deep nesting is a RecursionError.
         try:
             data = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise GraphError(f"invalid JSON: {exc}") from None
     else:
         data = source
@@ -262,7 +264,11 @@ def _check_endpoint(end: object, known: set[str], kind: str) -> None:
 
 def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:
     with open(path, encoding="utf-8") as handle:
-        return parse_graph(handle.read(), allow_unstable=allow_unstable)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"input is not UTF-8: {exc}") from None
+    return parse_graph(text, allow_unstable=allow_unstable)
 
 
 def _parse_vertex(item: object) -> Vertex:
@@ -297,7 +303,7 @@ def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
         "elliptic": {"type", "id", "trace"},
         "weil": {"type", "id", "numerator"},
     }
-    if kind not in allowed:
+    if not isinstance(kind, str) or kind not in allowed:
         raise GraphError(f"vertex {vid!r}: unknown model type {kind!r}")
     unknown = set(item) - allowed[kind]
     if unknown:

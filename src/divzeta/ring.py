@@ -31,9 +31,10 @@ with no intermediate ``RingElem``; over the integers it is a plain ``sum``.
 Canonical text form
 -------------------
 
-``str(elem)`` emits, and ``parse_elem`` accepts, the grammar::
+``str(elem)`` emits the grammar below, with a space on each side of a
+binary ``+`` or ``-`` and no other whitespace::
 
-    elem      := '0' | '-'? term ( ('+' | '-') term )*
+    elem      := '-'? term ( ('+' | '-') term )*
     term      := natural ('*' monomial)? | monomial
     monomial  := factor ('*' factor)*
     factor    := generator ('^' natural)?
@@ -44,8 +45,13 @@ Generators are totally ordered with ``L`` smallest, then ``c`` classes by
 generator where two monomials differ, larger exponent first, so constants
 print last: ``L^2 - L``, ``c[m,2] + c[m,1]*L + 3``.  Factors inside a
 monomial print largest generator first, coefficients 1 and -1 are suppressed
-next to a nonempty monomial, and ``^1`` is never written.  On canonical
-output the parse is exact: ``parse_elem(str(x)) == x``.
+next to a nonempty monomial, and ``^1`` is never written.
+
+``parse_elem(str(x)) == x``, and ``parse_elem`` accepts exactly this grammar
+with any Unicode whitespace around tokens, ``model`` as in ``MODEL_ID_RE``,
+and ``natural`` a run of Unicode decimal digits (leading zeros allowed),
+positive in a degree or an exponent.  Terms and factors may repeat and come
+in any order, and a coefficient may be 0; anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -338,110 +344,54 @@ _TOKEN_RE = re.compile(
     r"|(?P<space>\s+)"
 )
 
+# The docstring's grammar over token kinds (``g`` a generator, ``n`` a positive
+# natural, ``z`` a zero, an operator as itself), compiled on first use.  Each
+# kind has one reading where it stands: deciding a text is linear in its tokens.
+_FACTOR = r"g(?:\^n)?"
+_MONOMIAL = rf"{_FACTOR}(?:\*{_FACTOR})*"
+_TERM = rf"(?:[nz](?:\*{_MONOMIAL})?|{_MONOMIAL})"
+_ELEM = rf"-?{_TERM}(?:[+-]{_TERM})*"
 
-def _tokenize(text: str) -> list[tuple[str, object]]:
+
+def parse_elem(text: str) -> RingElem:
+    """Parse element text: tokenize, check the token kinds, fold into terms."""
     tokens: list[tuple[str, object]] = []
     pos = 0
     for match in _TOKEN_RE.finditer(text):
         if match.start() != pos:
-            raise ValueError(f"unexpected character {text[pos]!r} at position {pos}")
+            break
         pos = match.end()
-        if match.group("space"):
-            continue
-        if match.group("model") is not None:
-            tokens.append(("gen", Generator(match.group("model"), int(match.group("degree")))))
-        elif match.group("lef"):
-            tokens.append(("gen", LEFSCHETZ_GEN))
-        elif match.group("num") is not None:
-            tokens.append(("num", int(match.group("num"))))
-        else:
-            tokens.append(("op", match.group("op")))
+        if match["model"] is not None:
+            tokens.append(("g", Generator(match["model"], int(match["degree"]))))
+        elif match["lef"]:
+            tokens.append(("g", LEFSCHETZ_GEN))
+        elif match["num"] is not None:
+            value = int(match["num"])
+            tokens.append(("n" if value else "z", value))
+        elif match["op"]:
+            tokens.append((match["op"], None))
     if pos != len(text):
         raise ValueError(f"unexpected character {text[pos]!r} at position {pos}")
-    return tokens
-
-
-class _TokenCursor:
-    def __init__(self, tokens: list[tuple[str, object]]):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self) -> tuple[str, object] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def take(self) -> tuple[str, object]:
-        token = self.peek()
-        if token is None:
-            raise ValueError("unexpected end of element text")
-        self.index += 1
-        return token
-
-
-def parse_elem(text: str) -> RingElem:
-    """Parse the canonical text form back into a ``RingElem``."""
-    cursor = _TokenCursor(_tokenize(text))
-    if cursor.peek() is None:
-        raise ValueError("empty element text")
+    if not re.fullmatch(_ELEM, "".join(kind for kind, _ in tokens)):
+        raise ValueError("element text does not follow the grammar")
     total: dict[Monomial, int] = {}
-    first = True
-    while cursor.peek() is not None:
-        sign = 1
-        kind, value = cursor.peek()
-        if kind == "op" and value in "+-":
-            if value == "+" and first:
-                raise ValueError("element text may not start with '+'")
-            sign = -1 if value == "-" else 1
-            cursor.take()
-        elif not first:
-            raise ValueError("expected '+' or '-' between terms")
-        coeff, mono = _parse_term(cursor)
-        total[mono] = total.get(mono, 0) + sign * coeff
-        first = False
-    return RingElem(total)
-
-
-def _parse_term(cursor: _TokenCursor) -> tuple[int, Monomial]:
-    kind, value = cursor.take()
-    coeff = 1
-    exps: dict[Generator, int] = {}
-    if kind == "num":
-        coeff = value
-        nxt = cursor.peek()
-        if nxt == ("op", "*"):
-            cursor.take()
-            _parse_factors(cursor, exps)
-    elif kind == "gen":
-        _parse_factors(cursor, exps, first=value)
-    else:
-        raise ValueError(f"expected a coefficient or generator, got {value!r}")
-    return coeff, _mono_sorted(exps.items())
-
-
-def _parse_factors(
-    cursor: _TokenCursor, exps: dict[Generator, int], first: Generator | None = None
-) -> None:
-    gen = first
-    while True:
-        if gen is None:
-            kind, value = cursor.take()
-            if kind != "gen":
-                raise ValueError(f"expected a generator, got {value!r}")
+    sign, coeff, exps, gen, previous = 1, 1, {}, None, None
+    # Each sign closes the term before it, and a final "+" closes the last.
+    for kind, value in (*tokens, ("+", None)):
+        if kind == "g":
             gen = value
-        exp = 1
-        if cursor.peek() == ("op", "^"):
-            cursor.take()
-            kind, value = cursor.take()
-            if kind != "num" or value < 1:
-                raise ValueError("exponent must be a positive integer")
-            exp = value
-        exps[gen] = exps.get(gen, 0) + exp
-        if cursor.peek() == ("op", "*"):
-            cursor.take()
-            gen = None
-        else:
-            return
+            exps[gen] = exps.get(gen, 0) + 1
+        elif previous == "^":  # an exponent, positive by the check above
+            exps[gen] += value - 1
+        elif kind in "nz":
+            coeff = value
+        elif kind in "+-":
+            if previous is not None:
+                mono = _mono_sorted(exps.items())
+                total[mono] = total.get(mono, 0) + sign * coeff
+            sign, coeff, exps = (-1 if kind == "-" else 1), 1, {}
+        previous = kind
+    return RingElem(total)
 
 
 # -- coefficient rings of the t-layers -----------------------------------------

@@ -320,6 +320,32 @@ def test_malformed_graphs_exit_two(graph_file, capsys):
         assert "invalid graph" in capsys.readouterr().err
 
 
+# Input that fails to decode: a graph file that is not UTF-8, an integer
+# literal past Python's digit limit, nesting past the recursion limit.
+_DIGITS = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+def test_undecodable_graph_files_exit_two(tmp_path, capsys):
+    for name, content in [
+        ("not-utf-8", b'{"vertices": [{"id": "m\xff", "genus": 2}], "legs": ["m"]}'),
+        ("digits", b'{"vertices": [{"id": "m", "genus": %s}]}' % _DIGITS.encode()),
+        ("deep", b"[" * 100_000),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(content)
+        assert main(["--input", str(path)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("divzeta: invalid graph:"), name
+
+
+def test_undecodable_numerators_are_a_usage_error(graph_file, capsys):
+    argv = ["--input", graph_file(MARKED), "--measure", "point-count", "--q", "3"]
+    for numerators in ('{"m": [1, %s]}' % _DIGITS, "[" * 100_000, '{"m": ' + "[" * 100_000):
+        assert main(argv + ["--numerators", numerators]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--numerators is not valid JSON" in captured.err
+
+
 def test_boolean_numerators_are_a_usage_error(graph_file, capsys):
     path = graph_file(MARKED)
     argv = ["--input", path, "--measure", "point-count", "--q", "3"]

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from divzeta.graph import (
     GraphError,
     Vertex,
     graph_to_json,
+    load_graph,
     parse_graph,
     total_genus,
 )
@@ -295,6 +297,36 @@ def test_parse_graph_raises_only_graph_error(document, allow_unstable):
             parse_graph(source, allow_unstable=allow_unstable)
         except GraphError:
             pass
+
+
+# Texts that fail to decode: bytes that are not UTF-8, an integer literal past
+# Python's digit limit, and nesting past the recursion limit.
+_UNDECODABLE = {
+    "not-utf-8": b'{"vertices": [{"id": "v\xff", "genus": 2}]}',
+    "too-many-digits": '{"vertices": [{"id": "v", "genus": %s}]}'
+    % ("1" * (sys.get_int_max_str_digits() + 1)),
+    "too-deep": "[" * 100_000,
+    "too-deep-inside": '{"vertices": [{"id": "v", "genus": 2, "model": %s}]}' % ("[" * 100_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNDECODABLE))
+def test_undecodable_text_is_a_graph_error(name, tmp_path):
+    text = _UNDECODABLE[name]
+    sources = [text] if isinstance(text, bytes) else [text, text.encode()]
+    for source in sources:
+        with pytest.raises(GraphError, match="invalid JSON"):
+            parse_graph(source)
+    path = tmp_path / "graph.json"
+    path.write_bytes(sources[-1])
+    with pytest.raises(GraphError):
+        load_graph(str(path))
+
+
+def test_model_type_must_be_a_name():
+    for kind in (["symbolic"], {"a": 1}, None, 1):
+        with pytest.raises(GraphError, match="unknown model type"):
+            parse_graph({"vertices": [vertex(genus=2, model={"type": kind})]})
 
 
 # -- records ----------------------------------------------------------------------

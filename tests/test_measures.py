@@ -408,27 +408,35 @@ def test_class_series_matches_the_per_coefficient_formula():
         EulerCharacteristic().class_series("mystery", 2)
 
 
-# -- point counts of real elliptic curves ------------------------------------------
+# -- point counts of real curves --------------------------------------------------
+
+
+def _poly_mul(a, b, p):
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    return tuple(c % p for c in product)
 
 
 def _field(p, k):
     """The elements of ``F_{p^k}`` as coefficient tuples, and its product,
-    modulo the first monic irreducible of degree ``k`` (no root in ``F_p``
-    suffices for ``k <= 3``)."""
+    modulo the first monic irreducible of degree ``k``: the first monic
+    polynomial that is no product of two monic ones of lower degree (at
+    ``k = 4`` having no root in ``F_p`` is not enough)."""
     elements = list(itertools.product(range(p), repeat=k))
-    for tail in elements:
-        modulus = (*tail, 1)  # x^k + tail[k-1] x^(k-1) + ... + tail[0]
-        if k == 1 or all(
-            sum(c * x**i for i, c in enumerate(modulus)) % p for x in range(p)
-        ):
-            break
+
+    def monic(degree):
+        return [(*tail, 1) for tail in itertools.product(range(p), repeat=degree)]
+
+    reducible = {
+        _poly_mul(f, g, p) for i in range(1, k // 2 + 1) for f in monic(i) for g in monic(k - i)
+    }
+    modulus = next(m for m in monic(k) if m not in reducible)  # x^k + ... + modulus[0]
 
     def mul(a, b):
-        product = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                product[i + j] += x * y
-        for top in range(2 * k - 2, k - 1, -1):  # x^k = -(tail)
+        product = list(_poly_mul(a, b, p))
+        for top in range(2 * k - 2, k - 1, -1):  # x^k = -(modulus[0] + ...)
             c = product[top]
             for i in range(k):
                 product[top - k + i] -= c * modulus[i]
@@ -437,8 +445,10 @@ def _field(p, k):
     return elements, mul
 
 
-def _count_points(a, b, p, k):
-    """Points of ``y^2 = x^3 + ax + b`` over ``F_{p^k}``, with the one at infinity."""
+def _count_curve_points(f, p, k):
+    """Points of ``y^2 = f(x)`` over ``F_{p^k}``, ``f`` squarefree of odd
+    degree with coefficients from the constant up, and its one point at
+    infinity."""
     elements, mul = _field(p, k)
     squares = {}
     for y in elements:
@@ -446,10 +456,17 @@ def _count_points(a, b, p, k):
         squares[square] = squares.get(square, 0) + 1
     points = 1
     for x in elements:
-        cube = mul(x, mul(x, x))
-        rhs = tuple((c + a * u + (b if i == 0 else 0)) % p for i, (c, u) in enumerate(zip(cube, x)))
-        points += squares.get(rhs, 0)
+        value = (f[-1],) + (0,) * (k - 1)
+        for c in reversed(f[:-1]):  # Horner's rule
+            value = mul(value, x)
+            value = ((value[0] + c) % p,) + value[1:]
+        points += squares.get(value, 0)
     return points
+
+
+def _count_points(a, b, p, k):
+    """Points of ``y^2 = x^3 + ax + b`` over ``F_{p^k}``, with the one at infinity."""
+    return _count_curve_points((b, a, 0, 1), p, k)
 
 
 def _effective_divisors(counts, order):
@@ -476,3 +493,34 @@ def test_weil_series_counts_divisors_on_real_elliptic_curves(p):
              "legs": ["v"]}
         )
         assert point_count_for_graph(graph, p).class_series("e", 3) == expected, (a, b)
+
+
+# (p, f): y^2 = f(x) is smooth over F_p (f squarefree mod p), coefficients of
+# f from the constant up; two elliptic curves and three of genus 2.
+_CURVES = [
+    (5, (1, 1, 0, 1)),
+    (7, (3, 2, 0, 1)),
+    (3, (2, 0, 1, 0, 0, 1)),
+    (5, (3, 1, 0, 0, 2, 1)),
+    (5, (1, 0, 3, 1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("p, f", _CURVES)
+def test_weil_series_counts_divisors_through_degree_four(p, f):
+    genus = (len(f) - 2) // 2
+    counts = [_count_curve_points(f, p, k) for k in (1, 2, 3, 4)]
+    # P(t) = prod_i (1 - alpha_i t) with sum_i alpha_i^k = q^k + 1 - N_k; the
+    # functional equation gives the coefficients past t^g.
+    s1, s2 = p + 1 - counts[0], p**2 + 1 - counts[1]
+    if genus == 1:
+        numerator = [1, -s1, p]
+        model = {"type": "elliptic", "id": "c", "trace": s1}
+    else:
+        assert (s1**2 - s2) % 2 == 0
+        numerator = [1, -s1, (s1**2 - s2) // 2, -p * s1, p**2]
+        model = {"type": "weil", "id": "c", "numerator": numerator}
+    expected = _effective_divisors(counts, 4)
+    assert weil_series(numerator, p, 4) == expected
+    graph = parse_graph({"vertices": [vertex("v", genus, model)], "legs": ["v"]})
+    assert point_count_for_graph(graph, p).class_series("c", 4) == expected

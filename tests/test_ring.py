@@ -2,8 +2,10 @@
 
 import copy
 import pickle
+import re
 import sys
 import threading
+import time
 import uuid
 
 import pytest
@@ -11,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divzeta.ring import (
+    LEFSCHETZ_GEN,
     Generator,
+    Monomial,
     RationalFn,
     RingElem,
     TPoly,
     TruncSeries,
     _mono_mul,
+    _mono_sorted,
     lefschetz,
     one,
     parse_elem,
@@ -220,6 +225,212 @@ def test_parse_rejects_garbage():
 @given(ring_elems())
 def test_parse_inverts_str(x):
     assert parse_elem(str(x)) == x
+
+
+# -- parse_elem against the recursive-descent parser it replaced ---------------
+#
+# The reference, verbatim but for the name of its entry point: a tokenizer, a
+# token cursor and two descent helpers.  It pins the language parse_elem
+# accepts and the element it reads from each text.
+
+_TOKEN_RE = re.compile(
+    r"c\[(?P<model>[A-Za-z_][A-Za-z0-9_.-]*),(?P<degree>\d+)\]"
+    r"|(?P<lef>L)"
+    r"|(?P<num>\d+)"
+    r"|(?P<op>[*^+\-])"
+    r"|(?P<space>\s+)"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, object]]:
+    tokens: list[tuple[str, object]] = []
+    pos = 0
+    for match in _TOKEN_RE.finditer(text):
+        if match.start() != pos:
+            raise ValueError(f"unexpected character {text[pos]!r} at position {pos}")
+        pos = match.end()
+        if match.group("space"):
+            continue
+        if match.group("model") is not None:
+            tokens.append(("gen", Generator(match.group("model"), int(match.group("degree")))))
+        elif match.group("lef"):
+            tokens.append(("gen", LEFSCHETZ_GEN))
+        elif match.group("num") is not None:
+            tokens.append(("num", int(match.group("num"))))
+        else:
+            tokens.append(("op", match.group("op")))
+    if pos != len(text):
+        raise ValueError(f"unexpected character {text[pos]!r} at position {pos}")
+    return tokens
+
+
+class _TokenCursor:
+    def __init__(self, tokens: list[tuple[str, object]]):
+        self.tokens = tokens
+        self.index = 0
+
+    def peek(self) -> tuple[str, object] | None:
+        if self.index < len(self.tokens):
+            return self.tokens[self.index]
+        return None
+
+    def take(self) -> tuple[str, object]:
+        token = self.peek()
+        if token is None:
+            raise ValueError("unexpected end of element text")
+        self.index += 1
+        return token
+
+
+def reference_parse_elem(text: str) -> RingElem:
+    """Parse the canonical text form back into a ``RingElem``."""
+    cursor = _TokenCursor(_tokenize(text))
+    if cursor.peek() is None:
+        raise ValueError("empty element text")
+    total: dict[Monomial, int] = {}
+    first = True
+    while cursor.peek() is not None:
+        sign = 1
+        kind, value = cursor.peek()
+        if kind == "op" and value in "+-":
+            if value == "+" and first:
+                raise ValueError("element text may not start with '+'")
+            sign = -1 if value == "-" else 1
+            cursor.take()
+        elif not first:
+            raise ValueError("expected '+' or '-' between terms")
+        coeff, mono = _parse_term(cursor)
+        total[mono] = total.get(mono, 0) + sign * coeff
+        first = False
+    return RingElem(total)
+
+
+def _parse_term(cursor: _TokenCursor) -> tuple[int, Monomial]:
+    kind, value = cursor.take()
+    coeff = 1
+    exps: dict[Generator, int] = {}
+    if kind == "num":
+        coeff = value
+        nxt = cursor.peek()
+        if nxt == ("op", "*"):
+            cursor.take()
+            _parse_factors(cursor, exps)
+    elif kind == "gen":
+        _parse_factors(cursor, exps, first=value)
+    else:
+        raise ValueError(f"expected a coefficient or generator, got {value!r}")
+    return coeff, _mono_sorted(exps.items())
+
+
+def _parse_factors(
+    cursor: _TokenCursor, exps: dict[Generator, int], first: Generator | None = None
+) -> None:
+    gen = first
+    while True:
+        if gen is None:
+            kind, value = cursor.take()
+            if kind != "gen":
+                raise ValueError(f"expected a generator, got {value!r}")
+            gen = value
+        exp = 1
+        if cursor.peek() == ("op", "^"):
+            cursor.take()
+            kind, value = cursor.take()
+            if kind != "num" or value < 1:
+                raise ValueError("exponent must be a positive integer")
+            exp = value
+        exps[gen] = exps.get(gen, 0) + exp
+        if cursor.peek() == ("op", "*"):
+            cursor.take()
+            gen = None
+        else:
+            return
+
+
+# Whole tokens, broken tokens, and what lies between tokens.
+_GENS = ["L", "c[m,1]", "c[m,2]", "c[n,1]", "c[m,01]", "c[a.b-c_9,3]"]
+_BROKEN = ["c[m,0]", "c[,1]", "c [m,1]", "c[m,]", "c[1m,1]", "c[m,1", "c", "l"]
+_NUMBERS = ["0", "1", "2", "007", "00", "12", "\u0663"]
+_OPS = ["+", "-", "*", "^"]
+_STRAY = ["?", "x", "(", "]", ",", "."]
+_SPACES = ["", "", " ", "   ", "\t", "\n ", "\u00a0"]
+_VOCABULARY = _GENS + _BROKEN + _NUMBERS + _OPS + _STRAY + _SPACES[2:]
+
+
+# The kinds of token the grammar allows after each kind ("" is the start):
+# ``g`` a generator, ``n`` a number, and each operator as itself.
+_NEXT = {"": "-ng", "+": "ng", "-": "ng", "n": "*+-", "g": "^*+-", "*": "g", "^": "n"}
+_OF_KIND = {"g": _GENS, "n": _NUMBERS}
+
+
+def _text_from(choices):
+    """A text over the token vocabulary, read from ``choices`` two bytes per
+    token: the first picks the whitespace before the token; the second, below
+    200, a token of a kind the grammar allows next, else any token at all."""
+    words, kind = [], ""
+    for space, pick in zip(choices[::2], choices[1::2]):
+        if pick < 200:
+            allowed = _NEXT[kind]
+            kind = allowed[pick % len(allowed)]
+            options = _OF_KIND.get(kind, [kind])
+            token = options[pick // len(allowed) % len(options)]
+        else:
+            token = _VOCABULARY[pick % len(_VOCABULARY)]
+        words.append(_SPACES[space % len(_SPACES)] + token)
+    return "".join(words)
+
+
+def _outcome(parse, text):
+    """The element read from ``text``, or ``ValueError`` for a rejection."""
+    try:
+        return parse(text)
+    except ValueError:
+        return ValueError
+
+
+@given(st.binary(max_size=24).map(_text_from))
+@settings(max_examples=2000)
+def test_parse_matches_the_descent_parser(text):
+    assert _outcome(parse_elem, text) == _outcome(reference_parse_elem, text)
+
+
+def test_parse_accepts_the_documented_superset():
+    m1, m2 = c("m", 1), c("m", 2)
+    for text, expected in [
+        (" \t-L +\n1 ", 1 - L),
+        ("L*c[m,1]*L^2 + L^3*c[m,1]", 2 * L**3 * m1),
+        ("007*c[m,02]^01 - 0*L + 0", 7 * m2),
+        ("-0", zero()),
+        ("1 + 2 - 3", zero()),
+        ("\u0663*L^\u0662", 3 * L**2),
+    ]:
+        assert parse_elem(text) == expected == reference_parse_elem(text), text
+    for text in ["L^0", "L^00", "c[m,0]", "c[m, 1]", "1 2", "2*3", "L*2", "L^2^3",
+                 "--L", "- -L", "L -", "+"]:
+        for parse in (parse_elem, reference_parse_elem):
+            with pytest.raises(ValueError):
+                parse(text)
+
+
+_LONG = 200_000
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (" " * (_LONG - 1) + "?", ValueError),
+        ("-" + " " * (_LONG - 2) + "?", ValueError),
+        ("L" + "*" * (_LONG - 1), ValueError),
+        ("L + " * (_LONG // 4 - 1) + "L", _LONG // 4 * L),
+        ("L + " * (_LONG // 4), ValueError),
+    ],
+    ids=["spaces-then-junk", "sign-spaces-junk", "L-then-stars", "terms", "terms-then-sign"],
+)
+def test_parse_is_linear_on_long_texts(text, expected):
+    start = time.perf_counter()
+    outcome = _outcome(parse_elem, text)
+    assert time.perf_counter() - start < 2.0
+    assert outcome == expected
 
 
 # -- TruncSeries --------------------------------------------------------------
