@@ -35,7 +35,6 @@ from .ring import (
     Generator,
     RationalFn,
     RingElem,
-    TPoly,
     TruncSeries,
     lefschetz,
     one,
@@ -77,7 +76,6 @@ __all__ = [
     "RingElem",
     "StablePair",
     "SymbolicIdentity",
-    "TPoly",
     "TruncSeries",
     "Vertex",
     "ZetaKind",

@@ -48,7 +48,7 @@ from .measures import (
     euler_for_graph,
     point_count_for_graph,
 )
-from .ring import RingElem, TPoly
+from .ring import RationalFn, RingElem
 # ``divisor_class_from_strata`` is not called here, but the benchmark's tracer
 # (perfbench/tracer.py) patches ``cli.divisor_class_from_strata``, and its
 # self-test fails if the name does not resolve.
@@ -56,7 +56,6 @@ from .strata import divisor_class_from_strata, divisor_series_from_strata, stabl
 from .zeta import (
     ZetaKind,
     leaf_images,
-    rational_coefficients,
     zeta_rational,
     zeta_rational_image,
     zeta_series,
@@ -249,11 +248,10 @@ def _compute(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -
         leaves = leaf_images(graph, measure, order)
         series = zeta_series_image(kind, graph, order, leaves) if wants_series else None
         fn = zeta_rational_image(kind, graph, leaves)
-    numerator, denominator = rational_coefficients(kind, graph, fn)
     report = {"zeta": kind.value, "max_degree": order, "measure": args.measure}
     if wants_series:
         report["coefficients"] = series.coefficients()
-    report["rational"] = {"numerator": numerator, "denominator": denominator}
+    report["rational"] = {"numerator": fn.numerator, "denominator": fn.denominator}
     return report
 
 
@@ -328,10 +326,7 @@ def _text(report: dict) -> str:
         coefficients = report.get("coefficients", ())
         lines += [f"t^{degree}: {value}" for degree, value in enumerate(coefficients)]
         rational = report["rational"]
-        lines.append(
-            f"rational: ({TPoly(rational['numerator'])})"
-            f" / ({TPoly(rational['denominator'])})"
-        )
+        lines.append(f"rational: {RationalFn(rational['numerator'], rational['denominator'])}")
     elif report["mode"] == "verify":
         render = _Render()
         lines += [

@@ -29,6 +29,7 @@ half-edges are distinguished and chains are read from the first slot.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Iterable
 
 from .ring import MODEL_ID_RE
@@ -101,7 +102,7 @@ class CurveModel(Record):
         numerator: tuple[int, ...] | None = None,
     ):
         if not MODEL_ID_RE.fullmatch(name):
-            raise GraphError(f"invalid model id: {name!r}")
+            raise GraphError(f"invalid model id: {reprlib.repr(name)}")
         if genus < 0:
             raise GraphError("genus must be nonnegative")
         self._assign(kind=kind, name=name, genus=genus, trace=trace, numerator=numerator)
@@ -122,7 +123,7 @@ class CurveModel(Record):
     def weil(cls, name: str, numerator: Iterable[int], genus: int) -> CurveModel:
         coeffs = tuple(int(c) for c in numerator)
         if not coeffs or coeffs[0] != 1:
-            raise GraphError(f"weil numerator must have constant term 1: {coeffs}")
+            raise GraphError(f"weil numerator must have constant term 1: {reprlib.repr(coeffs)}")
         if len(coeffs) - 1 > 2 * genus:
             raise GraphError(
                 f"weil numerator degree {len(coeffs) - 1} exceeds 2*genus = {2 * genus}"
@@ -213,7 +214,7 @@ def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> 
         raise GraphError("graph document must be a JSON object")
     unknown = set(data) - {"vertices", "edges", "legs"}
     if unknown:
-        raise GraphError(f"unknown top-level keys: {sorted(unknown)}")
+        raise GraphError(f"unknown top-level keys: {reprlib.repr(sorted(unknown))}")
 
     raw_vertices = data.get("vertices")
     if not isinstance(raw_vertices, list) or not raw_vertices:
@@ -227,7 +228,7 @@ def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> 
     edges = []
     for item in _list_field(data, "edges"):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise GraphError(f"edge must be a pair of vertex ids: {item!r}")
+            raise GraphError(f"edge must be a pair of vertex ids: {reprlib.repr(item)}")
         u, w = item
         for end in (u, w):
             _check_endpoint(end, known, "edge")
@@ -257,9 +258,9 @@ def _list_field(data: dict, key: str) -> list:
 
 def _check_endpoint(end: object, known: set[str], kind: str) -> None:
     if not isinstance(end, str):
-        raise GraphError(f"{kind} endpoint must be a vertex id string: {end!r}")
+        raise GraphError(f"{kind} endpoint must be a vertex id string: {reprlib.repr(end)}")
     if end not in known:
-        raise GraphError(f"{kind} references unknown vertex id {end!r}")
+        raise GraphError(f"{kind} references unknown vertex id {reprlib.repr(end)}")
 
 
 def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:
@@ -273,30 +274,32 @@ def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:
 
 def _parse_vertex(item: object) -> Vertex:
     if not isinstance(item, dict):
-        raise GraphError(f"vertex must be an object: {item!r}")
+        raise GraphError(f"vertex must be an object: {reprlib.repr(item)}")
     unknown = set(item) - {"id", "genus", "model", "punctures"}
     if unknown:
-        raise GraphError(f"unknown vertex keys: {sorted(unknown)}")
+        raise GraphError(f"unknown vertex keys: {reprlib.repr(sorted(unknown))}")
     vid = item.get("id")
     if not isinstance(vid, str) or not MODEL_ID_RE.fullmatch(vid):
-        raise GraphError(f"invalid vertex id: {vid!r}")
+        raise GraphError(f"invalid vertex id: {reprlib.repr(vid)}")
+    where = f"vertex {reprlib.repr(vid)}"
     genus = item.get("genus")
     if not _is_int(genus) or genus < 0:
-        raise GraphError(f"vertex {vid!r}: genus must be a nonnegative integer")
+        raise GraphError(f"{where}: genus must be a nonnegative integer")
     punctures = item.get("punctures", 0)
     if not _is_int(punctures) or punctures < 0:
-        raise GraphError(f"vertex {vid!r}: punctures must be a nonnegative integer")
+        raise GraphError(f"{where}: punctures must be a nonnegative integer")
     model = _parse_model(item.get("model", {"type": "symbolic"}), vid, genus)
     return Vertex(vid, genus, model, punctures)
 
 
 def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
+    where = f"vertex {reprlib.repr(vid)}"
     if not isinstance(item, dict):
-        raise GraphError(f"vertex {vid!r}: model must be an object")
+        raise GraphError(f"{where}: model must be an object")
     kind = item.get("type")
     name = item.get("id", vid)
     if not isinstance(name, str):
-        raise GraphError(f"vertex {vid!r}: model id must be a string")
+        raise GraphError(f"{where}: model id must be a string")
     allowed = {
         "symbolic": {"type", "id"},
         "p1": {"type", "id"},
@@ -304,10 +307,10 @@ def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
         "weil": {"type", "id", "numerator"},
     }
     if not isinstance(kind, str) or kind not in allowed:
-        raise GraphError(f"vertex {vid!r}: unknown model type {kind!r}")
+        raise GraphError(f"{where}: unknown model type {reprlib.repr(kind)}")
     unknown = set(item) - allowed[kind]
     if unknown:
-        raise GraphError(f"vertex {vid!r}: unknown model keys: {sorted(unknown)}")
+        raise GraphError(f"{where}: unknown model keys: {reprlib.repr(sorted(unknown))}")
     try:
         if kind == "symbolic":
             model = CurveModel.symbolic(name, genus)
@@ -316,22 +319,21 @@ def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
         elif kind == "elliptic":
             trace = item.get("trace")
             if not _is_int(trace):
-                raise GraphError(f"vertex {vid!r}: elliptic model needs integer 'trace'")
+                raise GraphError(f"{where}: elliptic model needs integer 'trace'")
             model = CurveModel.elliptic(name, trace)
         else:
             numerator = item.get("numerator")
             if not isinstance(numerator, list) or not all(map(_is_int, numerator)):
-                raise GraphError(
-                    f"vertex {vid!r}: weil model needs an integer list 'numerator'"
-                )
+                raise GraphError(f"{where}: weil model needs an integer list 'numerator'")
             model = CurveModel.weil(name, numerator, genus)
     except GraphError:
         raise
     except ValueError as exc:
-        raise GraphError(f"vertex {vid!r}: {exc}") from None
+        raise GraphError(f"{where}: {exc}") from None
     if model.genus != genus:
         raise GraphError(
-            f"vertex {vid!r}: model genus {model.genus} does not match vertex genus {genus}"
+            f"{where}: model genus {model.genus} does not match vertex genus"
+            f" {reprlib.repr(genus)}"
         )
     return model
 
@@ -340,7 +342,8 @@ def _validate(graph: DualGraph, *, allow_unstable: bool) -> None:
     for v in graph.vertices:
         if graph.models[v.model.name] != v.model:
             raise GraphError(
-                f"vertex {v.id!r}: model id {v.model.name!r} already names a different curve"
+                f"vertex {reprlib.repr(v.id)}: model id {reprlib.repr(v.model.name)}"
+                " already names a different curve"
             )
 
     # Connectivity (legs attach to vertices, they connect nothing).
@@ -357,7 +360,7 @@ def _validate(graph: DualGraph, *, allow_unstable: bool) -> None:
                 queue.append(nxt)
     if len(seen) != len(graph.vertices):
         missing = sorted(set(adjacency) - seen)
-        raise GraphError(f"graph is not connected: unreachable vertices {missing}")
+        raise GraphError(f"graph is not connected: unreachable vertices {reprlib.repr(missing)}")
 
     skip_stability = allow_unstable and len(graph.vertices) == 1 and not graph.edges
     if skip_stability:
@@ -367,8 +370,9 @@ def _validate(graph: DualGraph, *, allow_unstable: bool) -> None:
         slack = 2 * v.genus - 2 + graph.valence(v.id) + graph.legs_at(v.id)
         if slack <= 0:
             raise GraphError(
-                f"unstable vertex {v.id!r}: 2*genus - 2 + valence + legs = {slack}"
-                " (must be positive); pass allow_unstable for smooth one-vertex input"
+                f"unstable vertex {reprlib.repr(v.id)}: 2*genus - 2 + valence + legs = {slack}"
+                " (must be positive); pass --allow-unstable, or allow_unstable=True to"
+                " parse_graph, for smooth one-vertex input"
             )
 
 

@@ -5,9 +5,11 @@ Three immutable layers, all over arbitrary-precision integers:
 * ``RingElem``: sparse polynomials in the Lefschetz class ``L`` and
   symmetric-power class generators ``c[model,d]``.
 * ``TruncSeries``: power series in ``t``, truncated at a fixed order.
-* ``TPoly`` / ``RationalFn``: polynomials in ``t`` and unreduced ratios of
-  them.  Rational functions are never reduced to lowest terms; equality is
-  decided by cross-multiplying numerators and denominators.
+* ``RationalFn``: unreduced ratios of polynomials in ``t``, each side a
+  coefficient tuple at its formal length, so the lengths of factors add up
+  under multiplication and a zero leading coefficient is kept.  Rational
+  functions are never reduced to lowest terms; equality is decided by
+  cross-multiplying numerators and denominators, up to trailing zeros.
 
 The ``t``-layers are generic over the coefficient ring: their coefficients
 are all ``RingElem`` or all plain ``int`` (the image of a measure), and the
@@ -23,10 +25,11 @@ of their tuples (the sparse representation of Monagan and Pearce, "Sparse
 polynomial multiplication and division in Maple 14").  Every ``**`` here is
 exponentiation by repeated squaring.
 
-Series products, series inverses and polynomial products share one
-multiply-accumulate kernel, after the same paper: a coefficient
-``sum_i a[i]*b[d-i]`` adds every term product of every pair into one dict,
-with no intermediate ``RingElem``; over the integers it is a plain ``sum``.
+Series products, series inverses and the products of the sides of rational
+functions share one multiply-accumulate kernel, after the same paper: a
+coefficient ``sum_i a[i]*b[d-i]`` adds every term product of every pair into
+one dict, with no intermediate ``RingElem``; over the integers it is a plain
+``sum``.
 
 Canonical text form
 -------------------
@@ -598,118 +601,71 @@ def _format_t_terms(coeffs: tuple[Coeff, ...]) -> str:
     return " ".join(parts)
 
 
-# -- polynomials in t and rational functions ----------------------------------
+# -- rational functions in t ---------------------------------------------------
 
 
-class TPoly:
-    """Polynomial in ``t``, trailing zeros stripped."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
-        elems = list(_ring_coeffs(coeffs))
-        while elems and elems[-1] == 0:
-            elems.pop()
-        self._coeffs = tuple(elems)
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    def coefficient(self, degree: int) -> Coeff:
-        if 0 <= degree < len(self._coeffs):
-            return self._coeffs[degree]
-        return _zero_of(self._coeffs)
-
-    def coefficients(self) -> tuple[Coeff, ...]:
-        return self._coeffs
-
-    def __mul__(self, other: TPoly) -> TPoly:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return TPoly()
-        return TPoly(_product_coeffs(a, b, len(a) + len(b) - 1))
-
-    def __pow__(self, exponent: int) -> TPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
-        return _power(self, exponent, TPoly([_one_of(self._coeffs)]))
-
-    def series(self, order: int) -> TruncSeries:
-        return TruncSeries.from_coeffs(self._coeffs, order)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __str__(self) -> str:
-        return _format_t_terms(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"TPoly({self})"
+def _poly_product(a: tuple[Coeff, ...], b: tuple[Coeff, ...]) -> list[Coeff]:
+    """Coefficients of the product of two t-polynomials, at formal length."""
+    return _product_coeffs(a, b, len(a) + len(b) - 1)
 
 
 class RationalFn:
-    """Unreduced ratio of two t-polynomials.
+    """Unreduced ratio of two polynomials in ``t``.
 
-    The denominator must have unit constant term, so a series expansion
-    always exists.  Equality is exact cross-multiplication; no gcd is ever
-    computed, hence no ``__hash__``.
+    Each side is a tuple of coefficients at its formal length: a product
+    has the sum of its factors' lengths minus one, and a zero leading
+    coefficient (the image of a symbolic one under a measure) is kept.  The
+    denominator must have unit constant term, so a series expansion always
+    exists.  Equality is exact cross-multiplication, up to trailing zeros;
+    no gcd is ever computed, hence no ``__hash__``.
     """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(
-        self,
-        numerator: TPoly | Iterable[Coeff],
-        denominator: TPoly | Iterable[Coeff] = (1,),
-    ):
-        num = numerator if isinstance(numerator, TPoly) else TPoly(numerator)
-        den = denominator if isinstance(denominator, TPoly) else TPoly(denominator)
-        if den.coefficient(0) != 1:
-            raise ValueError(
-                f"denominator must have unit constant term, got {den.coefficient(0)}"
-            )
+    def __init__(self, numerator: Iterable[Coeff], denominator: Iterable[Coeff] = (1,)):
+        num, den = _ring_coeffs(numerator), _ring_coeffs(denominator)
+        constant = den[0] if den else 0
+        if constant != 1:
+            raise ValueError(f"denominator must have unit constant term, got {constant}")
         self._num = num
         self._den = den
 
     @property
-    def numerator(self) -> TPoly:
+    def numerator(self) -> tuple[Coeff, ...]:
         return self._num
 
     @property
-    def denominator(self) -> TPoly:
+    def denominator(self) -> tuple[Coeff, ...]:
         return self._den
 
     def __mul__(self, other: RationalFn) -> RationalFn:
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return RationalFn(self._num * other._num, self._den * other._den)
+        return RationalFn(_poly_product(self._num, other._num), _poly_product(self._den, other._den))
 
     def __pow__(self, exponent: int) -> RationalFn:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("rational exponent must be a nonnegative integer")
-        return RationalFn(self._num**exponent, self._den**exponent)
+        unit = RationalFn([_one_of(self._num)], [_one_of(self._den)])
+        return _power(self, exponent, unit)
 
     def series(self, order: int) -> TruncSeries:
         """Truncated expansion: numerator times the denominator inverse."""
-        return self._den.series(order).inverse() * self._num.series(order)
+        inverse = TruncSeries.from_coeffs(self._den, order).inverse()
+        return inverse * TruncSeries.from_coeffs(self._num, order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return self._num * other._den == other._num * self._den
+        left = _poly_product(self._num, other._den)
+        right = _poly_product(other._num, self._den)
+        pad = len(right) - len(left)  # the shorter side gets the trailing zeros
+        return left + [0] * pad == right + [0] * -pad
 
     __hash__ = None  # equality is up to cross-multiplication
 
     def __str__(self) -> str:
-        return f"({self._num}) / ({self._den})"
+        return f"({_format_t_terms(self._num)}) / ({_format_t_terms(self._den)})"
 
     def __repr__(self) -> str:
         return f"RationalFn({self})"

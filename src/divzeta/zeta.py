@@ -33,7 +33,11 @@ over ``(1-t)(1-L*t)``; its expansion realizes the symmetric-power recurrence
 ``c_d = (L+1) c_{d-1} - L c_{d-2}`` that holds for curve classes beyond
 degree 2g, so it matches the free-generator series through ``t^(2g)`` and
 matches it at every order under any measure that realizes the generators
-through a Weil numerator of degree at most 2g.
+through a Weil numerator of degree at most 2g.  Each factor keeps its formal
+length (``RationalFn``), so the rational form's sides have the lengths of
+the symbolic form in any ring, even where a measure sends a vertex
+numerator's leading coefficients to zero (a Weil numerator of degree below
+2g).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from functools import reduce
 
 from .graph import CurveModel, DualGraph, Vertex
 from .measures import MotivicMeasure, SymbolicIdentity
-from .ring import Coeff, RationalFn, TPoly, TruncSeries, lefschetz
+from .ring import Coeff, RationalFn, TruncSeries, lefschetz
 
 
 class ZetaKind(enum.Enum):
@@ -122,53 +126,29 @@ def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalF
     if not (a or b or c):
         return None
     one_, lef = leaves.one, leaves.lefschetz
-    numerator = (
-        TPoly([one_, -lef]) ** a
-        * TPoly([one_, -one_]) ** b
-        * TPoly([one_, -one_, lef]) ** c
+    return (
+        RationalFn([one_, -lef], [one_, -(lef + one_), one_]) ** a
+        * RationalFn([one_, -one_], [one_]) ** b
+        * RationalFn([one_, -one_, lef], [one_]) ** c
     )
-    return RationalFn(numerator, TPoly([one_, -(lef + one_), one_]) ** a)
 
 
-def _sym_denominator(leaves: Leaves) -> TPoly:
+def _sym_denominator(leaves: Leaves) -> list[Coeff]:
     """``(1-t)(1-L*t)`` as one quadratic."""
     lef = leaves.lefschetz
-    return TPoly([leaves.one, -(lef + leaves.one), lef])
+    return [leaves.one, -(lef + leaves.one), lef]
 
 
-def _sym_numerator(model: CurveModel, leaves: Leaves) -> TPoly:
+def _sym_numerator(model: CurveModel, leaves: Leaves) -> list[Coeff]:
     """Numerator of the vertex zeta over ``(1-t)(1-L*t)``, of degree 2g with
     coefficients c_d - (L+1) c_{d-1} + L c_{d-2} (1 for a projective line).
     """
     lef = leaves.lefschetz
     c = [0, 0, *leaves.classes[model.name][: 2 * model.genus + 1]]
-    return TPoly(
-        [
-            c[d + 2] - (lef + leaves.one) * c[d + 1] + lef * c[d]
-            for d in range(2 * model.genus + 1)
-        ]
-    )
-
-
-def rational_coefficients(
-    kind: ZetaKind, graph: DualGraph, fn: RationalFn
-) -> tuple[list[Coeff], list[Coeff]]:
-    """Numerator and denominator coefficients of ``fn``, the rational form of
-    ``kind`` on ``graph`` in any ring, at the lengths of the symbolic form.
-
-    In free generators every factor has a nonzero leading coefficient, so
-    the degrees of the factors add up.  A measure may send the leading
-    coefficients of a vertex numerator to zero (a Weil numerator of degree
-    below 2g); its image is padded with zeros back to the symbolic length.
-    """
-    a, b, c = _exponents(kind, graph)
-    numerator = a + b + 2 * c + sum(2 * v.model.genus for v in graph.vertices)
-    denominator = 2 * a + 2 * len(graph.vertices)
-    return _padded(fn.numerator, numerator), _padded(fn.denominator, denominator)
-
-
-def _padded(poly: TPoly, degree: int) -> list[Coeff]:
-    return list(poly.coefficients()) + [0] * (degree - poly.degree)
+    return [
+        c[d + 2] - (lef + leaves.one) * c[d + 1] + lef * c[d]
+        for d in range(2 * model.genus + 1)
+    ]
 
 
 # -- the two targets -----------------------------------------------------------------

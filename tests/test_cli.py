@@ -338,6 +338,35 @@ def test_undecodable_graph_files_exit_two(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("divzeta: invalid graph:"), name
 
 
+# Graphs whose offending value is large: each message shows a shortened repr.
+_OVERSIZED = {
+    "vertex-of-zeros": {"vertices": [[0] * 100_000]},
+    "unknown-keys": {"vertices": [vertex("m", 2)], **{f"k{i}": 0 for i in range(20_000)}},
+    "long-weil-numerator": {
+        "vertices": [vertex("m", 2, {"type": "weil", "numerator": [2] + [0] * 100_000})]
+    },
+    "edge-of-zeros": {"vertices": [vertex("m", 2)], "edges": [[0] * 100_000]},
+    "unreachable-vertices": {"vertices": [vertex(f"v{i}", 2) for i in range(2_000)]},
+    "long-vertex-id": {"vertices": [vertex("v" * 100_000, 0)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED))
+def test_oversized_input_gets_a_one_line_message(graph_file, capsys, name):
+    assert main(["--input", graph_file(_OVERSIZED[name])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("divzeta: invalid graph:")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert len(captured.err.encode()) < 1000
+
+
+def test_unstable_input_names_the_flag_that_accepts_it(graph_file, capsys):
+    assert main(["--input", graph_file({"vertices": [vertex("v", 0)]})]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--allow-unstable" in captured.err
+
+
 def test_undecodable_numerators_are_a_usage_error(graph_file, capsys):
     argv = ["--input", graph_file(MARKED), "--measure", "point-count", "--q", "3"]
     for numerators in ('{"m": [1, %s]}' % _DIGITS, "[" * 100_000, '{"m": ' + "[" * 100_000):

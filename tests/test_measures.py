@@ -21,12 +21,11 @@ from divzeta.measures import (
     point_count_for_graph,
     weil_series,
 )
-from divzeta.ring import RationalFn, RingElem, TruncSeries, lefschetz, one, sym_pow, zero
+from divzeta.ring import RingElem, TruncSeries, lefschetz, one, sym_pow, zero
 from divzeta.strata import torus_class
 from divzeta.zeta import (
     ZetaKind,
     leaf_images,
-    rational_coefficients,
     vertex_zeta_series,
     zeta_rational,
     zeta_rational_image,
@@ -322,24 +321,26 @@ def test_measure_applied_early_equals_applied_late(name):
     order = 6
     measures = list(_integer_measures(graph))
     leaves = [leaf_images(graph, measure, order) for measure in measures]
+    zero_leads = set()
     for kind in ZetaKind:
         series = zeta_series(kind, graph, order)
         fn = zeta_rational(kind, graph)
-        # Symbolic factors never lose degree, so no padding applies.
-        assert rational_coefficients(kind, graph, fn) == (
-            list(fn.numerator.coefficients()),
-            list(fn.denominator.coefficients()),
-        )
+        # Symbolic factors never lose degree.
+        assert fn.numerator[-1] != 0 and fn.denominator[-1] != 0
         for measure, images in zip(measures, leaves):
             early = zeta_series_image(kind, graph, order, images).coefficients()
             assert all(type(c) is int for c in early)
             late = [measure.of_elem(c) for c in series.coefficients()]
             assert list(early) == late, (kind, measure.name)
+            # Side by side at the symbolic lengths, zero leading coefficients too.
             early_fn = zeta_rational_image(kind, graph, images)
-            assert rational_coefficients(kind, graph, early_fn) == (
-                [measure.of_elem(c) for c in fn.numerator.coefficients()],
-                [measure.of_elem(c) for c in fn.denominator.coefficients()],
-            ), (kind, measure.name)
+            assert early_fn.numerator == tuple(map(measure.of_elem, fn.numerator))
+            assert early_fn.denominator == tuple(map(measure.of_elem, fn.denominator))
+            if early_fn.numerator[-1] == 0:
+                zero_leads.add(kind)
+    # The short genus-2 numerator sends the leading coefficient to zero.
+    short = any(v.genus == 2 and v.model.kind == "symbolic" for v in graph.vertices)
+    assert zero_leads == (set(ZetaKind) if short else set())
 
 
 @pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_GRAPHS))
@@ -354,11 +355,9 @@ def test_printed_rational_form_expands_to_the_printed_series(name):
     for kind in ZetaKind:
         for measure in _integer_measures(graph):
             leaves = leaf_images(graph, measure, order)
-            fn = zeta_rational_image(kind, graph, leaves)
-            expansion = RationalFn(*rational_coefficients(kind, graph, fn)).series(order)
+            expansion = zeta_rational_image(kind, graph, leaves).series(order)
             assert expansion == zeta_series_image(kind, graph, order, leaves), (kind, measure.name)
-        fn = zeta_rational(kind, graph)
-        expansion = RationalFn(*rational_coefficients(kind, graph, fn)).series(exact)
+        expansion = zeta_rational(kind, graph).series(exact)
         assert expansion == zeta_series(kind, graph, exact), kind
 
 

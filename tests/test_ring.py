@@ -18,7 +18,6 @@ from divzeta.ring import (
     Monomial,
     RationalFn,
     RingElem,
-    TPoly,
     TruncSeries,
     _mono_mul,
     _mono_sorted,
@@ -503,8 +502,8 @@ def test_series_pow():
 _POWER_BASES = [
     (TruncSeries([1, -2, 3, 0, 5]), TruncSeries.from_coeffs([1], 4)),
     (TruncSeries([one(), L - 1, c("m", 1), zero(), 2 * L]), TruncSeries.one(4)),
-    (TPoly([2, -1, 3]), TPoly([1])),
-    (TPoly([one(), L - 1, c("m", 1)]), TPoly([one()])),
+    (RationalFn([2, -1, 3], [1, 5]), RationalFn([1])),
+    (RationalFn([one(), L - 1, c("m", 1)]), RationalFn([one()])),
     (L - c("m", 1) + 2, one()),
 ]
 
@@ -512,6 +511,8 @@ _POWER_BASES = [
 def _coefficient_types(value):
     if isinstance(value, RingElem):
         return [RingElem]
+    if isinstance(value, RationalFn):
+        return [type(x) for x in value.numerator + value.denominator]
     return [type(x) for x in value.coefficients()]
 
 
@@ -585,9 +586,7 @@ def _naive_inverse(a):
 
 
 def _naive_poly_mul(a, b):
-    x, y = a.coefficients(), b.coefficients()
-    if not x or not y:
-        return []
+    x, y = a.numerator, b.numerator
     out = [0] * (len(x) + len(y) - 1)
     for i, u in enumerate(x):
         for j, v in enumerate(y):
@@ -598,8 +597,6 @@ def _naive_poly_mul(a, b):
 def _same(coeffs, expected):
     """Equal values, and one ring: ``int`` exactly where the reference is."""
     expected = list(expected)
-    while len(expected) > len(coeffs) and expected[-1] == 0:
-        expected.pop()  # TPoly strips trailing zeros
     assert list(coeffs) == expected
     assert [type(c) is int for c in coeffs] == [type(c) is int for c in expected]
 
@@ -612,9 +609,11 @@ def test_products_match_the_naive_definitions(data):
     raw_a = data.draw(sparse_coeffs(kind_a, order + 1))
     raw_b = data.draw(sparse_coeffs(kind_b, data.draw(st.integers(0, order + 1))))
     for x, y in [(raw_a, raw_b), (raw_a, _alternating(raw_a))]:
-        a, b = TruncSeries(x), TruncSeries.from_coeffs(y or [0], order)
+        y = y or [0]
+        a, b = TruncSeries(x), TruncSeries.from_coeffs(y, order)
         _same((a * b).coefficients(), _naive_series_mul(a, b))
-        _same((TPoly(x) * TPoly(y)).coefficients(), _naive_poly_mul(TPoly(x), TPoly(y)))
+        p, q = RationalFn(x), RationalFn(y)
+        _same((p * q).numerator, _naive_poly_mul(p, q))
     unit = TruncSeries([1 if kind_a == "int" else one()] + raw_a[1:])
     _same(unit.inverse().coefficients(), _naive_inverse(unit))
 
@@ -653,35 +652,45 @@ def test_rational_denominator_must_be_unit():
 @given(st.integers(2, 8))
 def test_expansion_times_denominator_is_numerator(order):
     for num, den in [
-        (TPoly([1, -L]), TPoly([1, -(L + 1), 1])),
-        (TPoly([1, -1]), TPoly([1, -L])),
-        (TPoly([1, c("m", 1), c("m", 2)]), TPoly([1, -1, L])),
+        ([1, -L], [1, -(L + 1), 1]),
+        ([1, -1], [1, -L]),
+        ([1, c("m", 1), c("m", 2)], [1, -1, L]),
     ]:
         expansion = RationalFn(num, den).series(order)
-        assert expansion * den.series(order) == num.series(order)
+        denominator = TruncSeries.from_coeffs(den, order)
+        assert expansion * denominator == TruncSeries.from_coeffs(num, order)
 
 
 def test_rational_equality_by_cross_multiplication():
-    one_minus_t = TPoly([1, -1])
     plain = RationalFn([1, -1], [1, -L])
-    inflated = RationalFn(one_minus_t * TPoly([1, -1]), TPoly([1, -L]) * one_minus_t)
+    inflated = plain * RationalFn([1, -1], [1, -1])
     assert plain == inflated
     assert plain != RationalFn([1, -1], [1, -L, 1])
+    assert RationalFn([1, -1], [1, -1]) == RationalFn([1])
 
 
 def test_rational_product_is_unreduced():
     a = RationalFn([1, -1], [1, -L])
     b = RationalFn([1, -L], [1, -1])
     product = a * b
-    assert product.numerator == TPoly([1, -1]) * TPoly([1, -L])
-    assert product.denominator == TPoly([1, -L]) * TPoly([1, -1])
+    # (1-t)(1-Lt) on both sides, not cancelled.
+    assert product.numerator == product.denominator == (1, -(L + 1), L)
     assert product.series(6) == TruncSeries.one(6)
 
 
-def test_tpoly_strips_trailing_zeros():
-    assert TPoly([1, 0, 0]) == TPoly([1])
-    assert TPoly([0, 0]).degree == -1
-    assert TPoly([1, -L]).degree == 1
+def test_rational_sides_keep_their_formal_length():
+    # A side of a product is as long as its factors' sides together, less
+    # one, with zero leading coefficients kept; equality ignores them.
+    a = RationalFn([1, 0], [1, -L])
+    b = RationalFn([1, -1, 0], [1, 0])
+    assert (a * b).numerator == (1, -1, 0, 0)
+    assert (a * b).denominator == (1, -L, 0)
+    assert [len(side) for side in ((a**3).numerator, (a**3).denominator)] == [4, 4]
+    assert [len(side) for side in ((b**0).numerator, (b**0).denominator)] == [1, 1]
+    assert a * b == RationalFn([1, -1], [1, -L])
+    assert RationalFn([1, 0]) == RationalFn([1])
+    assert RationalFn([0, 0]) == RationalFn([0])
+    assert RationalFn([1, -L]) != RationalFn([1])
 
 
 def test_int_and_ring_coefficients_agree():
@@ -697,6 +706,7 @@ def test_int_and_ring_coefficients_agree():
     mixed = ints * TruncSeries.from_coeffs([1, L], 2)
     assert all(isinstance(c, RingElem) for c in mixed.coefficients())
     assert mixed == TruncSeries([one(), L + 2, 2 * L])
-    assert str(TPoly([-3, 1, 0, -1])) == "-3 + t - t^3"
-    assert TPoly([1, -2]) ** 2 == TPoly([1, -4, 4])
+    assert str(RationalFn([-3, 1, 0, -1, 0])) == "(-3 + t - t^3) / (1)"
+    assert (RationalFn([1, -2]) ** 2).numerator == (1, -4, 4)
+    assert all(type(c) is int for c in (RationalFn([1, -2]) ** 2).numerator)
     assert RationalFn([1], [1, -1]).series(3).coefficients() == (1, 1, 1, 1)

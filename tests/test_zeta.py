@@ -75,8 +75,8 @@ def test_node_factor_series_values():
 
 def test_node_factor_rational_shape():
     fn = node_factor_rational()
-    assert fn.numerator.coefficients() == (one(), -L)
-    assert fn.denominator.coefficients() == (one(), -(L + 1), one())
+    assert fn.numerator == (one(), -L)
+    assert fn.denominator == (one(), -(L + 1), one())
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -224,7 +224,7 @@ def test_rational_is_unreduced_product():
     graph = marked_curve(2)
     fn = zeta_rational(ZetaKind.DIVISORIAL, graph)
     # |E| = 0, n = 1: numerator carries (1 - L t) * (1 - t) * Q(t).
-    assert fn.denominator.degree == 2 + 2  # node denominator * (1-t)(1-Lt)
+    assert len(fn.denominator) - 1 == 2 + 2  # node denominator * (1-t)(1-Lt)
     assert fn == RationalFn(fn.numerator, fn.denominator)
 
 
