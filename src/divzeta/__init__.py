@@ -29,7 +29,6 @@ from .measures import (
     SymbolicIdentity,
     euler_for_graph,
     point_count_for_graph,
-    weil_series,
 )
 from .ring import (
     Generator,
@@ -99,7 +98,6 @@ __all__ = [
     "torus_class",
     "total_genus",
     "vertex_zeta_series",
-    "weil_series",
     "zero",
     "zeta_rational",
     "zeta_series",

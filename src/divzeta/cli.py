@@ -286,7 +286,7 @@ def _verify(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) ->
 
 
 def _count(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
-    counts = [stable_pair_count(graph, degree) for degree in range(args.max_degree + 1)]
+    counts = stable_pair_count(graph, args.max_degree)
     return {"max_degree": args.max_degree, "counts": counts}
 
 

@@ -13,58 +13,29 @@ generator, ``c[m,1]`` (``c[m,0]`` is the unit and needs no realization).
 * ``PointCount(q, numerators, genera)``: counting points over a field with
   q elements.  ``L`` goes to q and ``c[m,d]`` to the ``t^d`` coefficient of
   ``P_m(t) / ((1-t)(1-q t))`` for the model's Weil numerator ``P_m``.
-* ``EulerCharacteristic(genera)``: ``L`` goes to 1 and ``c[m,d]`` to the
-  ``t^d`` coefficient of ``(1-t)^(2g-2)``.
+* ``EulerCharacteristic(genera)``: point counting at ``L -> 1`` with the
+  numerator ``(1-t)^(2g)``, so ``c[m,d]`` goes to the ``t^d`` coefficient of
+  ``(1-t)^(2g-2)``.
 * ``SymbolicIdentity()``: leaves expressions unchanged; its images are the
   free generators ``L`` and ``c[m,d]`` themselves.
+
+Both integer measures share one ``class_series``: a model's classes are one
+expansion of its numerator over ``(1-t)(1-l t)``, with ``l`` the image of
+``L`` (``RationalFn.series``).
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 from collections.abc import Iterable, Mapping, Sequence
 
 from .graph import DualGraph
-from .ring import RingElem, lefschetz, sym_pow
+from .ring import RationalFn, RingElem, lefschetz, sym_pow
 
 
 class MeasureError(ValueError):
     """A generator has no realization under the measure."""
-
-
-def weil_series(numerator: Sequence[int], q: int, order: int) -> list[int]:
-    """Truncated expansion of ``P(t) / ((1-t)(1-q t))`` over the integers.
-
-    The leaf source for point counting (``PointCount.class_series``); it
-    uses no symbolic ring machinery.  ``q = 1`` is accepted for expansion
-    checks.
-    """
-    numerator = list(numerator)
-    if not numerator or numerator[0] != 1:
-        raise ValueError("numerator must have constant term 1")
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    # 1/((1-t)(1-qt)) has coefficient 1 + q + ... + q^d.
-    base = []
-    power_sum = 0
-    power = 1
-    for _ in range(order + 1):
-        power_sum += power
-        power *= q
-        base.append(power_sum)
-    return [
-        sum(numerator[i] * base[d - i] for i in range(min(d, len(numerator) - 1) + 1))
-        for d in range(order + 1)
-    ]
-
-
-def one_minus_t_coefficient(exponent: int, degree: int) -> int:
-    """Coefficient of ``t^degree`` in ``(1-t)**exponent`` for any integer exponent."""
-    if degree < 0:
-        return 0
-    if exponent >= 0:
-        return (-1) ** degree * math.comb(exponent, degree)
-    return math.comb(degree - exponent - 1, degree)
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -127,16 +98,33 @@ def is_prime_power(value: int) -> bool:
 
 
 class MotivicMeasure:
-    """Base class: integer-valued ring homomorphism."""
+    """Base class: integer-valued ring homomorphism.
+
+    A subclass fixes the image ``l`` of ``L`` (``lefschetz_image``) and an
+    integer numerator ``P_m`` per model it realizes (``_numerators``); the
+    model's classes are then the expansion of ``P_m(t) / ((1-t)(1-l t))``.
+    ``realm`` names the measure in messages.
+    """
 
     name = "abstract"
+    realm: str
+    _numerators: Mapping[str, tuple[int, ...]]
 
     def lefschetz_image(self) -> int:
         raise NotImplementedError
 
     def class_series(self, model: str, order: int) -> list[int]:
         """Images of ``c[model,0]`` (the unit) through ``c[model,order]``."""
-        raise NotImplementedError
+        if order == 0:  # c[m,0] is the unit: no numerator needed
+            return [1]
+        if model not in self._numerators:
+            raise MeasureError(
+                f"no realization for generator c[{reprlib.repr(model)[1:-1]},1]"
+                f" under {self.realm}"
+            )
+        lef = self.lefschetz_image()
+        expansion = RationalFn(self._numerators[model], (1, -(lef + 1), lef)).series(order)
+        return list(expansion.coefficients())
 
     def of_elem(self, elem: RingElem) -> int:
         total = 0
@@ -167,24 +155,19 @@ class SymbolicIdentity(MotivicMeasure):
 
 
 class EulerCharacteristic(MotivicMeasure):
+    """Point counting at ``L -> 1``: a genus-g model's numerator is ``(1-t)^(2g)``."""
+
     name = "euler"
+    realm = "the Euler-characteristic measure"
 
     def __init__(self, genera: Mapping[str, int] | None = None):
-        self._genera = dict(genera or {})
+        self._numerators = {
+            model: tuple((-1) ** d * math.comb(2 * genus, d) for d in range(2 * genus + 1))
+            for model, genus in (genera or {}).items()
+        }
 
     def lefschetz_image(self) -> int:
         return 1
-
-    def class_series(self, model: str, order: int) -> list[int]:
-        if order == 0:  # c[m,0] is the unit: no genus needed
-            return [1]
-        if model not in self._genera:
-            raise MeasureError(
-                f"no realization for generator c[{model},1] under the"
-                " Euler-characteristic measure"
-            )
-        exponent = 2 * self._genera[model] - 2
-        return [one_minus_t_coefficient(exponent, d) for d in range(order + 1)]
 
 
 class PointCount(MotivicMeasure):
@@ -207,6 +190,7 @@ class PointCount(MotivicMeasure):
         if not is_prime_power(q):
             raise ValueError(f"q must be a prime power >= 2, got {q}")
         self.q = q
+        self.realm = f"point counting with q = {q}"
         self._numerators = {m: tuple(p) for m, p in (numerators or {}).items()}
         genera = dict(genera or {})
         for model, numerator in self._numerators.items():
@@ -232,16 +216,6 @@ class PointCount(MotivicMeasure):
 
     def lefschetz_image(self) -> int:
         return self.q
-
-    def class_series(self, model: str, order: int) -> list[int]:
-        if order == 0:  # c[m,0] is the unit: no numerator needed
-            return [1]
-        if model not in self._numerators:
-            raise MeasureError(
-                f"no realization for generator c[{model},1] under"
-                f" point counting with q = {self.q}"
-            )
-        return weil_series(self._numerators[model], self.q, order)
 
 
 def euler_for_graph(graph: DualGraph) -> EulerCharacteristic:

@@ -25,11 +25,12 @@ of their tuples (the sparse representation of Monagan and Pearce, "Sparse
 polynomial multiplication and division in Maple 14").  Every ``**`` here is
 exponentiation by repeated squaring.
 
-Series products, series inverses and the products of the sides of rational
-functions share one multiply-accumulate kernel, after the same paper: a
-coefficient ``sum_i a[i]*b[d-i]`` adds every term product of every pair into
-one dict, with no intermediate ``RingElem``; over the integers it is a plain
-``sum``.
+Series products and the products of the sides of rational functions share
+one multiply-accumulate kernel, after the same paper: a coefficient
+``sum_i a[i]*b[d-i]`` adds every term product of every pair into one dict,
+with no intermediate ``RingElem``; over the integers it is a plain ``sum``.
+Every expansion of a rational function in ``t``, a series inverse included,
+is one linear recurrence over the same kernel (``_expand_coeffs``).
 
 Canonical text form
 -------------------
@@ -469,6 +470,26 @@ def _product_coeffs(a: tuple[Coeff, ...], b: tuple[Coeff, ...], count: int) -> l
     ]
 
 
+def _expand_coeffs(num: tuple[Coeff, ...], den: tuple[Coeff, ...], count: int) -> list[Coeff]:
+    """The first ``count`` coefficients of the expansion of ``num / den``,
+    where ``den[0] == 1``, by the recurrence
+    ``s[d] = num[d] - sum_{i>=1} den[i]*s[d-i]``: each one dot product of
+    ``den[1:]`` reversed against the last ``len(den) - 1`` coefficients.  An
+    ``int`` side is lifted when the other is symbolic.
+    """
+    symbolic = _is_symbolic(num)
+    if symbolic != _is_symbolic(den):
+        num, den = tuple(map(_require_elem, num)), tuple(map(_require_elem, den))
+        symbolic = True
+    dot = _dot if symbolic else _int_dot
+    width, tail = len(den) - 1, den[:0:-1]
+    out: list[Coeff] = []
+    for d in range(count):
+        acc = dot(tail[max(width - d, 0) :], out[max(d - width, 0) :])
+        out.append(num[d] - acc if d < len(num) else -acc)
+    return out
+
+
 # -- truncated power series ---------------------------------------------------
 
 
@@ -541,11 +562,7 @@ class TruncSeries:
         coeffs = self._coeffs
         if coeffs[0] != 1:
             raise ValueError(f"series is not invertible: constant term is {coeffs[0]}")
-        dot = _dot if _is_symbolic(coeffs) else _int_dot
-        inv = [_one_of(coeffs)]
-        for d in range(1, self.order + 1):
-            inv.append(-dot(coeffs[1 : d + 1], reversed(inv)))
-        return TruncSeries(inv)
+        return TruncSeries(_expand_coeffs((_one_of(coeffs),), coeffs, len(coeffs)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):
@@ -650,9 +667,10 @@ class RationalFn:
         return _power(self, exponent, unit)
 
     def series(self, order: int) -> TruncSeries:
-        """Truncated expansion: numerator times the denominator inverse."""
-        inverse = TruncSeries.from_coeffs(self._den, order).inverse()
-        return inverse * TruncSeries.from_coeffs(self._num, order)
+        """Truncated expansion, by the recurrence of the denominator."""
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        return TruncSeries(_expand_coeffs(self._num, self._den, order + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFn):

@@ -27,10 +27,10 @@ the oracle's own, independent of the closed form's graph scalar.  Every
 edge and leg has the same chain series, so it enters last as one power,
 after the vertex factors are multiplied together.
 ``divisor_class_from_strata`` is its symbolic coefficient of one degree.
-``stable_pair_count`` counts the pairs from the same factorization, with the
-per-slot series in closed form, as one sum of binomials per degree;
-``stable_pairs`` and ``stratum_class`` are the literal enumeration they are
-tested against at small degree.
+``stable_pair_count`` counts the pairs of every degree from the same
+factorization, with the per-slot series in closed form, as one expansion of
+a rational function; ``stable_pairs`` and ``stratum_class`` are the literal
+enumeration they are tested against at small degree.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from collections.abc import Iterator
 from functools import lru_cache, reduce
 
 from .graph import DualGraph, Record, Vertex
-from .measures import MotivicMeasure, SymbolicIdentity, one_minus_t_coefficient
-from .ring import RingElem, TruncSeries, lefschetz, one, sum_elems
+from .measures import MotivicMeasure, SymbolicIdentity
+from .ring import RationalFn, RingElem, TruncSeries, lefschetz, one, sum_elems
 from .zeta import leaf_images, vertex_zeta_series
 
 
@@ -147,26 +147,20 @@ def stable_pairs(graph: DualGraph, degree: int) -> list[StablePair]:
     return pairs
 
 
-def stable_pair_count(graph: DualGraph, degree: int) -> int:
-    """Number of stable pairs of the given degree, without enumerating them.
+def stable_pair_count(graph: DualGraph, order: int) -> list[int]:
+    """Numbers of stable pairs of degrees 0 through ``order``, without
+    enumerating them.
 
     A vertex takes any degree, ``1/(1-t)``; an edge or leg takes an ordered
     composition, of which a positive total ``s`` has ``2^(s-1)``, giving
-    ``(1-t)/(1-2t)``.  The count is the ``t^degree`` coefficient of
-    ``(1-t)^(-|V|) * ((1-t)/(1-2t))^K = (1-t)^(K-|V|) * (1-2t)^(-K)`` with
-    ``K = |E|+n``, a sum of ``degree + 1`` products of binomials, since
-    ``[t^j] (1-2t)^(-K) = 2^j [t^j] (1-t)^(-K)``.
+    ``(1-t)/(1-2t)``.  The counts are the expansion of
+    ``((1-t)/(1-2t))^(|E|+n) * (1-t)^(-|V|)``.
     """
-    if degree < 0:
+    if order < 0:
         raise ValueError("degree must be nonnegative")
-    chains = graph.num_edges + graph.num_legs
-    free = chains - len(graph.vertices)
-    return sum(
-        one_minus_t_coefficient(free, i)
-        * 2 ** (degree - i)
-        * one_minus_t_coefficient(-chains, degree - i)
-        for i in range(degree + 1)
-    )
+    chain, vertex = RationalFn([1, -1], [1, -2]), RationalFn([1], [1, -1])
+    counts = chain ** (graph.num_edges + graph.num_legs) * vertex ** len(graph.vertices)
+    return list(counts.series(order).coefficients())
 
 
 def torus_class(m: int) -> RingElem:

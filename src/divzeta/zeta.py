@@ -21,11 +21,12 @@ has two targets: ``zeta_rational_image`` multiplies it into each vertex's
 truncated vertex series together and the scalar's expansion in last.  Both
 take the product's leaves (``Leaves``): the image of ``L`` and, per model,
 the images of ``c[m,0], c[m,1], ...``; a projective line's classes are
-``1 + L + ... + L^d``, built from the image of ``L``.  ``zeta_series`` and
-``zeta_rational`` are the symbolic reference: their leaves are the free
-generators.  A motivic measure is a ring homomorphism, so applying it to the
-leaves (``leaf_images``) and then running the same builder over the integers
-gives the measure's image of the symbolic closed form, without expanding it.
+``1 + L + ... + L^d``, the expansion of ``1/((1-t)(1-L*t))`` at the image
+of ``L``.  ``zeta_series`` and ``zeta_rational`` are the symbolic
+reference: their leaves are the free generators.  A motivic measure is a
+ring homomorphism, so applying it to the leaves (``leaf_images``) and then
+running the same builder over the integers gives the measure's image of the
+symbolic closed form, without expanding it.
 
 For a vertex of genus g the rational form uses
 the numerator ``sum_d (c_d - (L+1) c_{d-1} + L c_{d-2}) t^d`` of degree 2g
@@ -85,20 +86,17 @@ def leaf_images(
     Each model's classes run through ``t^order``, enough for the series, and
     with ``rational`` through ``t^2g`` as well, as the rational form's
     vertex numerators need.  A projective line's classes are
-    ``1 + L + ... + L^d``, computed from the image of ``L`` in any ring;
-    every other model's come from the measure, and one it does not realize
-    to that degree raises ``MeasureError`` here.
+    ``1 + L + ... + L^d``, the expansion of ``1/((1-t)(1-L*t))`` in the ring
+    of the image of ``L``; every other model's come from the measure, and
+    one it does not realize to that degree raises ``MeasureError`` here.
     """
     lef = measure.lefschetz_image()
-    one_ = lef**0
     classes: dict[str, Sequence[Coeff]] = {}
     for name, model in graph.models.items():
         degree = max(order, 2 * model.genus) if rational else order
         if model.kind == "p1":
-            powers = [one_]
-            for _ in range(degree):
-                powers.append(lef * powers[-1] + one_)
-            classes[name] = powers
+            line = RationalFn([lef**0], _sym_denominator(lef))
+            classes[name] = line.series(degree).coefficients()
         else:
             classes[name] = measure.class_series(name, degree)
     return Leaves(lef, classes)
@@ -133,10 +131,10 @@ def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalF
     )
 
 
-def _sym_denominator(leaves: Leaves) -> list[Coeff]:
-    """``(1-t)(1-L*t)`` as one quadratic."""
-    lef = leaves.lefschetz
-    return [leaves.one, -(lef + leaves.one), lef]
+def _sym_denominator(lef: Coeff) -> list[Coeff]:
+    """``(1-t)(1-L*t)`` as one quadratic, for ``L`` the image ``lef``."""
+    one_ = lef**0
+    return [one_, -(lef + one_), lef]
 
 
 def _sym_numerator(model: CurveModel, leaves: Leaves) -> list[Coeff]:
@@ -170,7 +168,7 @@ def zeta_series_image(
 
 def zeta_rational_image(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn:
     """The closed form of ``kind`` as an unreduced rational function, in the leaves' ring."""
-    denominator = _sym_denominator(leaves)
+    denominator = _sym_denominator(leaves.lefschetz)
     factors = [RationalFn(_sym_numerator(v.model, leaves), denominator) for v in graph.vertices]
     scalar = _graph_scalar(kind, graph, leaves)
     return reduce(operator.mul, factors if scalar is None else [scalar, *factors])

@@ -1,11 +1,19 @@
-"""Shared graph factories for the test suite, and hypothesis profiles.
+"""Shared graph factories for the test suite, hypothesis profiles, and
+independent integer expansions.
 
 ``HYPOTHESIS_PROFILE=ci`` selects the CI profile: derandomized, so every run
 draws the same examples, and without a deadline, since shared runners are
 slow.  Example counts stay as each test sets them.
+
+``weil_series`` and ``one_minus_t_coefficient`` are the hand-written
+expansions the package used before every expansion became one recurrence
+(``RationalFn.series``); they stay here, unchanged, as references that share
+no code with it.
 """
 
+import math
 import os
+from collections.abc import Sequence
 
 from hypothesis import settings
 
@@ -13,6 +21,39 @@ from divzeta.graph import parse_graph
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def weil_series(numerator: Sequence[int], q: int, order: int) -> list[int]:
+    """Truncated expansion of ``P(t) / ((1-t)(1-q t))`` over the integers.
+
+    ``q = 1`` is accepted for expansion checks.
+    """
+    numerator = list(numerator)
+    if not numerator or numerator[0] != 1:
+        raise ValueError("numerator must have constant term 1")
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    # 1/((1-t)(1-qt)) has coefficient 1 + q + ... + q^d.
+    base = []
+    power_sum = 0
+    power = 1
+    for _ in range(order + 1):
+        power_sum += power
+        power *= q
+        base.append(power_sum)
+    return [
+        sum(numerator[i] * base[d - i] for i in range(min(d, len(numerator) - 1) + 1))
+        for d in range(order + 1)
+    ]
+
+
+def one_minus_t_coefficient(exponent: int, degree: int) -> int:
+    """Coefficient of ``t^degree`` in ``(1-t)**exponent`` for any integer exponent."""
+    if degree < 0:
+        return 0
+    if exponent >= 0:
+        return (-1) ** degree * math.comb(exponent, degree)
+    return math.comb(degree - exponent - 1, degree)
 
 
 def vertex(vid, genus, model=None, punctures=0):

@@ -361,6 +361,16 @@ def test_oversized_input_gets_a_one_line_message(graph_file, capsys, name):
     assert len(captured.err.encode()) < 1000
 
 
+def test_long_unrealized_model_id_gets_a_one_line_message(graph_file, capsys):
+    document = {"vertices": [vertex("m" * 100_000, 1)], "legs": ["m" * 100_000]}
+    assert main(["--input", graph_file(document), "--measure", "point-count", "--q", "5",
+                 "--max-degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no realization for generator c[mmm" in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert len(captured.err.encode()) < 1000
+
+
 def test_unstable_input_names_the_flag_that_accepts_it(graph_file, capsys):
     assert main(["--input", graph_file({"vertices": [vertex("v", 0)]})]) == 2
     captured = capsys.readouterr()

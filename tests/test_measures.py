@@ -17,9 +17,7 @@ from divzeta.measures import (
     SymbolicIdentity,
     euler_for_graph,
     is_prime_power,
-    one_minus_t_coefficient,
     point_count_for_graph,
-    weil_series,
 )
 from divzeta.ring import RingElem, TruncSeries, lefschetz, one, sym_pow, zero
 from divzeta.strata import torus_class
@@ -33,7 +31,7 @@ from divzeta.zeta import (
     zeta_series_image,
 )
 
-from conftest import battery, loop_vertex, vertex
+from conftest import battery, loop_vertex, one_minus_t_coefficient, vertex, weil_series
 
 L = lefschetz()
 
@@ -405,6 +403,20 @@ def test_class_series_matches_the_per_coefficient_formula():
         PointCount(3).class_series("mystery", 2)
     with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
         EulerCharacteristic().class_series("mystery", 2)
+
+
+def test_integer_class_series_match_the_kept_weil_series():
+    # Point counting expands P_m / ((1-t)(1-qt)); the Euler characteristic is
+    # point counting at L -> 1 with P_m = (1-t)^(2g).
+    for order in range(41):
+        for q in (2, 3, 4, 5, 7, 9):
+            for genus, numerator in _reference_numerators(q):
+                counting = PointCount(q, {"m": numerator}, {"m": genus})
+                assert counting.class_series("m", order) == weil_series(numerator, q, order)
+        for genus in range(7):
+            numerator = [one_minus_t_coefficient(2 * genus, d) for d in range(2 * genus + 1)]
+            euler = EulerCharacteristic({"m": genus})
+            assert euler.class_series("m", order) == weil_series(numerator, 1, order), genus
 
 
 # -- point counts of real curves --------------------------------------------------

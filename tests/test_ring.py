@@ -9,8 +9,11 @@ import time
 import uuid
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.ring_series import rs_mul, rs_series_inversion
+from sympy.polys.rings import ring
 
 from divzeta.ring import (
     LEFSCHETZ_GEN,
@@ -70,6 +73,12 @@ def unit_series(draw, max_order=12):
     order = draw(st.integers(1, max_order))
     coeffs = [one()] + [draw(small_elems()) for _ in range(order)]
     return TruncSeries(coeffs)
+
+
+@st.composite
+def int_unit_series(draw, max_order=12):
+    order = draw(st.integers(1, max_order))
+    return TruncSeries([1] + draw(st.lists(st.integers(-9, 9), min_size=order, max_size=order)))
 
 
 # -- RingElem -----------------------------------------------------------------
@@ -486,8 +495,8 @@ def test_series_inverse_requires_unit():
         TruncSeries.from_coeffs([2, 1], 3).inverse()
 
 
-@given(unit_series())
-@settings(max_examples=30, deadline=None)
+@given(st.one_of(unit_series(), int_unit_series()))
+@settings(max_examples=60, deadline=None)
 def test_series_inverse_is_inverse(series):
     assert series * series.inverse() == TruncSeries.one(series.order)
 
@@ -659,6 +668,51 @@ def test_expansion_times_denominator_is_numerator(order):
         expansion = RationalFn(num, den).series(order)
         denominator = TruncSeries.from_coeffs(den, order)
         assert expansion * denominator == TruncSeries.from_coeffs(num, order)
+
+
+_QQ_T, _T = ring("t", QQ)
+
+
+def _sympy_expansion(num, den, order):
+    """``num / den`` to ``t^order`` in sympy's power-series ring (Newton
+    inversion of the denominator, then a truncated product)."""
+    p = sum((coeff * _T**i for i, coeff in enumerate(num)), _QQ_T.zero)
+    q = sum((coeff * _T**i for i, coeff in enumerate(den)), _QQ_T.zero)
+    expansion = rs_mul(p, rs_series_inversion(q, _T, order + 1), _T, order + 1)
+    return [int(expansion.coeff(_T**d)) for d in range(order + 1)]
+
+
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+    st.lists(st.integers(-9, 9), max_size=5),
+    st.integers(0, 30),
+)
+@example([3, -1, 4, 1, -5, 9], [], 2)  # a constant denominator, a numerator past the order
+@example([1], [-2, 1], 0)
+@settings(max_examples=100, deadline=None)
+def test_integer_expansion_matches_sympy(num, den_tail, order):
+    den = [1, *den_tail]
+    coeffs = RationalFn(num, den).series(order).coefficients()
+    assert all(type(x) is int for x in coeffs)
+    assert list(coeffs) == _sympy_expansion(num, den, order)
+
+
+def _inverse_times_numerator(num, den, order):
+    """The expansion as ``RationalFn.series`` computed it before the recurrence."""
+    inverse = TruncSeries.from_coeffs(den, order).inverse()
+    return inverse * TruncSeries.from_coeffs(num, order)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_expansion_matches_inverse_times_numerator(data):
+    order = data.draw(st.integers(0, 8))
+    kind_num, kind_den = data.draw(st.sampled_from(_KINDS)), data.draw(st.sampled_from(_KINDS))
+    num = data.draw(sparse_coeffs(kind_num, data.draw(st.integers(1, order + 3))))
+    den_tail = data.draw(sparse_coeffs(kind_den, data.draw(st.integers(0, 4))))
+    den = [1 if kind_den == "int" else one(), *den_tail]
+    expected = _inverse_times_numerator(num, den, order).coefficients()
+    _same(RationalFn(num, den).series(order).coefficients(), expected)
 
 
 def test_rational_equality_by_cross_multiplication():

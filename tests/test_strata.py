@@ -31,6 +31,7 @@ from conftest import (
     battery,
     loop_vertex,
     marked_curve,
+    one_minus_t_coefficient,
     theta_graph,
     two_components,
     vertex,
@@ -59,11 +60,11 @@ def test_weak_compositions():
 
 
 def test_marked_curve_has_four_strata_in_degree_two():
-    assert stable_pair_count(marked_curve(), 2) == 4
+    assert stable_pair_count(marked_curve(), 2)[2] == 4
 
 
 def test_two_components_have_seven_strata_in_degree_two():
-    assert stable_pair_count(two_components(), 2) == 7
+    assert stable_pair_count(two_components(), 2)[2] == 7
 
 
 def test_degree_zero_single_empty_pair():
@@ -85,7 +86,7 @@ def test_pairs_are_sorted_and_unique():
 
 def test_pair_count_growth():
     for graph in (marked_curve(), two_components(), theta_graph()):
-        counts = [stable_pair_count(graph, d) for d in range(7)]
+        counts = stable_pair_count(graph, 6)
         assert counts[0] == 1
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
@@ -196,7 +197,7 @@ def literal_class(graph, degree):
 
 def assert_matches_enumeration(graph, degree):
     assert divisor_class_from_strata(graph, degree) == literal_class(graph, degree)
-    assert stable_pair_count(graph, degree) == len(stable_pairs(graph, degree))
+    assert stable_pair_count(graph, degree)[degree] == len(stable_pairs(graph, degree))
 
 
 @pytest.mark.parametrize("name", sorted(battery()))
@@ -224,14 +225,30 @@ _COUNT_GRAPHS = {
 }
 
 
+def _pair_count_binomial_sum(graph, degree):
+    """The count of one degree as a sum of products of binomials:
+    ``(1-t)^(K-|V|) * (1-2t)^(-K)`` with ``K = |E|+n``, since
+    ``[t^j] (1-2t)^(-K) = 2^j [t^j] (1-t)^(-K)``."""
+    chains = graph.num_edges + graph.num_legs
+    free = chains - len(graph.vertices)
+    return sum(
+        one_minus_t_coefficient(free, i)
+        * 2 ** (degree - i)
+        * one_minus_t_coefficient(-chains, degree - i)
+        for i in range(degree + 1)
+    )
+
+
 @pytest.mark.parametrize("name", sorted(_COUNT_GRAPHS))
 def test_pair_count_matches_the_series_product(name):
-    # The closed-form count against the per-slot series product it sums,
-    # far past the degrees the literal enumeration reaches.
+    # The closed-form counts against the per-slot series product they sum
+    # and the per-degree binomial sums, far past the degrees the literal
+    # enumeration reaches.
     graph = _COUNT_GRAPHS[name]
-    order = 40
-    counts = [stable_pair_count(graph, degree) for degree in range(order + 1)]
+    order = 60
+    counts = stable_pair_count(graph, order)
     assert counts == list(_pair_count_reference(graph, order).coefficients())
+    assert counts == [_pair_count_binomial_sum(graph, degree) for degree in range(order + 1)]
 
 
 def test_factorized_oracle_rejects_negative_degree():
