@@ -4,11 +4,14 @@ Three modes over a dual-graph JSON document:
 
 * ``compute``: coefficients of a chosen zeta function up to ``--max-degree``
   plus its unreduced rational form, optionally specialized by a measure.
-  Under ``euler`` or ``point-count`` the closed form runs over the integers
-  from the measure's images of its leaves.
+  Under ``euler`` or ``point-count`` the rational form is built over the
+  integers from the measure's images of its leaves, and the coefficients
+  are its expansion.
 * ``verify``: compare the strata-enumeration oracle against the closed-form
   divisorial coefficients degree by degree.  Each column is one series
-  through ``--max-degree``, computed in the measure's ring.
+  through ``--max-degree``, computed in the measure's ring; under a measure
+  the closed column is the expansion of the rational form ``compute``
+  prints.
 * ``count-strata``: the number of stable pairs per degree.
 
 Each mode builds one report of raw values (``RingElem`` or ``int``) under a
@@ -53,23 +56,17 @@ from .ring import RationalFn, RingElem
 # (perfbench/tracer.py) patches ``cli.divisor_class_from_strata``, and its
 # self-test fails if the name does not resolve.
 from .strata import divisor_class_from_strata, divisor_series_from_strata, stable_pair_count
-from .zeta import (
-    ZetaKind,
-    leaf_images,
-    zeta_rational,
-    zeta_rational_image,
-    zeta_series,
-    zeta_series_image,
-)
+from .zeta import ZetaKind, leaf_images, zeta_rational, zeta_rational_image, zeta_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_MISMATCH = 3
 
-# The largest --max-degree accepted.  Series products are quadratic in the
-# degree over the integers and far worse symbolically, so a larger degree is
-# refused before the graph is read rather than left to run without end.
+# The largest --max-degree accepted.  The oracle's series products are
+# quadratic in the degree over the integers, and the closed form is far worse
+# symbolically, so a larger degree is refused before the graph is read rather
+# than left to run without end.
 MAX_DEGREE_LIMIT = 1000
 
 
@@ -242,12 +239,15 @@ def _compute(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -
         fn = zeta_rational(kind, graph)
     else:
         # A measure is a ring homomorphism: map the leaves of the closed form
-        # and run it over the integers.  The leaves reach max_degree even when
-        # only the rational form is printed, so an unrealized model fails the
-        # same way in every output mode.
+        # and build its rational form over the integers.  Every class series
+        # is then the expansion of a numerator of degree at most 2g over
+        # (1-t)(1-l t), so the printed rational form expands to the series at
+        # every order, by one recurrence linear in max_degree.  The leaves
+        # reach max_degree even when only the rational form is printed, so an
+        # unrealized model fails the same way in every output mode.
         leaves = leaf_images(graph, measure, order)
-        series = zeta_series_image(kind, graph, order, leaves) if wants_series else None
         fn = zeta_rational_image(kind, graph, leaves)
+        series = fn.series(order) if wants_series else None
     report = {"zeta": kind.value, "max_degree": order, "measure": args.measure}
     if wants_series:
         report["coefficients"] = series.coefficients()
@@ -257,13 +257,17 @@ def _compute(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -
 
 def _verify(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
     order = args.max_degree
-    # Both columns in the measure's ring, every degree in one pass.  Only the
-    # rational form reads the classes up to t^2g, so the closed column's
-    # leaves stop at max_degree.
+    # Both columns in the measure's ring, every degree in one pass.  Under a
+    # measure the closed column expands the rational form that compute
+    # prints, so its leaves read the classes up to t^2g, and a model the
+    # measure does not realize fails here at every degree, as in compute.
+    if args.measure == "symbolic":
+        closed = zeta_series(ZetaKind.DIVISORIAL, graph, order)
+    else:
+        leaves = leaf_images(graph, measure, order)
+        closed = zeta_rational_image(ZetaKind.DIVISORIAL, graph, leaves).series(order)
+    zero = closed[0] - closed[0]  # "0" symbolically, 0 under a measure
     oracle = divisor_series_from_strata(graph, order, measure)
-    leaves = leaf_images(graph, measure, order, rational=False)
-    closed = zeta_series_image(ZetaKind.DIVISORIAL, graph, order, leaves)
-    zero = leaves.one - leaves.one  # "0" symbolically, 0 under a measure
     rows = []
     for degree in range(order + 1):
         verified = oracle[degree] == closed[degree]  # no difference built unless it fails

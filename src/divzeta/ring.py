@@ -181,15 +181,16 @@ def _mono_str(mono: Monomial) -> str:
     return "*".join(factors)
 
 
-def _power(base, exponent: int, unit):
-    """``base ** exponent`` by repeated squaring; ``unit`` when the exponent is 0."""
+def _power(base, exponent: int, unit, mul=operator.mul):
+    """``base ** exponent`` by repeated squaring, multiplying with ``mul``;
+    ``unit`` when the exponent is 0."""
     result = None
     while exponent:
         if exponent & 1:
-            result = base if result is None else result * base
+            result = base if result is None else mul(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = mul(base, base)
     return unit if result is None else result
 
 

@@ -15,18 +15,22 @@ the exponents (the scalar is left out when all three are 0):
 * nodal Kapranov:  ``b = |E|``
 * smooth Kapranov: none, only the punctures' ``(1-t)^p``.
 
-The scalar is built once per call as an unreduced rational function.  It
-has two targets: ``zeta_rational_image`` multiplies it into each vertex's
-``numerator / ((1-t)(1-L*t))``, and ``zeta_series_image`` multiplies the
-truncated vertex series together and the scalar's expansion in last.  Both
-take the product's leaves (``Leaves``): the image of ``L`` and, per model,
-the images of ``c[m,0], c[m,1], ...``; a projective line's classes are
-``1 + L + ... + L^d``, the expansion of ``1/((1-t)(1-L*t))`` at the image
-of ``L``.  ``zeta_series`` and ``zeta_rational`` are the symbolic
-reference: their leaves are the free generators.  A motivic measure is a
-ring homomorphism, so applying it to the leaves (``leaf_images``) and then
-running the same builder over the integers gives the measure's image of the
-symbolic closed form, without expanding it.
+The scalar is built once per call as an unreduced rational function and
+multiplied into each vertex's ``numerator / ((1-t)(1-L*t))``
+(``zeta_rational_image``).  ``zeta_series_image`` builds the same closed form
+as a series instead, the product of the truncated vertex series with the
+scalar's expansion.  Both take the product's leaves (``Leaves``): the image
+of ``L`` and, per model, the images of ``c[m,0], c[m,1], ...``; a projective
+line's classes are ``1 + L + ... + L^d``, the expansion of
+``1/((1-t)(1-L*t))`` at the image of ``L``.  ``zeta_series`` and
+``zeta_rational`` are the symbolic reference: their leaves are the free
+generators.  A motivic measure is a ring homomorphism, so applying it to
+the leaves (``leaf_images``) and then running a builder over the integers
+gives the measure's image of the symbolic closed form, without expanding
+it.  Under a measure every class series is the expansion of its Weil
+numerator over ``(1-t)(1-l*t)``, so the rational form expands to the series
+at every order: the CLI builds the rational form alone and expands it by
+one recurrence, linear in the order, where the series product is quadratic.
 
 For a vertex of genus g the rational form uses
 the numerator ``sum_d (c_d - (L+1) c_{d-1} + L c_{d-2}) t^d`` of degree 2g
@@ -50,7 +54,7 @@ from functools import reduce
 
 from .graph import CurveModel, DualGraph, Vertex
 from .measures import MotivicMeasure, SymbolicIdentity
-from .ring import Coeff, RationalFn, TruncSeries, lefschetz
+from .ring import Coeff, RationalFn, TruncSeries, _poly_product, _power, lefschetz
 
 
 class ZetaKind(enum.Enum):
@@ -119,16 +123,22 @@ def _exponents(kind: ZetaKind, graph: DualGraph) -> tuple[int, int, int]:
 
 
 def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn | None:
-    """The factor fixed by the edges, legs and punctures, or None if it is 1."""
+    """The factor fixed by the edges, legs and punctures, or None if it is 1.
+
+    ``(1-t)^b`` and the Hilbert factor have no denominator: their powers
+    are t-polynomials, multiplied into the node factor's numerator only.
+    """
     a, b, c = _exponents(kind, graph)
     if not (a or b or c):
         return None
     one_, lef = leaves.one, leaves.lefschetz
-    return (
-        RationalFn([one_, -lef], [one_, -(lef + one_), one_]) ** a
-        * RationalFn([one_, -one_], [one_]) ** b
-        * RationalFn([one_, -one_, lef], [one_]) ** c
-    )
+    node = RationalFn([one_, -lef], [one_, -(lef + one_), one_]) ** a
+    numerator = node.numerator
+    for factor, exponent in (((one_, -one_), b), ((one_, -one_, lef), c)):
+        if exponent:
+            power = _power(factor, exponent, (one_,), _poly_product)
+            numerator = _poly_product(numerator, power)
+    return RationalFn(numerator, node.denominator)
 
 
 def _sym_denominator(lef: Coeff) -> list[Coeff]:
@@ -149,7 +159,7 @@ def _sym_numerator(model: CurveModel, leaves: Leaves) -> list[Coeff]:
     ]
 
 
-# -- the two targets -----------------------------------------------------------------
+# -- the closed forms ---------------------------------------------------------------
 
 
 def zeta_series_image(

@@ -228,18 +228,17 @@ CHAIN4 = {
 
 @pytest.mark.parametrize("document", [CHAIN4, TWO_COMPONENTS])
 def test_verify_unrealized_models_at_degree_zero(graph_file, capsys, document):
-    # Degree 0 needs only c[m,0] = 1, so symbolic models pass unrealized.
-    argv = ["--input", graph_file(document), "--mode", "verify", "--measure",
-            "point-count", "--q", "7", "--max-degree"]
-    assert main(argv + ["0"]) == 0
-    assert capsys.readouterr().out.splitlines()[1:] == [
-        "d=0: oracle=1 closed=1 diff=0",
-        "verified: OK",
-    ]
-    assert main(argv + ["1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "no realization for generator c[" in captured.err
+    # The closed column expands the rational form, whose vertex numerators
+    # read the classes through t^2g: an unrealized curve model fails at
+    # every degree, degree 0 included, as it does in compute.
+    argv = ["--input", graph_file(document), "--measure", "point-count", "--q", "7",
+            "--max-degree"]
+    for mode in ("verify", "compute"):
+        for degree in ("0", "1"):
+            assert main(argv + [degree, "--mode", mode]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "no realization for generator c[" in captured.err
 
 
 @pytest.mark.parametrize("output", ["coefficients", "json"])
@@ -481,6 +480,58 @@ def test_printed_rational_form_expands_to_printed_coefficients(graph_file, capsy
             assert list(rational.series(12).coefficients()) == report["coefficients"]
 
 
+MIXED = {
+    "vertices": [vertex("e", 1, {"type": "elliptic", "trace": 2}),
+                 vertex("w", 2, {"type": "weil", "numerator": [1, -1]}),
+                 vertex("p", 0, {"type": "p1"}, punctures=1)],
+    "edges": [["e", "w"], ["w", "p"], ["p", "e"]],
+    "legs": ["p"],
+}
+
+
+def test_measured_compute_multiplies_no_series(graph_file, capsys, monkeypatch):
+    # Under a measure the coefficients are the rational form's expansion:
+    # no series product, whose cost is quadratic in the degree.
+    from divzeta.ring import TruncSeries
+
+    def refuse(*args):
+        raise AssertionError("a series product was taken")
+
+    monkeypatch.setattr(TruncSeries, "__mul__", refuse)
+    for document in (ELLIPTIC_CHAIN4, MIXED):
+        path = graph_file(document)
+        for kind in ("divisorial", "hilbert", "kapranov-nodal"):
+            for measure in (["--measure", "euler"], ["--measure", "point-count", "--q", "5"]):
+                assert main(["--input", path, "--zeta", kind, *measure,
+                             "--max-degree", "30", "--output", "json"]) == 0
+                assert len(json.loads(capsys.readouterr().out)["coefficients"]) == 31
+
+
+@pytest.mark.parametrize("side, index", [("numerator", 0), ("numerator", 5),
+                                         ("numerator", 11), ("denominator", 1),
+                                         ("denominator", 6)])
+def test_verify_checks_the_printed_rational_form(graph_file, capsys, monkeypatch,
+                                                 side, index):
+    # The divisorial rational form of TWO_COMPONENTS has sides of degree 11
+    # and 6.  One coefficient off by one changes the expansion from its
+    # degree on, and measured verify reports the mismatch from there.
+    from divzeta import cli
+
+    build = cli.zeta_rational_image
+
+    def perturbed(*args):
+        fn = build(*args)
+        sides = {"numerator": list(fn.numerator), "denominator": list(fn.denominator)}
+        sides[side][index] += 1
+        return RationalFn(sides["numerator"], sides["denominator"])
+
+    monkeypatch.setattr(cli, "zeta_rational_image", perturbed)
+    assert main(["--input", graph_file(TWO_COMPONENTS), "--mode", "verify",
+                 "--measure", "euler", "--max-degree", "11", "--output", "json"]) == 3
+    rows = json.loads(capsys.readouterr().out)["degrees"]
+    assert [row["degree"] for row in rows if row["difference"] != 0][0] == index
+
+
 def test_unrealized_model_fails_in_every_output_mode(graph_file, capsys):
     # The theta graph's genus-0 models need no generator in the rational
     # form, but the coefficients through t^10 do, even when not printed.
@@ -519,14 +570,29 @@ def test_numerators_are_refused_for_models_that_declare_their_curve(graph_file, 
             assert captured.out == "" and f"model '{model}'" in captured.err
 
 
+class _Unexpandable(RationalFn):
+    __slots__ = ()
+
+    def series(self, order):
+        raise AssertionError("the coefficient series was computed")
+
+
 def test_rational_output_skips_the_series(graph_file, capsys, monkeypatch):
+    # Symbolically the series has its own builder; under a measure it is the
+    # expansion of the printed rational form, which must not be expanded.
     from divzeta import cli
 
     def refuse(*args):
         raise AssertionError("the coefficient series was computed")
 
+    build = cli.zeta_rational_image
+
+    def unexpandable(*args):
+        fn = build(*args)
+        return _Unexpandable(fn.numerator, fn.denominator)
+
     monkeypatch.setattr(cli, "zeta_series", refuse)
-    monkeypatch.setattr(cli, "zeta_series_image", refuse)
+    monkeypatch.setattr(cli, "zeta_rational_image", unexpandable)
     path = graph_file(LOOP_GENUS_2)
     for measure in ("symbolic", "euler"):
         assert main(["--input", path, "--measure", measure, "--output", "rational"]) == 0

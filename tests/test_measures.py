@@ -343,12 +343,13 @@ def test_measure_applied_early_equals_applied_late(name):
 
 @pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_GRAPHS))
 def test_printed_rational_form_expands_to_the_printed_series(name):
-    # The two targets share the graph scalar and differ in the vertex
+    # The two builders share the graph scalar and differ in the vertex
     # factors.  Under a measure realizing every model through a Weil
-    # numerator of degree at most 2g they agree at every order; in free
-    # generators, through t^(2g) of the lowest-genus curve vertex.
+    # numerator of degree at most 2g they agree at every order, so measured
+    # compute prints the rational form's expansion; in free generators they
+    # agree through t^(2g) of the lowest-genus curve vertex.
     graph = _DIFFERENTIAL_GRAPHS[name]
-    order = 12
+    order = 40
     exact = min((2 * v.genus for v in graph.vertices if v.model.kind != "p1"), default=order)
     for kind in ZetaKind:
         for measure in _integer_measures(graph):
