@@ -14,6 +14,10 @@ Three modes over a dual-graph JSON document:
   prints.
 * ``count-strata``: the number of stable pairs per degree.
 
+Under ``point-count`` each curve's Weil numerator comes from its model in
+the graph (``point_count_for_graph``), its one source: no option supplies
+one, and a symbolic model is not realized (exit 2).
+
 Each mode builds one report of raw values (``RingElem`` or ``int``) under a
 shared ``graph``/``mode`` header; it is written either as indented JSON, ring
 elements in their canonical text form, or as plain text.  A verified row of
@@ -79,7 +83,6 @@ _OPTIONS = {
     "max-degree": (10, int),
     "measure": ("symbolic", ("symbolic", "euler", "point-count")),
     "q": (None, int),
-    "numerators": (None, str),
     "output": ("coefficients", ("coefficients", "rational", "json")),
     "allow-unstable": (False, None),
 }
@@ -90,7 +93,6 @@ _LONG_OPTIONS = ["help"] + [
 _NOTES = {
     "input": "path to the dual-graph JSON (required)",
     "q": "field size for point counting",
-    "numerators": "JSON object mapping model ids to Weil numerator coefficients",
     "allow-unstable": "accept a smooth one-vertex graph that is not stable",
 }
 _HELP_HEAD = """
@@ -155,7 +157,7 @@ def _option_value(name: str, text: str) -> object:
 
 
 def parse_config(argv: list[str] | None = None) -> SimpleNamespace:
-    """The validated arguments, with ``numerators`` decoded and ``zeta`` a ``ZetaKind``.
+    """The validated arguments, with ``zeta`` a ``ZetaKind``.
 
     Options are read in order, and the last of a repeated option wins.
     ``-h``/``--help`` prints the usage and exits 0; a usage error prints the
@@ -197,19 +199,6 @@ def parse_config(argv: list[str] | None = None) -> SimpleNamespace:
             f"--q {args.q} is too large: the prime-power test is exact only"
             f" below {PRIME_POWER_LIMIT}"
         )
-    if args.numerators is not None:
-        if args.measure != "point-count":
-            raise _usage_error("--numerators only applies to --measure point-count")
-        try:
-            args.numerators = json.loads(args.numerators)
-        except (ValueError, RecursionError) as exc:  # as in graph.parse_graph
-            raise _usage_error(f"--numerators is not valid JSON: {exc}") from None
-        if not isinstance(args.numerators, dict) or not all(
-            isinstance(v, list)
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-            for v in args.numerators.values()
-        ):
-            raise _usage_error("--numerators must map model ids to integer lists")
     args.zeta = ZetaKind(args.zeta)
     return args
 
@@ -218,7 +207,7 @@ def _build_measure(args: SimpleNamespace, graph: DualGraph) -> MotivicMeasure:
     if args.measure == "euler":
         return euler_for_graph(graph)
     if args.measure == "point-count":
-        return point_count_for_graph(graph, args.q, args.numerators)
+        return point_count_for_graph(graph, args.q)
     return SymbolicIdentity()
 
 

@@ -13,6 +13,9 @@ generator, ``c[m,1]`` (``c[m,0]`` is the unit and needs no realization).
 * ``PointCount(q, numerators, genera)``: counting points over a field with
   q elements.  ``L`` goes to q and ``c[m,d]`` to the ``t^d`` coefficient of
   ``P_m(t) / ((1-t)(1-q t))`` for the model's Weil numerator ``P_m``.
+  ``point_count_for_graph(graph, q)`` takes each numerator from the graph's
+  own model, its one source: an elliptic or weil model declares it, and a
+  symbolic model has none.
 * ``EulerCharacteristic(genera)``: point counting at ``L -> 1`` with the
   numerator ``(1-t)^(2g)``, so ``c[m,d]`` goes to the ``t^d`` coefficient of
   ``(1-t)^(2g-2)``.
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .graph import DualGraph
 from .ring import RationalFn, RingElem, lefschetz, sym_pow
@@ -223,18 +226,13 @@ def euler_for_graph(graph: DualGraph) -> EulerCharacteristic:
     return EulerCharacteristic({name: model.genus for name, model in graph.models.items()})
 
 
-def point_count_for_graph(
-    graph: DualGraph,
-    q: int,
-    extra_numerators: Mapping[str, Iterable[int]] | None = None,
-) -> PointCount:
+def point_count_for_graph(graph: DualGraph, q: int) -> PointCount:
     """Point-count measure with numerators taken from the graph's models.
 
     Elliptic models contribute ``1 - a t + q t^2`` and weil models their
-    stored numerator; projective lines need none.  Symbolic models must be
-    covered by ``extra_numerators`` to be realizable; models left without a
-    numerator raise ``MeasureError`` when first applied.  A numerator for a
-    model that declares its curve, or for an unknown model, is refused.
+    stored numerator; projective lines need none.  A symbolic model has no
+    numerator and raises ``MeasureError`` when first applied: one that should
+    be counted is declared as a weil model.
     """
     numerators: dict[str, tuple[int, ...]] = {}
     for name, model in graph.models.items():
@@ -242,15 +240,5 @@ def point_count_for_graph(
             numerators[name] = (1, -model.trace, q)
         elif model.kind == "weil":
             numerators[name] = model.numerator
-    for name, coeffs in (extra_numerators or {}).items():
-        if name not in graph.models:
-            raise ValueError(f"numerator given for unknown model {name!r}")
-        kind = graph.models[name].kind
-        if kind != "symbolic":
-            raise ValueError(
-                f"numerator given for {kind} model {name!r}: only symbolic models"
-                " take one, the others fix their own"
-            )
-        numerators[name] = tuple(coeffs)
     genera = {name: model.genus for name, model in graph.models.items()}
     return PointCount(q, numerators, genera)

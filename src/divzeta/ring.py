@@ -341,7 +341,9 @@ def sum_elems(elems: Iterable[RingElem]) -> RingElem:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
+# One token per match, compiled on first use (by ``re``'s cache), like
+# ``_ELEM``: nothing but ``parse_elem`` reads it.
+_TOKEN = (
     r"c\[(?P<model>[A-Za-z_][A-Za-z0-9_.-]*),(?P<degree>\d+)\]"
     r"|(?P<lef>L)"
     r"|(?P<num>\d+)"
@@ -362,7 +364,7 @@ def parse_elem(text: str) -> RingElem:
     """Parse element text: tokenize, check the token kinds, fold into terms."""
     tokens: list[tuple[str, object]] = []
     pos = 0
-    for match in _TOKEN_RE.finditer(text):
+    for match in re.finditer(_TOKEN, text):
         if match.start() != pos:
             break
         pos = match.end()

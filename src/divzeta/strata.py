@@ -233,6 +233,8 @@ def divisor_series_from_strata(
     chain series of torus classes per edge and leg.  A vertex's series is
     its model's classes in the measure's ring (``leaf_images``), the vertex
     zeta, times ``(1-t)^holes``, one product for every degree at once.  The
+    leaves reach ``t^2g`` too, so a model the measure does not realize
+    raises ``MeasureError`` at every order, as the closed form does.  The
     chain series is multiplied in last, raised to ``|E|+n`` by repeated
     squaring: symbolically its coefficients hold only ``L``, so the power
     stays narrow and one wide product replaces ``|E|+n``.
@@ -243,10 +245,10 @@ def divisor_series_from_strata(
     """
     if order < 0:
         raise ValueError("degree must be nonnegative")
-    leaves = leaf_images(graph, measure, order, rational=False)
+    leaves = leaf_images(graph, measure, order)
     punctured = TruncSeries.from_coeffs([leaves.one, -leaves.one], order)
     factors = [
-        TruncSeries(leaves.classes[v.model.name]) * punctured ** _holes(graph, v)
+        TruncSeries(leaves.classes[v.model.name][: order + 1]) * punctured ** _holes(graph, v)
         for v in graph.vertices
     ]
     product = reduce(operator.mul, factors)

@@ -82,22 +82,20 @@ class Leaves:
 _SYMBOLIC = SymbolicIdentity()
 
 
-def leaf_images(
-    graph: DualGraph, measure: MotivicMeasure, order: int, rational: bool = True
-) -> Leaves:
+def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves:
     """The leaves of ``graph``'s closed forms under ``measure``.
 
-    Each model's classes run through ``t^order``, enough for the series, and
-    with ``rational`` through ``t^2g`` as well, as the rational form's
-    vertex numerators need.  A projective line's classes are
-    ``1 + L + ... + L^d``, the expansion of ``1/((1-t)(1-L*t))`` in the ring
-    of the image of ``L``; every other model's come from the measure, and
-    one it does not realize to that degree raises ``MeasureError`` here.
+    Each model's classes run through ``t^max(order, 2g)``: the series take
+    the first ``order + 1``, and the rational form's vertex numerators the
+    first ``2g + 1``.  A projective line's classes are ``1 + L + ... + L^d``,
+    the expansion of ``1/((1-t)(1-L*t))`` in the ring of the image of ``L``;
+    every other model's come from the measure, and one it does not realize
+    to that degree raises ``MeasureError`` here.
     """
     lef = measure.lefschetz_image()
     classes: dict[str, Sequence[Coeff]] = {}
     for name, model in graph.models.items():
-        degree = max(order, 2 * model.genus) if rational else order
+        degree = max(order, 2 * model.genus)
         if model.kind == "p1":
             line = RationalFn([lef**0], _sym_denominator(lef))
             classes[name] = line.series(degree).coefficients()
@@ -186,7 +184,7 @@ def zeta_rational_image(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> Rat
 
 def zeta_series(kind: ZetaKind, graph: DualGraph, order: int) -> TruncSeries:
     """The closed form of ``kind`` in free generators, truncated at ``order``."""
-    leaves = leaf_images(graph, _SYMBOLIC, order, rational=False)
+    leaves = leaf_images(graph, _SYMBOLIC, order)
     return zeta_series_image(kind, graph, order, leaves)
 
 

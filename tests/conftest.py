@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from hypothesis import settings
 
-from divzeta.graph import parse_graph
+from divzeta.graph import CurveModel, DualGraph, Vertex, parse_graph
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -61,6 +61,20 @@ def vertex(vid, genus, model=None, punctures=0):
     if model is not None:
         out["model"] = model
     return out
+
+
+def declare_weil(graph, by_genus):
+    """``graph`` with each symbolic model declared as a weil model whose
+    numerator is ``by_genus[genus]``: the curves point counting realizes."""
+    models = {
+        name: CurveModel.weil(name, by_genus[model.genus], model.genus)
+        if model.kind == "symbolic" else model
+        for name, model in graph.models.items()
+    }
+    vertices = tuple(
+        Vertex(v.id, v.genus, models[v.model.name], v.punctures) for v in graph.vertices
+    )
+    return DualGraph(vertices, graph.edges, graph.legs)
 
 
 def marked_curve(genus=2):

@@ -8,7 +8,7 @@ import time
 
 import divzeta.strata as strata
 from divzeta.graph import parse_graph
-from divzeta.measures import PointCount, euler_for_graph, point_count_for_graph
+from divzeta.measures import PointCount, euler_for_graph
 from divzeta.ring import RationalFn, lefschetz, one, sym_pow, zero
 from divzeta.strata import (
     composition_torus_sum,
@@ -45,7 +45,8 @@ def battery_holds(order=6, q=None):
         if q is None:
             measure = None
         else:
-            measure = point_count_for_graph(graph, q, battery_numerators(graph, q))
+            genera = {v.model.name: v.genus for v in graph.vertices}
+            measure = PointCount(q, battery_numerators(graph, q), genera)
         for degree in range(order + 1):
             oracle = divisor_class_from_strata(graph, degree)
             if measure is None:

@@ -101,10 +101,13 @@ def test_verify_json(graph_file, capsys):
 
 
 def test_verify_under_point_count(graph_file, capsys):
-    arg = json.dumps({"u": [1, 1, 1, 3, 9], "w": [1, -1, 1, -3, 9]})
-    assert main(["--input", graph_file(TWO_COMPONENTS), "--mode", "verify",
-                 "--measure", "point-count", "--q", "3",
-                 "--numerators", arg, "--max-degree", "4"]) == 0
+    declared = {
+        "vertices": [vertex("u", 2, {"type": "weil", "numerator": [1, 1, 1, 3, 9]}),
+                     vertex("w", 2, {"type": "weil", "numerator": [1, -1, 1, -3, 9]})],
+        "edges": [["u", "w"]],
+    }
+    assert main(["--input", graph_file(declared), "--mode", "verify",
+                 "--measure", "point-count", "--q", "3", "--max-degree", "4"]) == 0
     out = capsys.readouterr().out
     assert "verified: OK" in out
 
@@ -264,7 +267,6 @@ def test_usage_errors(graph_file, capsys):
     assert main(["--input", path, "--measure", "point-count"]) == 1
     assert main(["--input", path, "--q", "3"]) == 1
     assert main(["--input", path, "--max-degree", "-1"]) == 1
-    assert main(["--input", path, "--numerators", "{oops"]) == 1
     assert main(["--input", path, "--mode", "fly"]) == 1
     capsys.readouterr()
 
@@ -376,21 +378,15 @@ def test_unstable_input_names_the_flag_that_accepts_it(graph_file, capsys):
     assert captured.out == "" and "--allow-unstable" in captured.err
 
 
-def test_undecodable_numerators_are_a_usage_error(graph_file, capsys):
+def test_numerators_is_not_an_option(graph_file, capsys):
+    # A curve's Weil numerator comes from its model in the graph alone.
     argv = ["--input", graph_file(MARKED), "--measure", "point-count", "--q", "3"]
-    for numerators in ('{"m": [1, %s]}' % _DIGITS, "[" * 100_000, '{"m": ' + "[" * 100_000):
-        assert main(argv + ["--numerators", numerators]) == 1
+    for extra in (["--numerators", '{"m": [1, 1]}'], ['--numerators={"m": [1]}'],
+                  ["--num", "{oops"]):
+        assert main(argv + extra) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "--numerators is not valid JSON" in captured.err
-
-
-def test_boolean_numerators_are_a_usage_error(graph_file, capsys):
-    path = graph_file(MARKED)
-    argv = ["--input", path, "--measure", "point-count", "--q", "3"]
-    assert main(argv + ["--numerators", '{"m": [1, true]}']) == 1
-    assert "integer lists" in capsys.readouterr().err
-    assert main(argv + ["--numerators", '{"m": [1, 1]}', "--max-degree", "1"]) == 0
-    capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: divzeta")
+        assert "divzeta: error: option --num" in captured.err
 
 
 def test_field_size_bounds(graph_file, capsys):
@@ -431,33 +427,32 @@ def test_point_count_rational_output(graph_file, capsys):
 def test_point_count_rational_keeps_symbolic_length(graph_file, capsys):
     # The Weil numerator 1 - t has degree 1 < 2g = 4, so the image of the
     # degree-6 symbolic numerator ends in zeros; reports keep them.
-    symbolic = {"vertices": [vertex("u", 2)], "legs": ["u"]}
     weil = {"vertices": [vertex("u", 2, {"type": "weil", "numerator": [1, -1]})],
             "legs": ["u"]}
-    for document, extra in ((symbolic, ["--numerators", '{"u": [1, -1]}']), (weil, [])):
-        argv = ["--input", graph_file(document), "--measure", "point-count",
-                "--q", "5", "--max-degree", "2"] + extra
-        assert main(argv + ["--output", "json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["coefficients"] == [1, 5, 29]
-        assert report["rational"] == {
-            "numerator": [1, -7, 11, -5, 0, 0, 0],
-            "denominator": [1, -12, 42, -36, 5],
-        }
-        assert main(argv + ["--output", "rational"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "graph: vertices=1 edges=0 legs=1 genus=2",
-            "zeta: divisorial  measure: point-count",
-            "rational: (1 - 7*t + 11*t^2 - 5*t^3)"
-            " / (1 - 12*t + 42*t^2 - 36*t^3 + 5*t^4)",
-        ]
+    argv = ["--input", graph_file(weil), "--measure", "point-count",
+            "--q", "5", "--max-degree", "2"]
+    assert main(argv + ["--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["coefficients"] == [1, 5, 29]
+    assert report["rational"] == {
+        "numerator": [1, -7, 11, -5, 0, 0, 0],
+        "denominator": [1, -12, 42, -36, 5],
+    }
+    assert main(argv + ["--output", "rational"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "graph: vertices=1 edges=0 legs=1 genus=2",
+        "zeta: divisorial  measure: point-count",
+        "rational: (1 - 7*t + 11*t^2 - 5*t^3)"
+        " / (1 - 12*t + 42*t^2 - 36*t^3 + 5*t^4)",
+    ]
 
 
 def test_point_count_rational_text_signs(graph_file, capsys):
-    marked = graph_file({"vertices": [vertex("u", 2)], "legs": ["u"]})
+    marked = graph_file({"vertices": [vertex("u", 2, {"type": "weil", "numerator": [1, 4, 0, -1]})],
+                         "legs": ["u"]})
     # (1 - 3t + 2t^2) * (1 + 4t - t^3): +t, and a negative leading coefficient.
     assert main(["--input", marked, "--measure", "point-count", "--q", "2",
-                 "--numerators", '{"u": [1, 4, 0, -1]}', "--output", "rational"]) == 0
+                 "--output", "rational"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
         "rational: (1 + t - 10*t^2 + 7*t^3 + 3*t^4 - 2*t^5)"
         " / (1 - 6*t + 12*t^2 - 9*t^3 + 2*t^4)"
@@ -545,29 +540,27 @@ def test_unrealized_model_fails_in_every_output_mode(graph_file, capsys):
             assert captured.out == "" and "no realization for generator c[" in captured.err
 
 
-def test_numerators_are_refused_for_models_that_declare_their_curve(graph_file, capsys):
-    # Elliptic and weil numerators come from the model, and a projective
-    # line needs none: a --numerators entry for one would be silently
-    # overridden or ignored, so it is refused before anything is printed.
-    elliptic = graph_file({"vertices": [vertex("e", 1, {"type": "elliptic", "trace": 2})],
-                           "legs": ["e"]})
-    argv = ["--input", elliptic, "--measure", "point-count", "--q", "7",
-            "--output", "rational"]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main(argv + ["--numerators", '{"e": [1, 0, 7]}']) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "elliptic model 'e'" in captured.err and "Traceback" not in captured.err
-    for model, document in (("u", {"vertices": [vertex("u", 2, {"type": "weil", "numerator": [1, -1]})],
-                                   "legs": ["u"]}),
-                            ("g", TORUS)):
-        for mode in ("compute", "verify"):
-            assert main(["--input", graph_file(document), "--allow-unstable", "--mode", mode,
-                         "--measure", "point-count", "--q", "7",
-                         "--numerators", json.dumps({model: [1]})]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and f"model '{model}'" in captured.err
+def test_a_symbolic_model_is_counted_as_a_declared_weil_model(graph_file, capsys):
+    # Point counting reads a curve's numerator from its model alone.  Declared
+    # as a weil model, MARKED's curve is counted, and the reports that do not
+    # count points are those of the symbolic model.
+    weil = {"vertices": [vertex("m", 2, {"type": "weil", "numerator": [1, 1, 1, 3, 9]})],
+            "legs": ["m"]}
+    symbolic_path, weil_path = graph_file(MARKED, "symbolic.json"), graph_file(weil)
+    for mode in ("compute", "verify"):
+        for measure in ([], ["--measure", "euler"]):
+            argv = ["--mode", mode, *measure, "--max-degree", "3", "--output", "json"]
+            assert main(["--input", symbolic_path, *argv]) == 0
+            symbolic_out = capsys.readouterr().out
+            assert main(["--input", weil_path, *argv]) == 0
+            assert capsys.readouterr().out == symbolic_out
+        argv = ["--mode", mode, "--measure", "point-count", "--q", "3", "--max-degree", "3"]
+        assert main(["--input", symbolic_path, *argv]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(["--input", weil_path, *argv]) == 0
+        out = capsys.readouterr().out
+        # c[m,1] -> 1 + 1 + q, times the t^0 coefficients of the leg's factors.
+        assert "t^1: 5" in out if mode == "compute" else "verified: OK" in out
 
 
 class _Unexpandable(RationalFn):

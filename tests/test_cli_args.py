@@ -3,7 +3,6 @@ and the modules a command loads before any math runs."""
 
 import argparse
 import io
-import json
 import os
 import subprocess
 import sys
@@ -50,10 +49,6 @@ def _reference_parser():
     )
     parser.add_argument("--q", type=int, help="field size for point counting")
     parser.add_argument(
-        "--numerators",
-        help="JSON object mapping model ids to Weil numerator coefficients",
-    )
-    parser.add_argument(
         "--output", choices=["coefficients", "rational", "json"], default="coefficients"
     )
     parser.add_argument("--allow-unstable", action="store_true")
@@ -78,19 +73,6 @@ def reference_config(argv):
             f"--q {args.q} is too large: the prime-power test is exact only"
             f" below {PRIME_POWER_LIMIT}"
         )
-    if args.numerators is not None:
-        if args.measure != "point-count":
-            parser.error("--numerators only applies to --measure point-count")
-        try:
-            args.numerators = json.loads(args.numerators)
-        except json.JSONDecodeError as exc:
-            parser.error(f"--numerators is not valid JSON: {exc}")
-        if not isinstance(args.numerators, dict) or not all(
-            isinstance(v, list)
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-            for v in args.numerators.values()
-        ):
-            parser.error("--numerators must map model ids to integer lists")
     args.zeta = ZetaKind(args.zeta)
     return args
 
@@ -109,7 +91,7 @@ def _outcome(parse, argv):
 # -- the argv vocabulary -------------------------------------------------------
 
 # Values per option: ones each parser takes, then ones it refuses.  A value
-# for --input or --numerators never looks like an option (see the pinned
+# for --input never looks like an option (see the pinned
 # divergence below), and "--" is never a value after "=": argparse before
 # 3.12 parses "--q=--" as an empty list.
 VALUES = {
@@ -120,8 +102,6 @@ VALUES = {
                    ["1001", "-1", "-3", "x", "2.5", "", "-x"]),
     "measure": (["symbolic", "euler", "point-count"], ["points"]),
     "q": (["3", "4", "7"], ["6", "0", "-3", "x", str(PRIME_POWER_LIMIT)]),
-    "numerators": (['{"m": [1]}', '{"m": [1, -2, 3]}'],
-                   ["{oops", "[1]", '{"m": [true]}', '{"m": 1}', "-1"]),
     "output": (["coefficients", "rational", "json"], ["text"]),
 }
 NAMES = list(VALUES) + ["allow-unstable", "help"]
@@ -154,6 +134,7 @@ ITEMS = st.one_of(
         ["--m", "verify"], ["--m=3"],  # ambiguous prefix
         ["y"], ["a b"], ["-"], [""], ["-3"],  # stray positionals
         ["--foo"], ["-x"], ["--inputs", "g.json"], ["---mode", "verify"],  # unknown flags
+        ["--numerators", '{"m": [1]}'], ['--numerators={"m": [1]}'],  # no such option
         ["--"], ["--", "--input", "g.json"],
     ]),
 )
@@ -255,8 +236,7 @@ def test_parsing_a_typical_command_loads_no_heavy_module():
         "import sys\n"
         "from divzeta.cli import parse_config\n"
         "parse_config(['--input', 'g.json', '--mode', 'verify', '--max-degree', '8',"
-        " '--measure', 'point-count', '--q', '7', '--numerators', '{\"m\": [1]}',"
-        " '--output', 'json'])\n"
+        " '--measure', 'point-count', '--q', '7', '--output', 'json'])\n"
         f"print([name for name in {FORBIDDEN!r} if name in sys.modules])\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}

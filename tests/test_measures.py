@@ -31,7 +31,14 @@ from divzeta.zeta import (
     zeta_series_image,
 )
 
-from conftest import battery, loop_vertex, one_minus_t_coefficient, vertex, weil_series
+from conftest import (
+    battery,
+    declare_weil,
+    loop_vertex,
+    one_minus_t_coefficient,
+    vertex,
+    weil_series,
+)
 
 L = lefschetz()
 
@@ -229,26 +236,6 @@ def test_point_count_for_graph_pulls_model_data():
     counting = point_count_for_graph(graph, 5)
     assert counting.of_elem(sym_pow("u", 1)) == 5 + 1 - 2
     assert counting.of_elem(sym_pow("w", 1)) == 5 + 1
-    with pytest.raises(ValueError, match="unknown model"):
-        point_count_for_graph(graph, 5, {"nope": [1]})
-
-
-def test_point_count_for_graph_refuses_numerators_for_declared_curves():
-    graph = parse_graph(
-        {
-            "vertices": [
-                vertex("u", 1, {"type": "elliptic", "trace": 2}),
-                vertex("w", 1, {"type": "weil", "numerator": [1, 0, 5]}),
-                vertex("p", 0, {"type": "p1"}),
-                vertex("s", 1),
-            ],
-            "edges": [["u", "w"], ["w", "p"], ["p", "s"], ["p", "u"]],
-        }
-    )
-    for model, kind in (("u", "elliptic"), ("w", "weil"), ("p", "p1")):
-        with pytest.raises(ValueError, match=f"{kind} model '{model}'"):
-            point_count_for_graph(graph, 5, {model: [1, 0, 5], "s": [1, 0, 5]})
-    assert point_count_for_graph(graph, 5, {"s": [1, 0, 5]}).class_series("s", 1) == [1, 6]
 
 
 def test_point_count_for_graph_leaves_uncovered_models_unrealized():
@@ -256,8 +243,8 @@ def test_point_count_for_graph_leaves_uncovered_models_unrealized():
     counting = point_count_for_graph(graph, 3)
     with pytest.raises(MeasureError, match=r"c\[m,1\]"):
         counting.of_elem(sym_pow("m", 1))
-    covered = point_count_for_graph(graph, 3, {"m": [1, -1, 3]})
-    assert covered.of_elem(sym_pow("m", 1)) == 3
+    declared = point_count_for_graph(declare_weil(graph, {1: [1, -1, 3]}), 3)
+    assert declared.of_elem(sym_pow("m", 1)) == 3
 
 
 def test_one_minus_t_coefficient():
@@ -306,11 +293,9 @@ _NUMERATOR_SETS = (
 
 
 def _integer_measures(graph):
-    symbolic = {v.model.name: v.genus for v in graph.vertices if v.model.kind == "symbolic"}
     yield euler_for_graph(graph)
     for numerators in _NUMERATOR_SETS:
-        extra = {name: numerators[genus] for name, genus in symbolic.items()}
-        yield point_count_for_graph(graph, 5, extra)
+        yield point_count_for_graph(declare_weil(graph, numerators), 5)
 
 
 @pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_GRAPHS))

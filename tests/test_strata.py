@@ -8,7 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divzeta.graph import CurveModel, DualGraph, GraphError, Vertex, parse_graph
-from divzeta.measures import SymbolicIdentity, euler_for_graph, point_count_for_graph
+from divzeta.measures import (
+    MeasureError,
+    SymbolicIdentity,
+    euler_for_graph,
+    point_count_for_graph,
+)
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sum_elems, sym_pow
 from divzeta.strata import (
     StablePair,
@@ -29,6 +34,7 @@ from divzeta.zeta import ZetaKind, node_factor_rational, zeta_series
 
 from conftest import (
     battery,
+    declare_weil,
     loop_vertex,
     marked_curve,
     one_minus_t_coefficient,
@@ -326,10 +332,20 @@ _NUMERATORS = {
 
 def _oracle_measures(graph):
     yield euler_for_graph(graph)
-    symbolic = {v.model.name: v.genus for v in graph.vertices if v.model.kind == "symbolic"}
     for q, numerators in _NUMERATORS.items():
-        extra = {name: numerators[genus] for name, genus in symbolic.items()}
-        yield point_count_for_graph(graph, q, extra)
+        yield point_count_for_graph(declare_weil(graph, numerators), q)
+
+
+def test_oracle_refuses_an_unrealized_model_at_every_order():
+    # The leaves reach t^2g, as the closed form's do, so degree 0 fails too.
+    graph = marked_curve(2)
+    counting = point_count_for_graph(graph, 3)
+    for order in (0, 3):
+        with pytest.raises(MeasureError, match=r"c\[m,1\]"):
+            divisor_series_from_strata(graph, order, counting)
+    declared = declare_weil(graph, {2: [1, -1]})
+    series = divisor_series_from_strata(declared, 0, point_count_for_graph(declared, 3))
+    assert series.order == 0 and series[0] == 1
 
 
 @pytest.mark.parametrize("name", sorted(_SERIES_GRAPHS))

@@ -1,14 +1,19 @@
 """Closed-form zeta constructors and their algebraic identities."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from divzeta.graph import CurveModel, parse_graph
+from divzeta.graph import CurveModel, GraphError, parse_graph
+from divzeta.measures import euler_for_graph
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sym_pow
 from divzeta.zeta import (
     ZetaKind,
+    leaf_images,
     node_factor_rational,
     vertex_zeta_series,
     zeta_rational,
+    zeta_rational_image,
     zeta_series,
 )
 
@@ -251,3 +256,55 @@ def test_smooth_zeta_is_vertex_product():
         CurveModel.symbolic("u", 2), 0, order
     ) * vertex_zeta_series(CurveModel.symbolic("w", 2), 0, order)
     assert series == expected
+
+
+def test_leaves_reach_the_order_and_twice_the_genus():
+    graph = parse_graph(
+        {"vertices": [vertex("u", 2), vertex("w", 0, {"type": "p1"})], "edges": [["u", "w"]] * 3}
+    )
+    for order, lengths in ((0, (5, 1)), (3, (5, 4)), (7, (8, 8))):
+        leaves = leaf_images(graph, euler_for_graph(graph), order)
+        assert tuple(map(len, leaves.classes.values())) == lengths
+
+
+# -- Macdonald's formula under the Euler characteristic ----------------------------
+
+
+@st.composite
+def punctured_graphs(draw):
+    """1-3 vertices on a path, with loops, multi-edges, legs and punctures,
+    each a projective line, an elliptic curve or a symbolic curve."""
+    ids = ["u", "v", "w"][: draw(st.integers(1, 3))]
+    vertices = []
+    for vid in ids:
+        kind = draw(st.sampled_from(["p1", "elliptic", "symbolic"]))
+        genus = {"p1": 0, "elliptic": 1}.get(kind, draw(st.integers(0, 2)))
+        model = {"type": kind}
+        if kind == "elliptic":
+            model["trace"] = draw(st.integers(-2, 2))
+        vertices.append(vertex(vid, genus, model, draw(st.integers(0, 2))))
+    ends = st.sampled_from(ids)
+    extra = draw(st.lists(st.tuples(ends, ends).map(list), max_size=2))
+    document = {
+        "vertices": vertices,
+        "edges": [list(pair) for pair in zip(ids, ids[1:])] + extra,
+        "legs": draw(st.lists(ends, max_size=2)),
+    }
+    try:
+        return parse_graph(document, allow_unstable=True)
+    except GraphError:
+        assume(False)
+
+
+@given(punctured_graphs())
+@settings(max_examples=100, deadline=None)
+def test_euler_image_is_macdonald_formula(graph):
+    # Macdonald: sum_d chi(Sym^d C) t^d = (1-t)^(-chi(C)) for the nodal curve
+    # with its punctures removed, chi(C) = sum_v (2 - 2g_v - p_v) - |E|.  The
+    # divisorial and nodal Kapranov zetas both reach it; legs cancel.
+    chi = sum(2 - 2 * v.genus - v.punctures for v in graph.vertices) - graph.num_edges
+    one_minus_t = RationalFn([1, -1], [1])
+    expected = one_minus_t**-chi if chi <= 0 else RationalFn([1], [1, -1]) ** chi
+    leaves = leaf_images(graph, euler_for_graph(graph), 0)
+    for kind in (ZetaKind.DIVISORIAL, ZetaKind.KAPRANOV_NODAL):
+        assert zeta_rational_image(kind, graph, leaves) == expected
