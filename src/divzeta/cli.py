@@ -5,14 +5,17 @@ Three modes over a dual-graph JSON document:
 * ``compute``: coefficients of a chosen zeta function up to ``--max-degree``
   plus its unreduced rational form, optionally specialized by a measure.
   Under ``euler`` or ``point-count`` the rational form is built over the
-  integers from the measure's images of its leaves, and the coefficients
-  are its expansion.
+  integers, and the coefficients are its expansion.
 * ``verify``: compare the strata-enumeration oracle against the closed-form
   divisorial coefficients degree by degree.  Each column is one series
   through ``--max-degree``, computed in the measure's ring; under a measure
   the closed column is the expansion of the rational form ``compute``
   prints.
 * ``count-strata``: the number of stable pairs per degree.
+
+A measure is applied in one place: ``compute`` and ``verify`` each call
+``leaf_images`` once, and every builder they use (``zeta_rational``,
+``zeta_series``, ``divisor_series_from_strata``) reads those leaves.
 
 Under ``point-count`` each curve's Weil numerator comes from its model in
 the graph (``point_count_for_graph``), its one source: no option supplies
@@ -60,7 +63,7 @@ from .ring import RationalFn, RingElem
 # (perfbench/tracer.py) patches ``cli.divisor_class_from_strata``, and its
 # self-test fails if the name does not resolve.
 from .strata import divisor_class_from_strata, divisor_series_from_strata, stable_pair_count
-from .zeta import ZetaKind, leaf_images, zeta_rational, zeta_rational_image, zeta_series
+from .zeta import ZetaKind, leaf_images, zeta_rational, zeta_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -222,23 +225,22 @@ def _graph_summary(graph: DualGraph) -> dict:
 
 def _compute(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
     kind, order = args.zeta, args.max_degree
-    wants_series = args.output != "rational"
-    if args.measure == "symbolic":
-        series = zeta_series(kind, graph, order) if wants_series else None
-        fn = zeta_rational(kind, graph)
-    else:
-        # A measure is a ring homomorphism: map the leaves of the closed form
-        # and build its rational form over the integers.  Every class series
-        # is then the expansion of a numerator of degree at most 2g over
-        # (1-t)(1-l t), so the printed rational form expands to the series at
-        # every order, by one recurrence linear in max_degree.  The leaves
-        # reach max_degree even when only the rational form is printed, so an
-        # unrealized model fails the same way in every output mode.
-        leaves = leaf_images(graph, measure, order)
-        fn = zeta_rational_image(kind, graph, leaves)
-        series = fn.series(order) if wants_series else None
+    # A measure is a ring homomorphism: it is applied once, to the leaves of
+    # the closed form, and both forms are built from them.  The leaves reach
+    # max_degree even when only the rational form is printed, so an
+    # unrealized model fails the same way in every output mode.
+    leaves = leaf_images(graph, measure, order)
+    fn = zeta_rational(kind, graph, leaves)
     report = {"zeta": kind.value, "max_degree": order, "measure": args.measure}
-    if wants_series:
+    if args.output != "rational":
+        # Under a measure every class series is the expansion of a numerator
+        # of degree at most 2g over (1-t)(1-l t), so the printed rational form
+        # expands to the series at every order, by one recurrence linear in
+        # max_degree.  In free generators the two agree only through t^2g.
+        if args.measure == "symbolic":
+            series = zeta_series(kind, graph, order, leaves)
+        else:
+            series = fn.series(order)
         report["coefficients"] = series.coefficients()
     report["rational"] = {"numerator": fn.numerator, "denominator": fn.denominator}
     return report
@@ -246,17 +248,18 @@ def _compute(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -
 
 def _verify(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
     order = args.max_degree
-    # Both columns in the measure's ring, every degree in one pass.  Under a
-    # measure the closed column expands the rational form that compute
-    # prints, so its leaves read the classes up to t^2g, and a model the
-    # measure does not realize fails here at every degree, as in compute.
+    # Both columns in the measure's ring, every degree in one pass, from one
+    # set of leaves.  Under a measure the closed column expands the rational
+    # form that compute prints; the leaves read the classes up to t^2g, so a
+    # model the measure does not realize fails here at every degree, as in
+    # compute.
+    leaves = leaf_images(graph, measure, order)
     if args.measure == "symbolic":
-        closed = zeta_series(ZetaKind.DIVISORIAL, graph, order)
+        closed = zeta_series(ZetaKind.DIVISORIAL, graph, order, leaves)
     else:
-        leaves = leaf_images(graph, measure, order)
-        closed = zeta_rational_image(ZetaKind.DIVISORIAL, graph, leaves).series(order)
+        closed = zeta_rational(ZetaKind.DIVISORIAL, graph, leaves).series(order)
     zero = closed[0] - closed[0]  # "0" symbolically, 0 under a measure
-    oracle = divisor_series_from_strata(graph, order, measure)
+    oracle = divisor_series_from_strata(graph, order, leaves)
     rows = []
     for degree in range(order + 1):
         verified = oracle[degree] == closed[degree]  # no difference built unless it fails

@@ -3,12 +3,14 @@
 A measure fixes an integer image for the Lefschetz class
 (``lefschetz_image``) and, per model id it knows about, the images of the
 model's symmetric-power generators in one call (``class_series``), then
-extends multiplicatively and additively.  ``zeta.leaf_images`` reads those
-images to evaluate the closed forms and the strata oracle directly in the
-target ring; ``of_elem`` maps a finished symbolic expression, reading each
-generator's image from the same series.  Applying a measure to a model it
-does not realize raises ``MeasureError`` naming the model's first
-generator, ``c[m,1]`` (``c[m,0]`` is the unit and needs no realization).
+extends multiplicatively and additively.  A measure is applied in one
+place: ``zeta.leaf_images`` reads those images once per call, and the closed
+forms and the strata oracle are built from them directly in the target
+ring.  ``of_elem`` maps a finished symbolic expression, reading each
+generator's image from the same series; no CLI path calls it.  Applying a
+measure to a model it does not realize raises ``MeasureError`` naming the
+model's first generator, ``c[m,1]`` (``c[m,0]`` is the unit and needs no
+realization).
 
 * ``PointCount(q, numerators, genera)``: counting points over a field with
   q elements.  ``L`` goes to q and ``c[m,d]`` to the ``t^d`` coefficient of
@@ -24,7 +26,9 @@ generator, ``c[m,1]`` (``c[m,0]`` is the unit and needs no realization).
 
 Both integer measures share one ``class_series``: a model's classes are one
 expansion of its numerator over ``(1-t)(1-l t)``, with ``l`` the image of
-``L`` (``RationalFn.series``).
+``L`` (``class_rational``, expanded by ``RationalFn.series``).  The closed
+forms build a projective line's classes and each vertex zeta from the same
+``class_rational``.
 """
 
 from __future__ import annotations
@@ -34,11 +38,17 @@ import reprlib
 from collections.abc import Mapping, Sequence
 
 from .graph import DualGraph
-from .ring import RationalFn, RingElem, lefschetz, sym_pow
+from .ring import Coeff, RationalFn, RingElem, lefschetz, sym_pow
 
 
 class MeasureError(ValueError):
     """A generator has no realization under the measure."""
+
+
+def class_rational(numerator: Sequence[Coeff], lef: Coeff) -> RationalFn:
+    """``numerator / ((1-t)(1-l t))``, with ``l`` the image ``lef`` of ``L``,
+    in the ring of ``lef``: the form of a curve's class series."""
+    return RationalFn(numerator, (lef**0, -(lef + 1), lef))
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
@@ -125,9 +135,8 @@ class MotivicMeasure:
                 f"no realization for generator c[{reprlib.repr(model)[1:-1]},1]"
                 f" under {self.realm}"
             )
-        lef = self.lefschetz_image()
-        expansion = RationalFn(self._numerators[model], (1, -(lef + 1), lef)).series(order)
-        return list(expansion.coefficients())
+        expansion = class_rational(self._numerators[model], self.lefschetz_image())
+        return list(expansion.series(order).coefficients())
 
     def of_elem(self, elem: RingElem) -> int:
         total = 0

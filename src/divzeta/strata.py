@@ -19,14 +19,15 @@ A stable pair is an independent choice per slot (vertex, edge, leg) and its
 class is a product of per-slot factors, so by distributivity the sum over
 all pairs of degree d is the ``t^d`` coefficient of a product of per-slot
 series.  ``divisor_series_from_strata`` evaluates that product for every
-degree at once, in the ring of a motivic measure, so a measured product
-runs over the integers.  A vertex's factor starts from its model's classes
-as the measure realizes them (``zeta.leaf_images``, the same leaves the
-closed form reads); the punctures, the chain series and their product are
-the oracle's own, independent of the closed form's graph scalar.  Every
-edge and leg has the same chain series, so it enters last as one power,
-after the vertex factors are multiplied together.
-``divisor_class_from_strata`` is its symbolic coefficient of one degree.
+degree at once, in the ring of the leaves it is given (``zeta.leaf_images``,
+the same leaves the closed form reads), so a measured product runs over the
+integers and the measure is never applied here.  A vertex's factor starts
+from its model's classes; the punctures, the chain series (built from the
+image of ``L``) and their product are the oracle's own, independent of the
+closed form's graph scalar.  Every edge and leg has the same chain series,
+so it enters last as one power, after the vertex factors are multiplied
+together.  ``divisor_class_from_strata`` is its symbolic coefficient of one
+degree.
 ``stable_pair_count`` counts the pairs of every degree from the same
 factorization, with the per-slot series in closed form, as one expansion of
 a rational function; ``stable_pairs`` and ``stratum_class`` are the literal
@@ -41,9 +42,9 @@ from collections.abc import Iterator
 from functools import lru_cache, reduce
 
 from .graph import DualGraph, Record, Vertex
-from .measures import MotivicMeasure, SymbolicIdentity
-from .ring import RationalFn, RingElem, TruncSeries, lefschetz, one, sum_elems
-from .zeta import leaf_images, vertex_zeta_series
+from .measures import SymbolicIdentity
+from .ring import Coeff, RationalFn, RingElem, TruncSeries, lefschetz, one, sum_elems
+from .zeta import Leaves, leaf_images, vertex_zeta_series
 
 
 class StablePair(Record):
@@ -163,13 +164,16 @@ def stable_pair_count(graph: DualGraph, order: int) -> list[int]:
     return list(counts.series(order).coefficients())
 
 
-def torus_class(m: int) -> RingElem:
-    """Class of the m-th symmetric power of the one-dimensional torus."""
+def torus_class(m: int, lef: Coeff | None = None) -> Coeff:
+    """Class of the m-th symmetric power of the one-dimensional torus,
+    ``1`` and then ``L^m - L^(m-1)``, at ``lef`` the image of ``L`` (``L``
+    itself by default)."""
     if m < 0:
         raise ValueError("symmetric-power index must be nonnegative")
+    lef = lefschetz() if lef is None else lef
     if m == 0:
-        return one()
-    return lefschetz() ** m - lefschetz() ** (m - 1)
+        return lef**0
+    return lef**m - lef ** (m - 1)
 
 
 @lru_cache(maxsize=None)
@@ -207,45 +211,39 @@ def _holes(graph: DualGraph, v: Vertex) -> int:
     return graph.valence(v.id) + graph.legs_at(v.id) + v.punctures
 
 
-def _chain_series(order: int, measure: MotivicMeasure) -> TruncSeries:
+def _chain_series(order: int, leaves: Leaves) -> TruncSeries:
     """Sum of torus products over ordered compositions, per total up to ``order``.
 
     A chain is empty or a first bubble followed by a chain, so the series
     ``C`` satisfies ``C = 1 + T*C`` with ``T = sum_{a>=1} torus_class(a-1) t^a``
-    and is the inverse of ``1 - T``, here taken in ``measure``'s ring; no
-    composition is listed.
+    and is the inverse of ``1 - T``, here taken in the leaves' ring, with
+    each torus class at the leaves' image of ``L``; no composition is listed.
     """
-    image = measure.of_elem
-    tori = [-image(torus_class(a - 1)) for a in range(1, order + 1)]
-    return TruncSeries([image(one())] + tori).inverse()
+    tori = [-torus_class(a - 1, leaves.lefschetz) for a in range(1, order + 1)]
+    return TruncSeries([leaves.one] + tori).inverse()
 
 
-def divisor_series_from_strata(
-    graph: DualGraph, order: int, measure: MotivicMeasure
-) -> TruncSeries:
+def divisor_series_from_strata(graph: DualGraph, order: int, leaves: Leaves) -> TruncSeries:
     """Classes of the divisor spaces of degree 0 through ``order`` as a sum
-    over strata, as one series in ``measure``'s ring.
+    over strata, as one series in the leaves' ring.
 
     This is the independent counterpart of the closed-form divisorial zeta.
     The sum over all stable pairs of degree d is evaluated slot by slot: the
     ``t^d`` coefficient of the product of one series
     ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex and one
     chain series of torus classes per edge and leg.  A vertex's series is
-    its model's classes in the measure's ring (``leaf_images``), the vertex
-    zeta, times ``(1-t)^holes``, one product for every degree at once.  The
-    leaves reach ``t^2g`` too, so a model the measure does not realize
-    raises ``MeasureError`` at every order, as the closed form does.  The
-    chain series is multiplied in last, raised to ``|E|+n`` by repeated
-    squaring: symbolically its coefficients hold only ``L``, so the power
-    stays narrow and one wide product replaces ``|E|+n``.
-    A measure is a ring homomorphism, so each slot's classes are mapped
-    before the product is taken.  Under ``SymbolicIdentity`` the ``t^d``
+    its model's classes (``leaves``, from ``leaf_images(graph, measure,
+    order)``), the vertex zeta, times ``(1-t)^holes``, one product for every
+    degree at once.  The chain series is multiplied in last, raised to
+    ``|E|+n`` by repeated squaring: symbolically its coefficients hold only
+    ``L``, so the power stays narrow and one wide product replaces ``|E|+n``.
+    A measure is a ring homomorphism, so the product over its leaves is its
+    image of the symbolic product.  Under ``SymbolicIdentity`` the ``t^d``
     coefficient equals, term for term, the sum of ``stratum_class`` over
     ``stable_pairs(graph, d)``.
     """
     if order < 0:
         raise ValueError("degree must be nonnegative")
-    leaves = leaf_images(graph, measure, order)
     punctured = TruncSeries.from_coeffs([leaves.one, -leaves.one], order)
     factors = [
         TruncSeries(leaves.classes[v.model.name][: order + 1]) * punctured ** _holes(graph, v)
@@ -254,13 +252,14 @@ def divisor_series_from_strata(
     product = reduce(operator.mul, factors)
     chains = graph.num_edges + graph.num_legs
     if chains:
-        product = product * _chain_series(order, measure) ** chains
+        product = product * _chain_series(order, leaves) ** chains
     return product
 
 
 def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:
     """Class of the degree-d divisor space as a sum over strata, symbolically."""
-    return divisor_series_from_strata(graph, degree, SymbolicIdentity())[degree]
+    leaves = leaf_images(graph, SymbolicIdentity(), degree)
+    return divisor_series_from_strata(graph, degree, leaves)[degree]
 
 
 def composition_torus_sum(degree: int) -> RingElem:

@@ -17,20 +17,20 @@ the exponents (the scalar is left out when all three are 0):
 
 The scalar is built once per call as an unreduced rational function and
 multiplied into each vertex's ``numerator / ((1-t)(1-L*t))``
-(``zeta_rational_image``).  ``zeta_series_image`` builds the same closed form
-as a series instead, the product of the truncated vertex series with the
+(``zeta_rational``).  ``zeta_series`` builds the same closed form as a
+series instead, the product of the truncated vertex series with the
 scalar's expansion.  Both take the product's leaves (``Leaves``): the image
 of ``L`` and, per model, the images of ``c[m,0], c[m,1], ...``; a projective
 line's classes are ``1 + L + ... + L^d``, the expansion of
-``1/((1-t)(1-L*t))`` at the image of ``L``.  ``zeta_series`` and
-``zeta_rational`` are the symbolic reference: their leaves are the free
-generators.  A motivic measure is a ring homomorphism, so applying it to
-the leaves (``leaf_images``) and then running a builder over the integers
-gives the measure's image of the symbolic closed form, without expanding
-it.  Under a measure every class series is the expansion of its Weil
-numerator over ``(1-t)(1-l*t)``, so the rational form expands to the series
-at every order: the CLI builds the rational form alone and expands it by
-one recurrence, linear in the order, where the series product is quadratic.
+``1/((1-t)(1-L*t))`` at the image of ``L``.  A motivic measure is a ring
+homomorphism, so it is applied once, to the leaves (``leaf_images``), and a
+builder run over them gives the measure's image of the symbolic closed form
+without expanding it; under ``SymbolicIdentity`` the leaves are the free
+generators.  Under a measure every class series is the expansion of its
+Weil numerator over ``(1-t)(1-l*t)``, so the rational form expands to the
+series at every order: the CLI builds the rational form alone and expands it
+by one recurrence, linear in the order, where the series product is
+quadratic.
 
 For a vertex of genus g the rational form uses
 the numerator ``sum_d (c_d - (L+1) c_{d-1} + L c_{d-2}) t^d`` of degree 2g
@@ -53,7 +53,7 @@ from collections.abc import Mapping, Sequence
 from functools import reduce
 
 from .graph import CurveModel, DualGraph, Vertex
-from .measures import MotivicMeasure, SymbolicIdentity
+from .measures import MotivicMeasure, SymbolicIdentity, class_rational
 from .ring import Coeff, RationalFn, TruncSeries, _poly_product, _power, lefschetz
 
 
@@ -79,9 +79,6 @@ class Leaves:
         self.one = lefschetz**0  # the unit of the leaves' ring
 
 
-_SYMBOLIC = SymbolicIdentity()
-
-
 def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves:
     """The leaves of ``graph``'s closed forms under ``measure``.
 
@@ -97,8 +94,7 @@ def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves
     for name, model in graph.models.items():
         degree = max(order, 2 * model.genus)
         if model.kind == "p1":
-            line = RationalFn([lef**0], _sym_denominator(lef))
-            classes[name] = line.series(degree).coefficients()
+            classes[name] = class_rational([lef**0], lef).series(degree).coefficients()
         else:
             classes[name] = measure.class_series(name, degree)
     return Leaves(lef, classes)
@@ -139,12 +135,6 @@ def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalF
     return RationalFn(numerator, node.denominator)
 
 
-def _sym_denominator(lef: Coeff) -> list[Coeff]:
-    """``(1-t)(1-L*t)`` as one quadratic, for ``L`` the image ``lef``."""
-    one_ = lef**0
-    return [one_, -(lef + one_), lef]
-
-
 def _sym_numerator(model: CurveModel, leaves: Leaves) -> list[Coeff]:
     """Numerator of the vertex zeta over ``(1-t)(1-L*t)``, of degree 2g with
     coefficients c_d - (L+1) c_{d-1} + L c_{d-2} (1 for a projective line).
@@ -160,10 +150,11 @@ def _sym_numerator(model: CurveModel, leaves: Leaves) -> list[Coeff]:
 # -- the closed forms ---------------------------------------------------------------
 
 
-def zeta_series_image(
-    kind: ZetaKind, graph: DualGraph, order: int, leaves: Leaves
-) -> TruncSeries:
-    """The closed form of ``kind``, truncated at ``order``, in the leaves' ring."""
+def zeta_series(kind: ZetaKind, graph: DualGraph, order: int, leaves: Leaves) -> TruncSeries:
+    """The closed form of ``kind``, truncated at ``order``, in the leaves' ring.
+
+    ``leaves`` reach ``t^order`` (``leaf_images(graph, measure, order)``).
+    """
     product = reduce(
         operator.mul,
         (TruncSeries(leaves.classes[v.model.name][: order + 1]) for v in graph.vertices),
@@ -174,23 +165,12 @@ def zeta_series_image(
     return product if scalar is None else scalar.series(order) * product
 
 
-def zeta_rational_image(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn:
+def zeta_rational(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn:
     """The closed form of ``kind`` as an unreduced rational function, in the leaves' ring."""
-    denominator = _sym_denominator(leaves.lefschetz)
-    factors = [RationalFn(_sym_numerator(v.model, leaves), denominator) for v in graph.vertices]
+    lef = leaves.lefschetz
+    factors = [class_rational(_sym_numerator(v.model, leaves), lef) for v in graph.vertices]
     scalar = _graph_scalar(kind, graph, leaves)
     return reduce(operator.mul, factors if scalar is None else [scalar, *factors])
-
-
-def zeta_series(kind: ZetaKind, graph: DualGraph, order: int) -> TruncSeries:
-    """The closed form of ``kind`` in free generators, truncated at ``order``."""
-    leaves = leaf_images(graph, _SYMBOLIC, order)
-    return zeta_series_image(kind, graph, order, leaves)
-
-
-def zeta_rational(kind: ZetaKind, graph: DualGraph) -> RationalFn:
-    """The closed form of ``kind`` in free generators, as a rational function."""
-    return zeta_rational_image(kind, graph, leaf_images(graph, _SYMBOLIC, 0))
 
 
 def vertex_zeta_series(model: CurveModel, punctures: int, order: int) -> TruncSeries:
@@ -201,7 +181,8 @@ def vertex_zeta_series(model: CurveModel, punctures: int, order: int) -> TruncSe
     ``c[name,d]``; a projective line expands to ``1/((1-t)(1-L*t))``.
     """
     graph = DualGraph((Vertex(model.name, model.genus, model, punctures),), (), ())
-    return zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order)
+    leaves = leaf_images(graph, SymbolicIdentity(), order)
+    return zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order, leaves)
 
 
 def node_factor_rational() -> RationalFn:

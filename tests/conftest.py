@@ -5,6 +5,10 @@ independent integer expansions.
 draws the same examples, and without a deadline, since shared runners are
 slow.  Example counts stay as each test sets them.
 
+``free_leaves`` gives a graph's leaves in free generators, which the
+symbolic closed forms and oracle read (``zeta_series``, ``zeta_rational``,
+``divisor_series_from_strata``).
+
 ``weil_series`` and ``one_minus_t_coefficient`` are the hand-written
 expansions the package used before every expansion became one recurrence
 (``RationalFn.series``); they stay here, unchanged, as references that share
@@ -18,9 +22,16 @@ from collections.abc import Sequence
 from hypothesis import settings
 
 from divzeta.graph import CurveModel, DualGraph, Vertex, parse_graph
+from divzeta.measures import SymbolicIdentity
+from divzeta.zeta import leaf_images
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def free_leaves(graph, order=0):
+    """``graph``'s leaves under ``SymbolicIdentity``, through ``t^order``."""
+    return leaf_images(graph, SymbolicIdentity(), order)
 
 
 def weil_series(numerator: Sequence[int], q: int, order: int) -> list[int]:

@@ -22,7 +22,14 @@ from divzeta.strata import (
 from divzeta.zeta import ZetaKind, node_factor_rational, zeta_series
 from divzeta.graph import CurveModel
 
-from conftest import battery, marked_curve, one_minus_t_coefficient, two_components, vertex
+from conftest import (
+    battery,
+    free_leaves,
+    marked_curve,
+    one_minus_t_coefficient,
+    two_components,
+    vertex,
+)
 
 L = lefschetz()
 
@@ -41,7 +48,7 @@ def battery_numerators(graph, q):
 def battery_holds(order=6, q=None):
     """Criterion-2 check: oracle equals closed form on every battery graph."""
     for graph in battery().values():
-        closed = zeta_series(ZetaKind.DIVISORIAL, graph, order)
+        closed = zeta_series(ZetaKind.DIVISORIAL, graph, order, free_leaves(graph, order))
         if q is None:
             measure = None
         else:
@@ -146,7 +153,7 @@ def test_criterion_6_euler_specialization():
             + sum(v.punctures for v in graph.vertices)
         )
         euler = euler_for_graph(graph)
-        series = zeta_series(ZetaKind.DIVISORIAL, graph, 10)
+        series = zeta_series(ZetaKind.DIVISORIAL, graph, 10, free_leaves(graph, 10))
         image = [euler.of_elem(c) for c in series.coefficients()]
         expected = [one_minus_t_coefficient(exponent, d) for d in range(11)]
         ok = ok and image == expected
@@ -155,15 +162,10 @@ def test_criterion_6_euler_specialization():
 
 def test_criterion_7_point_count_specialization():
     ok = True
+    line = parse_graph({"vertices": [vertex("p", 0, {"type": "p1"})]}, allow_unstable=True)
     for q in (2, 3, 5):
         measure = PointCount(q)
-        series = zeta_series(
-            ZetaKind.KAPRANOV_SMOOTH,
-            parse_graph(
-                {"vertices": [vertex("p", 0, {"type": "p1"})]}, allow_unstable=True
-            ),
-            8,
-        )
+        series = zeta_series(ZetaKind.KAPRANOV_SMOOTH, line, 8, free_leaves(line, 8))
         counts = [measure.of_elem(c) for c in series.coefficients()]
         ok = ok and counts == [(q ** (d + 1) - 1) // (q - 1) for d in range(9)]
     elliptic = PointCount(5, {"E": [1, -2, 5]}, {"E": 1})
@@ -174,8 +176,9 @@ def test_criterion_7_point_count_specialization():
 
 def test_criterion_8_smooth_unmarked_degeneration():
     graph = parse_graph({"vertices": [vertex("m", 2)]})
-    reference = zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, 10)
-    ok = all(zeta_series(kind, graph, 10) == reference for kind in ZetaKind)
+    leaves = free_leaves(graph, 10)
+    reference = zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, 10, leaves)
+    ok = all(zeta_series(kind, graph, 10, leaves) == reference for kind in ZetaKind)
     report("criterion 8: all four zetas agree on a smooth unmarked curve, d <= 10", ok)
 
 
@@ -193,7 +196,7 @@ def test_criterion_9_hilbert_formula():
 
     product = [convolve(z_u, z_w, d) for d in range(5)]
     expected = [convolve(window, product, d) for d in range(5)]
-    series = zeta_series(ZetaKind.HILBERT, graph, 4)
+    series = zeta_series(ZetaKind.HILBERT, graph, 4, free_leaves(graph, 4))
     ok = all(series[d] == expected[d] for d in range(5))
     report("criterion 9: Hilbert coefficients match the hand expansion, d <= 4", ok)
 
@@ -202,9 +205,9 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
     healthy = strata.torus_class
 
     def flipped_at(index):
-        def mutant(m):
+        def mutant(m, *image):
             if m != index:
-                return healthy(m)
+                return healthy(m, *image)
             return L ** (m + 1) - L ** (m - 1) if m else L
         return mutant
 
@@ -216,7 +219,7 @@ def test_criterion_10_mutation_sensitivity(monkeypatch):
 
     # Dropping any single stable pair from a representative check.
     graph = two_components(2)
-    closed = zeta_series(ZetaKind.DIVISORIAL, graph, 2)
+    closed = zeta_series(ZetaKind.DIVISORIAL, graph, 2, free_leaves(graph, 2))
     pairs = stable_pairs(graph, 2)
     full = divisor_class_from_strata(graph, 2)
     assert full == closed[2]

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: modes, outputs, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -13,12 +14,12 @@ from hypothesis import strategies as st
 
 import divzeta.strata as strata
 from divzeta.cli import MAX_DEGREE_LIMIT, main, parse_config
-from divzeta.graph import GraphError, parse_graph
+from divzeta.graph import GraphError, graph_to_json, parse_graph
 from divzeta.measures import PRIME_POWER_LIMIT
-from divzeta.ring import RationalFn, RingElem, lefschetz, one, parse_elem
+from divzeta.ring import RationalFn, RingElem, lefschetz, parse_elem
 from divzeta.zeta import ZetaKind, zeta_series
 
-from conftest import vertex
+from conftest import battery, declare_weil, free_leaves, vertex
 
 L = lefschetz()
 
@@ -85,7 +86,8 @@ def test_compute_json_round_trips(graph_file, capsys):
                  "--max-degree", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["graph"] == {"vertices": 2, "edges": 1, "legs": 0, "genus": 4}
-    series = zeta_series(ZetaKind.DIVISORIAL, parse_graph(TWO_COMPONENTS), 3)
+    graph = parse_graph(TWO_COMPONENTS)
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, 3, free_leaves(graph, 3))
     parsed = [parse_elem(text) for text in report["coefficients"]]
     assert parsed == list(series.coefficients())
     assert parse_elem(report["rational"]["denominator"][0]) == 1
@@ -113,10 +115,6 @@ def test_verify_under_point_count(graph_file, capsys):
 
 
 def test_verify_exits_zero_on_battery(graph_file, capsys):
-    from divzeta.graph import graph_to_json
-
-    from conftest import battery
-
     for name, graph in battery().items():
         path = graph_file(graph_to_json(graph), f"{name}.json")
         assert main(["--input", path, "--mode", "verify", "--max-degree", "4"]) == 0
@@ -126,9 +124,9 @@ def test_verify_exits_zero_on_battery(graph_file, capsys):
 def test_mutation_is_detected(graph_file, capsys, monkeypatch):
     healthy = strata.torus_class
 
-    def mutant(m):
+    def mutant(m, *image):
         if m == 0:
-            return healthy(m)
+            return healthy(m, *image)
         return L ** (m + 1) - L ** m
 
     monkeypatch.setattr(strata, "torus_class", mutant)
@@ -145,12 +143,13 @@ ELLIPTIC_PAIR = {
 }
 
 
-def _shifted_torus(m):
-    return L ** (m + 1) - L**m if m else one()
+# Mutants of ``strata.torus_class(m, lef)``, at the image ``lef`` of ``L``.
+def _shifted_torus(m, lef=L):
+    return lef ** (m + 1) - lef**m if m else lef**0
 
 
-def _plain_torus(m):
-    return L**m
+def _plain_torus(m, lef=L):
+    return lef**m
 
 
 @pytest.mark.parametrize(
@@ -193,7 +192,8 @@ def test_shared_render_cannot_hide_a_mismatch(graph_file, capsys, monkeypatch, o
     # A verified row shows the oracle's element in both columns; a
     # mismatching row must still print the closed form's own coefficient.
     monkeypatch.setattr(strata, "torus_class", _shifted_torus)
-    closed = zeta_series(ZetaKind.DIVISORIAL, parse_graph(TWO_COMPONENTS), 4)
+    graph = parse_graph(TWO_COMPONENTS)
+    closed = zeta_series(ZetaKind.DIVISORIAL, graph, 4, free_leaves(graph, 4))
     assert main(["--input", graph_file(TWO_COMPONENTS), "--mode", "verify",
                  "--max-degree", "4", "--output", output]) == 3
     rows = _verify_rows(capsys.readouterr().out, output)
@@ -219,7 +219,8 @@ def test_verified_rows_render_each_coefficient_once(graph_file, capsys, monkeypa
     rows = _verify_rows(capsys.readouterr().out, output)
     assert all(closed == oracle for _, oracle, closed, _ in rows)
     # Per row: the shared coefficient once, then the zero difference.
-    oracle = zeta_series(ZetaKind.DIVISORIAL, parse_graph(TWO_COMPONENTS), 4)
+    graph = parse_graph(TWO_COMPONENTS)
+    oracle = zeta_series(ZetaKind.DIVISORIAL, graph, 4, free_leaves(graph, 4))
     assert rendered == [value for degree in range(5) for value in (oracle[degree], 0)]
 
 
@@ -512,7 +513,7 @@ def test_verify_checks_the_printed_rational_form(graph_file, capsys, monkeypatch
     # degree on, and measured verify reports the mismatch from there.
     from divzeta import cli
 
-    build = cli.zeta_rational_image
+    build = cli.zeta_rational
 
     def perturbed(*args):
         fn = build(*args)
@@ -520,7 +521,7 @@ def test_verify_checks_the_printed_rational_form(graph_file, capsys, monkeypatch
         sides[side][index] += 1
         return RationalFn(sides["numerator"], sides["denominator"])
 
-    monkeypatch.setattr(cli, "zeta_rational_image", perturbed)
+    monkeypatch.setattr(cli, "zeta_rational", perturbed)
     assert main(["--input", graph_file(TWO_COMPONENTS), "--mode", "verify",
                  "--measure", "euler", "--max-degree", "11", "--output", "json"]) == 3
     rows = json.loads(capsys.readouterr().out)["degrees"]
@@ -578,18 +579,90 @@ def test_rational_output_skips_the_series(graph_file, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the coefficient series was computed")
 
-    build = cli.zeta_rational_image
+    build = cli.zeta_rational
 
     def unexpandable(*args):
         fn = build(*args)
         return _Unexpandable(fn.numerator, fn.denominator)
 
     monkeypatch.setattr(cli, "zeta_series", refuse)
-    monkeypatch.setattr(cli, "zeta_rational_image", unexpandable)
+    monkeypatch.setattr(cli, "zeta_rational", unexpandable)
     path = graph_file(LOOP_GENUS_2)
     for measure in ("symbolic", "euler"):
         assert main(["--input", path, "--measure", measure, "--output", "rational"]) == 0
         assert "rational: " in capsys.readouterr().out
+
+
+# -- one application of the measure ----------------------------------------------
+
+# The battery, its curves declared as weil models so point counting at q = 7
+# realizes them, and an elliptic chain of four.
+_WEIL_BY_GENUS = {0: [1], 1: [1, -1, 7], 2: [1, 1, 1, 7, 49]}
+_ONE_MEASURE_RUNS = [
+    ["--mode", "compute", "--zeta", kind, "--output", output]
+    for kind in ("divisorial", "hilbert", "kapranov-nodal")
+    for output in ("coefficients", "rational", "json")
+] + [["--mode", "verify"], ["--mode", "count-strata"]]
+# sha256 of the stdout of every run, in order, per measure: the reports as
+# printed while each verify, and each symbolic compute, read the leaves twice
+# and the oracle mapped its torus classes with of_elem.
+_ONE_MEASURE_DIGESTS = {
+    "symbolic": "71b4d1e3f17632675e07f4f0d48d81e999366d23740dd9345fc717e29156b5a8",
+    "euler": "96a5b7da77ac2fdc9bfcdffc702116f7d9a09f4a565a34865da85f4f6d995c62",
+    "point-count": "0571fb84c4532caec84cf76d4d5047cbff6347d8cad7f5ae2b242ea96d1585da",
+}
+
+
+def _one_measure_stdout(write, measure):
+    """Each run's id, exit code and stdout, for one measure."""
+    documents = {
+        name: graph_to_json(declare_weil(graph, _WEIL_BY_GENUS))
+        for name, graph in battery().items()
+    }
+    documents["chain4-elliptic"] = {
+        "vertices": [vertex(name, 1, {"type": "elliptic", "trace": trace})
+                     for name, trace in zip("abcd", (1, -3, 0, 4))],
+        "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
+    }
+    extra = {"symbolic": [], "euler": ["--measure", "euler"],
+             "point-count": ["--measure", "point-count", "--q", "7"]}[measure]
+    for name, document in documents.items():
+        path = write(document, f"{name}.json")
+        for run in _ONE_MEASURE_RUNS:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(["--input", path, *extra, "--max-degree", "6", *run])
+            yield (name, *run), code, out.getvalue()
+
+
+@pytest.mark.parametrize("measure", sorted(_ONE_MEASURE_DIGESTS))
+def test_a_measure_is_applied_once(graph_file, monkeypatch, measure):
+    # A measure is a ring homomorphism, applied once, to the leaves: no
+    # finished element is mapped, and compute and verify read one set of
+    # leaves, as the same reports show.
+    from divzeta import cli, measures, zeta
+
+    def refuse(self, elem):
+        raise AssertionError("a finished element was mapped")
+
+    monkeypatch.setattr(measures.MotivicMeasure, "of_elem", refuse)
+    monkeypatch.setattr(measures.SymbolicIdentity, "of_elem", refuse)
+    calls = []
+    build = zeta.leaf_images
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (cli, strata, zeta):
+        monkeypatch.setattr(module, "leaf_images", counted)
+    digest = hashlib.sha256()
+    for run, code, out in _one_measure_stdout(graph_file, measure):
+        assert code == 0, run
+        assert len(calls) <= 1, run
+        calls.clear()
+        digest.update(out.encode())
+    assert digest.hexdigest() == _ONE_MEASURE_DIGESTS[measure]
 
 
 # -- model ids shared between vertices ------------------------------------------

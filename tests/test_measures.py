@@ -26,14 +26,13 @@ from divzeta.zeta import (
     leaf_images,
     vertex_zeta_series,
     zeta_rational,
-    zeta_rational_image,
     zeta_series,
-    zeta_series_image,
 )
 
 from conftest import (
     battery,
     declare_weil,
+    free_leaves,
     loop_vertex,
     one_minus_t_coefficient,
     vertex,
@@ -217,7 +216,7 @@ def test_euler_image_of_divisorial_zeta_smoke():
     graph = loop_vertex(1)
     euler = euler_for_graph(graph)
     # |E| + sum(2g-2) + punctures = 1 + 0 + 0.
-    series = zeta_series(ZetaKind.DIVISORIAL, graph, 6)
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, 6, free_leaves(graph, 6))
     image = [euler.of_elem(c) for c in series.coefficients()]
     expected = [one_minus_t_coefficient(1, d) for d in range(7)]
     assert image == expected
@@ -304,19 +303,20 @@ def test_measure_applied_early_equals_applied_late(name):
     order = 6
     measures = list(_integer_measures(graph))
     leaves = [leaf_images(graph, measure, order) for measure in measures]
+    free = free_leaves(graph, order)
     zero_leads = set()
     for kind in ZetaKind:
-        series = zeta_series(kind, graph, order)
-        fn = zeta_rational(kind, graph)
+        series = zeta_series(kind, graph, order, free)
+        fn = zeta_rational(kind, graph, free)
         # Symbolic factors never lose degree.
         assert fn.numerator[-1] != 0 and fn.denominator[-1] != 0
         for measure, images in zip(measures, leaves):
-            early = zeta_series_image(kind, graph, order, images).coefficients()
+            early = zeta_series(kind, graph, order, images).coefficients()
             assert all(type(c) is int for c in early)
             late = [measure.of_elem(c) for c in series.coefficients()]
             assert list(early) == late, (kind, measure.name)
             # Side by side at the symbolic lengths, zero leading coefficients too.
-            early_fn = zeta_rational_image(kind, graph, images)
+            early_fn = zeta_rational(kind, graph, images)
             assert early_fn.numerator == tuple(map(measure.of_elem, fn.numerator))
             assert early_fn.denominator == tuple(map(measure.of_elem, fn.denominator))
             if early_fn.numerator[-1] == 0:
@@ -339,10 +339,11 @@ def test_printed_rational_form_expands_to_the_printed_series(name):
     for kind in ZetaKind:
         for measure in _integer_measures(graph):
             leaves = leaf_images(graph, measure, order)
-            expansion = zeta_rational_image(kind, graph, leaves).series(order)
-            assert expansion == zeta_series_image(kind, graph, order, leaves), (kind, measure.name)
-        expansion = zeta_rational(kind, graph).series(exact)
-        assert expansion == zeta_series(kind, graph, exact), kind
+            expansion = zeta_rational(kind, graph, leaves).series(order)
+            assert expansion == zeta_series(kind, graph, order, leaves), (kind, measure.name)
+        free = free_leaves(graph, exact)
+        expansion = zeta_rational(kind, graph, free).series(exact)
+        assert expansion == zeta_series(kind, graph, exact, free), kind
 
 
 def _weil_coefficient(numerator, q, degree):

@@ -30,11 +30,12 @@ from divzeta.strata import (
     torus_class,
     weak_compositions,
 )
-from divzeta.zeta import ZetaKind, node_factor_rational, zeta_series
+from divzeta.zeta import ZetaKind, leaf_images, node_factor_rational, zeta_series
 
 from conftest import (
     battery,
     declare_weil,
+    free_leaves,
     loop_vertex,
     marked_curve,
     one_minus_t_coefficient,
@@ -177,7 +178,7 @@ def test_composition_torus_sum_matches_node_factor():
 
 def test_oracle_matches_closed_form_smoke():
     graph = two_components(2)
-    series = zeta_series(ZetaKind.DIVISORIAL, graph, 4)
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, 4, free_leaves(graph, 4))
     for d in range(5):
         assert divisor_class_from_strata(graph, d) == series[d]
 
@@ -261,7 +262,7 @@ def test_factorized_oracle_rejects_negative_degree():
     with pytest.raises(ValueError):
         divisor_class_from_strata(marked_curve(), -1)
     with pytest.raises(ValueError):
-        divisor_series_from_strata(marked_curve(), -1, SymbolicIdentity())
+        divisor_series_from_strata(marked_curve(), -1, free_leaves(marked_curve()))
     with pytest.raises(ValueError):
         stable_pair_count(marked_curve(), -1)
 
@@ -342,9 +343,10 @@ def test_oracle_refuses_an_unrealized_model_at_every_order():
     counting = point_count_for_graph(graph, 3)
     for order in (0, 3):
         with pytest.raises(MeasureError, match=r"c\[m,1\]"):
-            divisor_series_from_strata(graph, order, counting)
+            leaf_images(graph, counting, order)
     declared = declare_weil(graph, {2: [1, -1]})
-    series = divisor_series_from_strata(declared, 0, point_count_for_graph(declared, 3))
+    leaves = leaf_images(declared, point_count_for_graph(declared, 3), 0)
+    series = divisor_series_from_strata(declared, 0, leaves)
     assert series.order == 0 and series[0] == 1
 
 
@@ -352,14 +354,15 @@ def test_oracle_refuses_an_unrealized_model_at_every_order():
 def test_oracle_series_matches_oracle_classes(name):
     graph = _SERIES_GRAPHS[name]
     order = 6
-    series = divisor_series_from_strata(graph, order, SymbolicIdentity())
+    series = divisor_series_from_strata(graph, order, free_leaves(graph, order))
     assert series.order == order
     for degree in range(order + 1):
         assert series[degree] == divisor_class_from_strata(graph, degree)
     # The measure applied to each slot's classes (early) or to the symbolic
     # coefficients (late) gives the same integers.
     for measure in _oracle_measures(graph):
-        early = divisor_series_from_strata(graph, order, measure).coefficients()
+        leaves = leaf_images(graph, measure, order)
+        early = divisor_series_from_strata(graph, order, leaves).coefficients()
         assert all(type(c) is int for c in early)
         assert list(early) == [measure.of_elem(c) for c in series.coefficients()], measure.name
 
@@ -381,21 +384,43 @@ def test_vertex_factor_is_the_punctured_classes(name):
         holes = _holes(graph, v)
         alone = _punctured_vertex(v, holes)
         classes = [punctured_sym_class(v.model, holes, d) for d in range(order + 1)]
-        factor = divisor_series_from_strata(alone, order, SymbolicIdentity())
+        factor = divisor_series_from_strata(alone, order, free_leaves(alone, order))
         assert list(factor.coefficients()) == classes, v.id
         for measure in _oracle_measures(graph):
-            image = divisor_series_from_strata(alone, order, measure).coefficients()
+            leaves = leaf_images(alone, measure, order)
+            image = divisor_series_from_strata(alone, order, leaves).coefficients()
             assert list(image) == [measure.of_elem(c) for c in classes], (v.id, measure.name)
 
 
-def _factor_by_factor(graph, order, measure):
+def _chain_series_reference(order, measure):
+    """The chain series as the oracle built it from symbolic torus classes,
+    each mapped by the measure as a finished element."""
+    tori = [-measure.of_elem(torus_class(a - 1)) for a in range(1, order + 1)]
+    return TruncSeries([measure.of_elem(one())] + tori).inverse()
+
+
+@given(st.integers(0, 16), st.sampled_from(["symbolic", "euler", 2, 3, 4, 5, 7, 8, 9, 25, 27]))
+@settings(max_examples=80, deadline=None)
+def test_chain_series_from_the_leaves_is_the_measured_torus_series(order, which):
+    # The chain series reads the image of L from the leaves; it must equal
+    # the measure's image of the symbolic series, coefficient by coefficient.
+    graph = declare_weil(theta_graph(), {0: [1]})
+    if which == "symbolic":
+        measure = SymbolicIdentity()
+    elif which == "euler":
+        measure = euler_for_graph(graph)
+    else:
+        measure = point_count_for_graph(graph, which)
+    leaves = leaf_images(graph, measure, order)
+    assert _chain_series(order, leaves) == _chain_series_reference(order, measure)
+
+
+def _factor_by_factor(graph, order, leaves):
     """The oracle series as the product of its slots in graph order: every
     vertex factor, then one chain series per edge and leg."""
-    factors = [
-        divisor_series_from_strata(_punctured_vertex(v, _holes(graph, v)), order, measure)
-        for v in graph.vertices
-    ]
-    factors += [_chain_series(order, measure)] * (graph.num_edges + graph.num_legs)
+    alone = [_punctured_vertex(v, _holes(graph, v)) for v in graph.vertices]
+    factors = [divisor_series_from_strata(vertex, order, leaves) for vertex in alone]
+    factors += [_chain_series(order, leaves)] * (graph.num_edges + graph.num_legs)
     return reduce(operator.mul, factors)
 
 
@@ -411,5 +436,6 @@ def test_oracle_product_order_is_immaterial(name):
     # last as one power; the slot-by-slot product must give the same series.
     graph = _ORDER_GRAPHS[name]
     for order, measure in [(10, SymbolicIdentity()), (40, euler_for_graph(graph))]:
-        series = divisor_series_from_strata(graph, order, measure)
-        assert series == _factor_by_factor(graph, order, measure), measure.name
+        leaves = leaf_images(graph, measure, order)
+        series = divisor_series_from_strata(graph, order, leaves)
+        assert series == _factor_by_factor(graph, order, leaves), measure.name

@@ -13,11 +13,10 @@ from divzeta.zeta import (
     node_factor_rational,
     vertex_zeta_series,
     zeta_rational,
-    zeta_rational_image,
     zeta_series,
 )
 
-from conftest import loop_vertex, marked_curve, two_components, vertex
+from conftest import free_leaves, loop_vertex, marked_curve, two_components, vertex
 
 L = lefschetz()
 
@@ -91,30 +90,33 @@ def test_smooth_unmarked_vertex_equals_vertex_zeta():
     graph = parse_graph({"vertices": [vertex("m", 2)]})
     expected = vertex_zeta_series(CurveModel.symbolic("m", 2), 0, 10)
     for kind in ZetaKind:
-        assert zeta_series(kind, graph, 10) == expected
+        assert zeta_series(kind, graph, 10, free_leaves(graph, 10)) == expected
 
 
 def test_divisorial_loop_first_coefficient():
     # node_factor*(1-t)^2*Z at order 1: 1 - 2 + c[m,1].
-    series = zeta_series(ZetaKind.DIVISORIAL, loop_vertex(1), 1)
+    graph = loop_vertex(1)
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, 1, free_leaves(graph, 1))
     assert series[1] == c("m", 1) - 1
 
 
 def test_divisorial_marked_first_coefficient():
-    series = zeta_series(ZetaKind.DIVISORIAL, marked_curve(2), 1)
+    graph = marked_curve(2)
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, 1, free_leaves(graph, 1))
     assert series[1] == c("m", 1)
 
 
 def test_hilbert_no_edges_is_vertex_product():
     graph = marked_curve(2)  # legs must be ignored
-    assert zeta_series(ZetaKind.HILBERT, graph, 4) == vertex_zeta_series(
+    assert zeta_series(ZetaKind.HILBERT, graph, 4, free_leaves(graph, 4)) == vertex_zeta_series(
         CurveModel.symbolic("m", 2), 0, 4
     )
 
 
 def test_hilbert_two_components_coefficient():
     # (1 - t + L t^2) * Z_u * Z_w at t^2, expanded by hand.
-    series = zeta_series(ZetaKind.HILBERT, two_components(2), 2)
+    graph = two_components(2)
+    series = zeta_series(ZetaKind.HILBERT, graph, 2, free_leaves(graph, 2))
     expected = (
         c("u", 2) + c("u", 1) * c("w", 1) + c("w", 2) - c("u", 1) - c("w", 1) + L
     )
@@ -122,12 +124,14 @@ def test_hilbert_two_components_coefficient():
 
 
 def test_hilbert_loop_coefficient():
-    series = zeta_series(ZetaKind.HILBERT, loop_vertex(1), 1)
+    graph = loop_vertex(1)
+    series = zeta_series(ZetaKind.HILBERT, graph, 1, free_leaves(graph, 1))
     assert series[1] == c("m", 1) - 1
 
 
 def test_nodal_loop_coefficient():
-    series = zeta_series(ZetaKind.KAPRANOV_NODAL, loop_vertex(1), 1)
+    graph = loop_vertex(1)
+    series = zeta_series(ZetaKind.KAPRANOV_NODAL, graph, 1, free_leaves(graph, 1))
     assert series[1] == c("m", 1) - 1
 
 
@@ -135,19 +139,19 @@ def test_divisorial_to_nodal_ratio():
     # divisorial = nodal * node_factor^(|E|+n) * (1-t)^(|E|+n).
     order = 6
     for graph in (loop_vertex(1), marked_curve(2), two_components(2)):
-        scale = graph.num_edges + graph.num_legs
+        scale, leaves = graph.num_edges + graph.num_legs, free_leaves(graph, order)
         expected = (
-            zeta_series(ZetaKind.KAPRANOV_NODAL, graph, order)
+            zeta_series(ZetaKind.KAPRANOV_NODAL, graph, order, leaves)
             * node_factor_rational().series(order) ** scale
             * TruncSeries.from_coeffs([1, -1], order) ** scale
         )
-        assert zeta_series(ZetaKind.DIVISORIAL, graph, order) == expected
+        assert zeta_series(ZetaKind.DIVISORIAL, graph, order, leaves) == expected
 
 
 def test_unit_constant_terms():
     for graph in (loop_vertex(1), marked_curve(2), two_components(2)):
         for kind in ZetaKind:
-            assert zeta_series(kind, graph, 4)[0] == one()
+            assert zeta_series(kind, graph, 4, free_leaves(graph, 4))[0] == one()
 
 
 # -- gluing and closing identities ---------------------------------------------
@@ -158,9 +162,11 @@ def test_multiplicativity_across_separating_edge():
     joined = two_components(2)
     left = parse_graph({"vertices": [vertex("u", 2)], "legs": ["u"]})
     right = parse_graph({"vertices": [vertex("w", 2, punctures=1)]})
-    assert zeta_series(ZetaKind.DIVISORIAL, joined, order) == zeta_series(
-        ZetaKind.DIVISORIAL, left, order
-    ) * zeta_series(ZetaKind.DIVISORIAL, right, order)
+    divisorial = {
+        name: zeta_series(ZetaKind.DIVISORIAL, graph, order, free_leaves(graph, order))
+        for name, graph in (("joined", joined), ("left", left), ("right", right))
+    }
+    assert divisorial["joined"] == divisorial["left"] * divisorial["right"]
 
 
 def test_loop_and_mark_puncture_exchange():
@@ -175,26 +181,28 @@ def test_loop_and_mark_puncture_exchange():
             "legs": ["m"],
         }
     )
-    assert zeta_series(ZetaKind.DIVISORIAL, with_loop, order) == zeta_series(
-        ZetaKind.DIVISORIAL, with_mark, order
-    )
     base = parse_graph(
         {"vertices": [vertex("m", 1), vertex("o", 2)], "edges": [["m", "o"]]}
     )
+    loop, mark, plain = (
+        zeta_series(ZetaKind.DIVISORIAL, graph, order, free_leaves(graph, order))
+        for graph in (with_loop, with_mark, base)
+    )
+    assert loop == mark
     one_minus_t = TruncSeries.from_coeffs([1, -1], order)
     factor = node_factor_rational().series(order) * one_minus_t**2
-    assert zeta_series(ZetaKind.DIVISORIAL, with_loop, order) == (
-        zeta_series(ZetaKind.DIVISORIAL, base, order) * factor
-    )
+    assert loop == plain * factor
 
 
 def test_puncture_multiplies_by_one_minus_t():
     order = 6
     plain = parse_graph({"vertices": [vertex("m", 2)]})
     punctured = parse_graph({"vertices": [vertex("m", 2, punctures=1)]})
-    assert zeta_series(ZetaKind.DIVISORIAL, punctured, order) == zeta_series(
-        ZetaKind.DIVISORIAL, plain, order
-    ) * TruncSeries.from_coeffs([1, -1], order)
+    before, after = (
+        zeta_series(ZetaKind.DIVISORIAL, graph, order, free_leaves(graph, order))
+        for graph in (plain, punctured)
+    )
+    assert after == before * TruncSeries.from_coeffs([1, -1], order)
 
 
 # -- rational forms -----------------------------------------------------------------
@@ -212,22 +220,24 @@ def test_rational_matches_series_for_concrete_models():
         }
     )
     order = 8
-    assert zeta_rational(ZetaKind.DIVISORIAL, graph).series(order) == zeta_series(
-        ZetaKind.DIVISORIAL, graph, order
+    leaves = free_leaves(graph, order)
+    assert zeta_rational(ZetaKind.DIVISORIAL, graph, leaves).series(order) == zeta_series(
+        ZetaKind.DIVISORIAL, graph, order, leaves
     )
 
 
 def test_rational_matches_series_through_twice_genus():
     graph = parse_graph({"vertices": [vertex("m", 2)]})
-    expansion = zeta_rational(ZetaKind.DIVISORIAL, graph).series(4)
-    series = zeta_series(ZetaKind.DIVISORIAL, graph, 4)
+    leaves = free_leaves(graph, 4)
+    expansion = zeta_rational(ZetaKind.DIVISORIAL, graph, leaves).series(4)
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, 4, leaves)
     for d in range(5):
         assert expansion[d] == series[d]
 
 
 def test_rational_is_unreduced_product():
     graph = marked_curve(2)
-    fn = zeta_rational(ZetaKind.DIVISORIAL, graph)
+    fn = zeta_rational(ZetaKind.DIVISORIAL, graph, free_leaves(graph))
     # |E| = 0, n = 1: numerator carries (1 - L t) * (1 - t) * Q(t).
     assert len(fn.denominator) - 1 == 2 + 2  # node denominator * (1-t)(1-Lt)
     assert fn == RationalFn(fn.numerator, fn.denominator)
@@ -238,20 +248,21 @@ def test_divisorial_equals_smooth_kapranov_on_smooth_unmarked_curves():
     # Kapranov's, as a series and as a rational function.
     for genus, model in ((2, None), (1, {"type": "elliptic", "trace": 3}), (0, {"type": "p1"})):
         graph = parse_graph({"vertices": [vertex("m", genus, model)]}, allow_unstable=True)
-        divisorial = zeta_rational(ZetaKind.DIVISORIAL, graph)
-        kapranov = zeta_rational(ZetaKind.KAPRANOV_SMOOTH, graph)
+        leaves = free_leaves(graph, 8)
+        divisorial = zeta_rational(ZetaKind.DIVISORIAL, graph, leaves)
+        kapranov = zeta_rational(ZetaKind.KAPRANOV_SMOOTH, graph, leaves)
         assert divisorial == kapranov
         assert divisorial.numerator == kapranov.numerator
         assert divisorial.denominator == kapranov.denominator
-        assert zeta_series(ZetaKind.DIVISORIAL, graph, 8) == zeta_series(
-            ZetaKind.KAPRANOV_SMOOTH, graph, 8
+        assert zeta_series(ZetaKind.DIVISORIAL, graph, 8, leaves) == zeta_series(
+            ZetaKind.KAPRANOV_SMOOTH, graph, 8, leaves
         )
 
 
 def test_smooth_zeta_is_vertex_product():
     graph = two_components(2)
     order = 3
-    series = zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order)
+    series = zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order, free_leaves(graph, order))
     expected = vertex_zeta_series(
         CurveModel.symbolic("u", 2), 0, order
     ) * vertex_zeta_series(CurveModel.symbolic("w", 2), 0, order)
@@ -307,4 +318,4 @@ def test_euler_image_is_macdonald_formula(graph):
     expected = one_minus_t**-chi if chi <= 0 else RationalFn([1], [1, -1]) ** chi
     leaves = leaf_images(graph, euler_for_graph(graph), 0)
     for kind in (ZetaKind.DIVISORIAL, ZetaKind.KAPRANOV_NODAL):
-        assert zeta_rational_image(kind, graph, leaves) == expected
+        assert zeta_rational(kind, graph, leaves) == expected
