@@ -27,8 +27,6 @@ from .measures import (
     MotivicMeasure,
     PointCount,
     SymbolicIdentity,
-    euler_for_graph,
-    point_count_for_graph,
 )
 from .ring import (
     Generator,
@@ -81,7 +79,6 @@ __all__ = [
     "composition_torus_sum",
     "divisor_class_from_strata",
     "divisor_series_from_strata",
-    "euler_for_graph",
     "graph_to_json",
     "lefschetz",
     "load_graph",
@@ -89,7 +86,6 @@ __all__ = [
     "one",
     "parse_elem",
     "parse_graph",
-    "point_count_for_graph",
     "punctured_sym_class",
     "stable_pair_count",
     "stable_pairs",

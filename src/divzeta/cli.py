@@ -17,9 +17,13 @@ A measure is applied in one place: ``compute`` and ``verify`` each call
 ``leaf_images`` once, and every builder they use (``zeta_rational``,
 ``zeta_series``, ``divisor_series_from_strata``) reads those leaves.
 
-Under ``point-count`` each curve's Weil numerator comes from its model in
-the graph (``point_count_for_graph``), its one source: no option supplies
-one, and a symbolic model is not realized (exit 2).
+A measure is a rule on curve models (``_build_measure`` takes only
+``--measure`` and ``--q``).  Under ``point-count`` each curve's Weil
+numerator comes from its model in the graph, its one source: no option
+supplies one, a symbolic model is not realized, and a weil numerator that
+fails the functional equation at ``--q`` is refused (exit 2) when
+``compute`` or ``verify`` reads the leaves.  ``count-strata`` applies no
+measure.
 
 Each mode builds one report of raw values (``RingElem`` or ``int``) under a
 shared ``graph``/``mode`` header; it is written either as indented JSON, ring
@@ -52,11 +56,11 @@ from types import SimpleNamespace
 from .graph import DualGraph, GraphError, load_graph, total_genus
 from .measures import (
     PRIME_POWER_LIMIT,
+    EulerCharacteristic,
     MeasureError,
     MotivicMeasure,
+    PointCount,
     SymbolicIdentity,
-    euler_for_graph,
-    point_count_for_graph,
 )
 from .ring import RationalFn, RingElem
 # ``divisor_class_from_strata`` is not called here, but the benchmark's tracer
@@ -206,11 +210,11 @@ def parse_config(argv: list[str] | None = None) -> SimpleNamespace:
     return args
 
 
-def _build_measure(args: SimpleNamespace, graph: DualGraph) -> MotivicMeasure:
+def _build_measure(args: SimpleNamespace) -> MotivicMeasure:
     if args.measure == "euler":
-        return euler_for_graph(graph)
+        return EulerCharacteristic()
     if args.measure == "point-count":
-        return point_count_for_graph(graph, args.q)
+        return PointCount(args.q)
     return SymbolicIdentity()
 
 
@@ -356,7 +360,7 @@ def run(args: SimpleNamespace) -> int:
         print(f"divzeta: invalid graph: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        measure = _build_measure(args, graph)
+        measure = _build_measure(args)
         report = {"graph": _graph_summary(graph), "mode": args.mode}
         report.update(_MODES[args.mode](args, graph, measure))
     except (MeasureError, ValueError) as exc:

@@ -88,7 +88,8 @@ class CurveModel(Record):
     symmetric-power generators ``c[name,d]`` to series coefficients;
     elliptic and weil additionally carry the data a point-count measure
     needs to realize those generators.  ``p1`` expands concretely in the
-    Lefschetz class.
+    Lefschetz class.  A weil numerator has constant term 1 and degree at
+    most 2g; the constructor checks both for every weil model.
     """
 
     __slots__ = _fields = ("kind", "name", "genus", "trace", "numerator")
@@ -101,6 +102,15 @@ class CurveModel(Record):
         trace: int | None = None,
         numerator: tuple[int, ...] | None = None,
     ):
+        if kind == "weil":
+            if not numerator or numerator[0] != 1:
+                raise GraphError(
+                    f"weil numerator must have constant term 1: {reprlib.repr(numerator)}"
+                )
+            if len(numerator) - 1 > 2 * genus:
+                raise GraphError(
+                    f"weil numerator degree {len(numerator) - 1} exceeds 2*genus = {2 * genus}"
+                )
         if not MODEL_ID_RE.fullmatch(name):
             raise GraphError(f"invalid model id: {reprlib.repr(name)}")
         if genus < 0:
@@ -121,14 +131,7 @@ class CurveModel(Record):
 
     @classmethod
     def weil(cls, name: str, numerator: Iterable[int], genus: int) -> CurveModel:
-        coeffs = tuple(int(c) for c in numerator)
-        if not coeffs or coeffs[0] != 1:
-            raise GraphError(f"weil numerator must have constant term 1: {reprlib.repr(coeffs)}")
-        if len(coeffs) - 1 > 2 * genus:
-            raise GraphError(
-                f"weil numerator degree {len(coeffs) - 1} exceeds 2*genus = {2 * genus}"
-            )
-        return cls("weil", name, genus, numerator=coeffs)
+        return cls("weil", name, genus, numerator=tuple(int(c) for c in numerator))
 
 
 class Vertex(Record):
@@ -311,25 +314,20 @@ def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
     unknown = set(item) - allowed[kind]
     if unknown:
         raise GraphError(f"{where}: unknown model keys: {reprlib.repr(sorted(unknown))}")
-    try:
-        if kind == "symbolic":
-            model = CurveModel.symbolic(name, genus)
-        elif kind == "p1":
-            model = CurveModel.projective_line(name)
-        elif kind == "elliptic":
-            trace = item.get("trace")
-            if not _is_int(trace):
-                raise GraphError(f"{where}: elliptic model needs integer 'trace'")
-            model = CurveModel.elliptic(name, trace)
-        else:
-            numerator = item.get("numerator")
-            if not isinstance(numerator, list) or not all(map(_is_int, numerator)):
-                raise GraphError(f"{where}: weil model needs an integer list 'numerator'")
-            model = CurveModel.weil(name, numerator, genus)
-    except GraphError:
-        raise
-    except ValueError as exc:
-        raise GraphError(f"{where}: {exc}") from None
+    if kind == "symbolic":
+        model = CurveModel.symbolic(name, genus)
+    elif kind == "p1":
+        model = CurveModel.projective_line(name)
+    elif kind == "elliptic":
+        trace = item.get("trace")
+        if not _is_int(trace):
+            raise GraphError(f"{where}: elliptic model needs integer 'trace'")
+        model = CurveModel.elliptic(name, trace)
+    else:
+        numerator = item.get("numerator")
+        if not isinstance(numerator, list) or not all(map(_is_int, numerator)):
+            raise GraphError(f"{where}: weil model needs an integer list 'numerator'")
+        model = CurveModel.weil(name, numerator, genus)
     if model.genus != genus:
         raise GraphError(
             f"{where}: model genus {model.genus} does not match vertex genus"

@@ -1,34 +1,35 @@
 """Motivic measures: ring homomorphisms to concrete targets.
 
-A measure fixes an integer image for the Lefschetz class
-(``lefschetz_image``) and, per model id it knows about, the images of the
-model's symmetric-power generators in one call (``class_series``), then
-extends multiplicatively and additively.  A measure is applied in one
-place: ``zeta.leaf_images`` reads those images once per call, and the closed
-forms and the strata oracle are built from them directly in the target
-ring.  ``of_elem`` maps a finished symbolic expression, reading each
-generator's image from the same series; no CLI path calls it.  Applying a
-measure to a model it does not realize raises ``MeasureError`` naming the
-model's first generator, ``c[m,1]`` (``c[m,0]`` is the unit and needs no
-realization).
+A measure is a rule on curve models and holds no graph data.  It fixes an
+integer image for the Lefschetz class (``lefschetz_image``) and, for any
+``CurveModel``, the images of the model's symmetric-power generators in one
+call (``class_series(model, order)``), then extends multiplicatively and
+additively.  A measure is applied in one place: ``zeta.leaf_images`` calls
+``class_series`` once per model of the graph (``graph.models``), and the
+closed forms and the strata oracle are built from those images directly in
+the target ring.  ``of_elem(elem, models)`` maps a finished symbolic
+expression, reading each generator's image from the same series; no CLI
+path calls it.  A model the measure does not realize raises
+``MeasureError`` naming the model's first generator, ``c[m,1]`` (``c[m,0]``
+is the unit and needs no realization).
 
-* ``PointCount(q, numerators, genera)``: counting points over a field with
-  q elements.  ``L`` goes to q and ``c[m,d]`` to the ``t^d`` coefficient of
-  ``P_m(t) / ((1-t)(1-q t))`` for the model's Weil numerator ``P_m``.
-  ``point_count_for_graph(graph, q)`` takes each numerator from the graph's
-  own model, its one source: an elliptic or weil model declares it, and a
-  symbolic model has none.
-* ``EulerCharacteristic(genera)``: point counting at ``L -> 1`` with the
+* ``PointCount(q)``: counting points over a field with q elements.  ``L``
+  goes to q and ``c[m,d]`` to the ``t^d`` coefficient of
+  ``P(t) / ((1-t)(1-q t))``, ``P`` the model's Weil numerator: ``1`` for a
+  projective line, ``1 - a t + q t^2`` for an elliptic curve of trace ``a``
+  and the stored numerator of a weil model, checked against the functional
+  equation at q.  A symbolic model has none and is not realized.
+* ``EulerCharacteristic()``: point counting at ``L -> 1`` with the
   numerator ``(1-t)^(2g)``, so ``c[m,d]`` goes to the ``t^d`` coefficient of
-  ``(1-t)^(2g-2)``.
+  ``(1-t)^(2g-2)``; it realizes every model.
 * ``SymbolicIdentity()``: leaves expressions unchanged; its images are the
-  free generators ``L`` and ``c[m,d]`` themselves.
+  free generators ``L`` and ``c[m,d]`` themselves, and a projective line's
+  classes ``1 + L + ... + L^d``.
 
 Both integer measures share one ``class_series``: a model's classes are one
 expansion of its numerator over ``(1-t)(1-l t)``, with ``l`` the image of
 ``L`` (``class_rational``, expanded by ``RationalFn.series``).  The closed
-forms build a projective line's classes and each vertex zeta from the same
-``class_rational``.
+forms build each vertex zeta from the same ``class_rational``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import math
 import reprlib
 from collections.abc import Mapping, Sequence
 
-from .graph import DualGraph
-from .ring import Coeff, RationalFn, RingElem, lefschetz, sym_pow
+from .graph import CurveModel
+from .ring import Coeff, RationalFn, RingElem, lefschetz, one, sym_pow
 
 
 class MeasureError(ValueError):
@@ -113,32 +114,31 @@ def is_prime_power(value: int) -> bool:
 class MotivicMeasure:
     """Base class: integer-valued ring homomorphism.
 
-    A subclass fixes the image ``l`` of ``L`` (``lefschetz_image``) and an
-    integer numerator ``P_m`` per model it realizes (``_numerators``); the
-    model's classes are then the expansion of ``P_m(t) / ((1-t)(1-l t))``.
-    ``realm`` names the measure in messages.
+    A subclass fixes the image ``l`` of ``L`` (``lefschetz_image``) and a
+    rule that gives each curve model an integer numerator ``P``
+    (``_numerator``); the model's classes are then the expansion of
+    ``P(t) / ((1-t)(1-l t))``.  A measure holds no graph data.
     """
 
     name = "abstract"
-    realm: str
-    _numerators: Mapping[str, tuple[int, ...]]
 
     def lefschetz_image(self) -> int:
         raise NotImplementedError
 
-    def class_series(self, model: str, order: int) -> list[int]:
-        """Images of ``c[model,0]`` (the unit) through ``c[model,order]``."""
+    def _numerator(self, model: CurveModel) -> Sequence[int]:
+        raise NotImplementedError
+
+    def class_series(self, model: CurveModel, order: int) -> list[int]:
+        """Images of ``c[m,0]`` (the unit) through ``c[m,order]``, ``m`` the
+        model's id."""
         if order == 0:  # c[m,0] is the unit: no numerator needed
             return [1]
-        if model not in self._numerators:
-            raise MeasureError(
-                f"no realization for generator c[{reprlib.repr(model)[1:-1]},1]"
-                f" under {self.realm}"
-            )
-        expansion = class_rational(self._numerators[model], self.lefschetz_image())
+        expansion = class_rational(self._numerator(model), self.lefschetz_image())
         return list(expansion.series(order).coefficients())
 
-    def of_elem(self, elem: RingElem) -> int:
+    def of_elem(self, elem: RingElem, models: Mapping[str, CurveModel]) -> int:
+        """The image of ``elem``, its generators' models looked up in
+        ``models`` (a graph's ``models``)."""
         total = 0
         for mono, coeff in elem.terms():
             value = coeff
@@ -146,7 +146,7 @@ class MotivicMeasure:
                 if gen.model is None:
                     value *= self.lefschetz_image() ** exp
                 else:
-                    value *= self.class_series(gen.model, gen.degree)[gen.degree] ** exp
+                    value *= self.class_series(models[gen.model], gen.degree)[gen.degree] ** exp
             total += value
         return total
 
@@ -156,98 +156,68 @@ class SymbolicIdentity(MotivicMeasure):
 
     name = "symbolic"
 
-    def of_elem(self, elem: RingElem) -> RingElem:
+    def of_elem(self, elem: RingElem, models: Mapping[str, CurveModel]) -> RingElem:
         return elem
 
     def lefschetz_image(self) -> RingElem:
         return lefschetz()
 
-    def class_series(self, model: str, order: int) -> list[RingElem]:
-        return [sym_pow(model, d) for d in range(order + 1)]
+    def class_series(self, model: CurveModel, order: int) -> list[RingElem]:
+        """A projective line's classes ``1 + L + ... + L^d``; every other
+        model's free generators ``c[m,d]``."""
+        if model.kind == "p1":
+            return list(class_rational([one()], lefschetz()).series(order).coefficients())
+        return [sym_pow(model.name, d) for d in range(order + 1)]
 
 
 class EulerCharacteristic(MotivicMeasure):
     """Point counting at ``L -> 1``: a genus-g model's numerator is ``(1-t)^(2g)``."""
 
     name = "euler"
-    realm = "the Euler-characteristic measure"
-
-    def __init__(self, genera: Mapping[str, int] | None = None):
-        self._numerators = {
-            model: tuple((-1) ** d * math.comb(2 * genus, d) for d in range(2 * genus + 1))
-            for model, genus in (genera or {}).items()
-        }
 
     def lefschetz_image(self) -> int:
         return 1
+
+    def _numerator(self, model: CurveModel) -> tuple[int, ...]:
+        genus = model.genus
+        return tuple((-1) ** d * math.comb(2 * genus, d) for d in range(2 * genus + 1))
 
 
 class PointCount(MotivicMeasure):
     """Point counting over a field with ``q`` elements.
 
-    ``numerators`` maps model ids to Weil numerator coefficient lists,
-    ``genera`` to the corresponding genus, used to validate that the
-    numerator has degree at most 2g and satisfies the functional equation
-    when the degree is exactly 2g.
+    A projective line's numerator is ``1``, an elliptic curve's
+    ``1 - a t + q t^2`` and a weil model's the one it stores, which must
+    satisfy the functional equation at ``q`` when its degree is ``2g``.  A
+    symbolic model has none and raises ``MeasureError``.
     """
 
     name = "point-count"
 
-    def __init__(
-        self,
-        q: int,
-        numerators: Mapping[str, Sequence[int]] | None = None,
-        genera: Mapping[str, int] | None = None,
-    ):
+    def __init__(self, q: int):
         if not is_prime_power(q):
             raise ValueError(f"q must be a prime power >= 2, got {q}")
         self.q = q
-        self.realm = f"point counting with q = {q}"
-        self._numerators = {m: tuple(p) for m, p in (numerators or {}).items()}
-        genera = dict(genera or {})
-        for model, numerator in self._numerators.items():
-            if model not in genera:
-                raise ValueError(f"missing genus for model {model!r}")
-            self._validate_numerator(model, numerator, genera[model])
-
-    def _validate_numerator(self, model: str, numerator: tuple[int, ...], genus: int) -> None:
-        if not numerator or numerator[0] != 1:
-            raise ValueError(f"model {model!r}: numerator must have constant term 1")
-        degree = len(numerator) - 1
-        if degree > 2 * genus:
-            raise ValueError(
-                f"model {model!r}: numerator degree {degree} exceeds 2*genus = {2 * genus}"
-            )
-        if degree == 2 * genus and genus > 0:
-            for j in range(genus + 1):
-                if numerator[2 * genus - j] != numerator[j] * self.q ** (genus - j):
-                    raise ValueError(
-                        f"model {model!r}: numerator fails the functional equation"
-                        f" at degree {j}"
-                    )
 
     def lefschetz_image(self) -> int:
         return self.q
 
-
-def euler_for_graph(graph: DualGraph) -> EulerCharacteristic:
-    """Euler measure realizing every model of the graph."""
-    return EulerCharacteristic({name: model.genus for name, model in graph.models.items()})
-
-
-def point_count_for_graph(graph: DualGraph, q: int) -> PointCount:
-    """Point-count measure with numerators taken from the graph's models.
-
-    Elliptic models contribute ``1 - a t + q t^2`` and weil models their
-    stored numerator; projective lines need none.  A symbolic model has no
-    numerator and raises ``MeasureError`` when first applied: one that should
-    be counted is declared as a weil model.
-    """
-    numerators: dict[str, tuple[int, ...]] = {}
-    for name, model in graph.models.items():
+    def _numerator(self, model: CurveModel) -> tuple[int, ...]:
+        if model.kind == "p1":
+            return (1,)
         if model.kind == "elliptic":
-            numerators[name] = (1, -model.trace, q)
-        elif model.kind == "weil":
-            numerators[name] = model.numerator
-    genera = {name: model.genus for name, model in graph.models.items()}
-    return PointCount(q, numerators, genera)
+            return (1, -model.trace, self.q)
+        if model.kind == "symbolic":
+            raise MeasureError(
+                f"no realization for generator c[{reprlib.repr(model.name)[1:-1]},1]"
+                f" under point counting with q = {self.q}"
+            )
+        numerator, genus = model.numerator, model.genus
+        if len(numerator) - 1 == 2 * genus:
+            for j in range(genus + 1):
+                if numerator[2 * genus - j] != numerator[j] * self.q ** (genus - j):
+                    raise MeasureError(
+                        f"model {model.name!r}: numerator fails the functional equation"
+                        f" at degree {j}"
+                    )
+        return numerator

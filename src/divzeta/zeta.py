@@ -20,17 +20,16 @@ multiplied into each vertex's ``numerator / ((1-t)(1-L*t))``
 (``zeta_rational``).  ``zeta_series`` builds the same closed form as a
 series instead, the product of the truncated vertex series with the
 scalar's expansion.  Both take the product's leaves (``Leaves``): the image
-of ``L`` and, per model, the images of ``c[m,0], c[m,1], ...``; a projective
-line's classes are ``1 + L + ... + L^d``, the expansion of
-``1/((1-t)(1-L*t))`` at the image of ``L``.  A motivic measure is a ring
-homomorphism, so it is applied once, to the leaves (``leaf_images``), and a
+of ``L`` and, per model, the images of ``c[m,0], c[m,1], ...``.  A motivic
+measure is a ring homomorphism, so it is applied once, to the leaves
+(``leaf_images``, the measure's ``class_series`` of each model), and a
 builder run over them gives the measure's image of the symbolic closed form
 without expanding it; under ``SymbolicIdentity`` the leaves are the free
-generators.  Under a measure every class series is the expansion of its
-Weil numerator over ``(1-t)(1-l*t)``, so the rational form expands to the
-series at every order: the CLI builds the rational form alone and expands it
-by one recurrence, linear in the order, where the series product is
-quadratic.
+generators, and a projective line's classes ``1 + L + ... + L^d``.  Under a
+measure every class series is the expansion of its Weil numerator over
+``(1-t)(1-l*t)``, so the rational form expands to the series at every
+order: the CLI builds the rational form alone and expands it by one
+recurrence, linear in the order, where the series product is quadratic.
 
 For a vertex of genus g the rational form uses
 the numerator ``sum_d (c_d - (L+1) c_{d-1} + L c_{d-2}) t^d`` of degree 2g
@@ -84,20 +83,14 @@ def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves
 
     Each model's classes run through ``t^max(order, 2g)``: the series take
     the first ``order + 1``, and the rational form's vertex numerators the
-    first ``2g + 1``.  A projective line's classes are ``1 + L + ... + L^d``,
-    the expansion of ``1/((1-t)(1-L*t))`` in the ring of the image of ``L``;
-    every other model's come from the measure, and one it does not realize
-    to that degree raises ``MeasureError`` here.
+    first ``2g + 1``.  A model the measure does not realize to that degree
+    raises ``MeasureError`` here.
     """
-    lef = measure.lefschetz_image()
-    classes: dict[str, Sequence[Coeff]] = {}
-    for name, model in graph.models.items():
-        degree = max(order, 2 * model.genus)
-        if model.kind == "p1":
-            classes[name] = class_rational([lef**0], lef).series(degree).coefficients()
-        else:
-            classes[name] = measure.class_series(name, degree)
-    return Leaves(lef, classes)
+    classes = {
+        name: measure.class_series(model, max(order, 2 * model.genus))
+        for name, model in graph.models.items()
+    }
+    return Leaves(measure.lefschetz_image(), classes)
 
 
 # -- factors -------------------------------------------------------------------

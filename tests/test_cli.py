@@ -390,6 +390,34 @@ def test_numerators_is_not_an_option(graph_file, capsys):
         assert "divzeta: error: option --num" in captured.err
 
 
+# A genus-1 weil curve with one leg whose numerator satisfies the functional
+# equation at q = 3 and fails it at q = 7.
+WEIL_AT_3 = {"vertices": [vertex("e", 1, {"type": "weil", "numerator": [1, -2, 3]})],
+             "legs": ["e"]}
+
+
+def test_functional_equation_is_checked_where_the_measure_is_applied(graph_file, capsys):
+    # Point counting checks a weil numerator against the functional equation
+    # at --q when it reads the model's classes: compute and verify refuse it,
+    # and count-strata, which applies no measure, prints the counts.
+    path = graph_file(WEIL_AT_3)
+    counted = ["--input", path, "--measure", "point-count", "--max-degree", "3"]
+    for mode in ("compute", "verify"):
+        assert main([*counted, "--mode", mode, "--q", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "divzeta: model 'e': numerator fails the functional equation at degree 0\n"
+        )
+    assert main([*counted, "--mode", "count-strata", "--q", "7"]) == 0
+    counts = "graph: vertices=1 edges=0 legs=1 genus=1\nd=0: 1\nd=1: 2\nd=2: 4\nd=3: 8\n"
+    assert capsys.readouterr().out == counts
+    for mode in ("compute", "verify", "count-strata"):
+        assert main([*counted, "--mode", mode, "--q", "3"]) == 0, mode
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == "", mode
+
+
 def test_field_size_bounds(graph_file, capsys):
     elliptic = {"vertices": [vertex("e", 1, {"type": "elliptic", "trace": 0})],
                 "legs": ["e"]}
@@ -642,7 +670,7 @@ def test_a_measure_is_applied_once(graph_file, monkeypatch, measure):
     # leaves, as the same reports show.
     from divzeta import cli, measures, zeta
 
-    def refuse(self, elem):
+    def refuse(self, elem, models):
         raise AssertionError("a finished element was mapped")
 
     monkeypatch.setattr(measures.MotivicMeasure, "of_elem", refuse)

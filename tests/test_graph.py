@@ -147,6 +147,13 @@ def test_weil_model_validation():
         parse_graph(
             {"vertices": [vertex("a", 1, {"type": "weil", "numerator": [1, 0, 0, 5]})]}
         )
+    # Every weil model carries the checks, however it is built.
+    with pytest.raises(GraphError, match="constant term 1"):
+        CurveModel("weil", "e", 1, numerator=(2, 1, 5))
+    with pytest.raises(GraphError, match="constant term 1"):
+        CurveModel("weil", "e", 1)
+    with pytest.raises(GraphError, match="exceeds"):
+        CurveModel.weil("e", [1, 0, 0, 5], 1)
 
 
 def test_models_list_each_id_once_in_order_of_first_use():

@@ -1,6 +1,8 @@
 """Measure homomorphisms and integer specializations."""
 
+import functools
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -8,16 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divzeta.graph import CurveModel, parse_graph
+from divzeta.graph import CurveModel, DualGraph, Vertex, parse_graph
 from divzeta.measures import (
     PRIME_POWER_LIMIT,
     EulerCharacteristic,
     MeasureError,
     PointCount,
     SymbolicIdentity,
-    euler_for_graph,
     is_prime_power,
-    point_count_for_graph,
 )
 from divzeta.ring import RingElem, TruncSeries, lefschetz, one, sym_pow, zero
 from divzeta.strata import torus_class
@@ -109,60 +109,57 @@ def test_prime_power_test_is_fast_on_large_q():
 
 
 def test_point_count_validates_numerators():
-    PointCount(5, {"e": [1, -2, 5]}, {"e": 1})
-    PointCount(5, {"m": [1]}, {"m": 1})  # degree < 2g skips the equation
+    # A weil model's constant term and degree are checked by the model
+    # (tests/test_graph.py); the functional equation depends on q.
+    counting = PointCount(5)
+    counting.class_series(CurveModel.weil("e", [1, -2, 5], 1), 2)
+    counting.class_series(CurveModel.weil("m", [1], 1), 2)  # degree < 2g skips the equation
     with pytest.raises(ValueError, match="functional equation"):
-        PointCount(5, {"e": [1, -2, 3]}, {"e": 1})
-    with pytest.raises(ValueError, match="constant term"):
-        PointCount(5, {"e": [2, 1, 5]}, {"e": 1})
-    with pytest.raises(ValueError, match="exceeds"):
-        PointCount(5, {"e": [1, 0, 0, 5]}, {"e": 1})
-    with pytest.raises(ValueError, match="missing genus"):
-        PointCount(5, {"e": [1, -2, 5]})
+        counting.class_series(CurveModel.weil("e", [1, -2, 3], 1), 2)
 
 
 # -- generator images -------------------------------------------------------------
 
 
 def test_euler_kills_torus_classes():
-    euler = EulerCharacteristic({"m": 2})
-    assert euler.of_elem(torus_class(0)) == 1
+    euler = EulerCharacteristic()
+    assert euler.of_elem(torus_class(0), {}) == 1
     for m in range(1, 6):
-        assert euler.of_elem(torus_class(m)) == 0
+        assert euler.of_elem(torus_class(m), {}) == 0
 
 
 def test_euler_class_images():
-    euler = EulerCharacteristic({"g0": 0, "g1": 1, "g2": 2})
-    assert euler.class_series("g0", 3) == [1, 2, 3, 4]
-    assert euler.class_series("g1", 3) == [1, 0, 0, 0]
-    assert euler.class_series("g2", 3) == [1, -2, 1, 0]
+    euler = EulerCharacteristic()
+    assert euler.class_series(CurveModel.projective_line("g0"), 3) == [1, 2, 3, 4]
+    assert euler.class_series(CurveModel.symbolic("g0", 0), 3) == [1, 2, 3, 4]
+    assert euler.class_series(CurveModel.elliptic("g1", 2), 3) == [1, 0, 0, 0]
+    assert euler.class_series(CurveModel.symbolic("g2", 2), 3) == [1, -2, 1, 0]
 
 
 def test_point_count_projective_plane():
-    counting = PointCount(3, {"p1": [1]}, {"p1": 0})
-    assert counting.of_elem(sym_pow("p1", 2)) == 13
+    models = {"p1": CurveModel.projective_line("p1")}
+    assert PointCount(3).of_elem(sym_pow("p1", 2), models) == 13
 
 
 def test_point_count_elliptic_degree_one():
-    counting = PointCount(5, {"E": [1, -2, 5]}, {"E": 1})
-    assert counting.of_elem(sym_pow("E", 1)) == 4
+    models = {"E": CurveModel.elliptic("E", 2)}
+    assert PointCount(5).of_elem(sym_pow("E", 1), models) == 4
 
 
 def test_unrealized_generator_is_named():
     # A model is realized as a whole, so the first generator past the unit
-    # is named whichever degree was asked for.
-    counting = PointCount(3)
+    # is named whichever degree was asked for.  The Euler characteristic
+    # reads only the genus, so it realizes every model.
+    models = {"mystery": CurveModel.symbolic("mystery", 1)}
     with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
-        counting.of_elem(sym_pow("mystery", 2))
-    euler = EulerCharacteristic()
-    with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
-        euler.of_elem(sym_pow("mystery", 1))
+        PointCount(3).of_elem(sym_pow("mystery", 2), models)
+    assert EulerCharacteristic().of_elem(sym_pow("mystery", 1), models) == 0
 
 
 def test_identity_measure_passthrough():
     x = sym_pow("m", 2) * L - 3
     identity = SymbolicIdentity()
-    assert identity.of_elem(x) == x
+    assert identity.of_elem(x, {}) == x
 
 
 # -- homomorphism laws -------------------------------------------------------------
@@ -181,48 +178,52 @@ def ring_elems(draw):
     return total
 
 
-_MEASURES = [
-    EulerCharacteristic({"m": 2, "n": 1}),
-    PointCount(3, {"m": [1, 1, 1, 3, 9], "n": [1, -1, 3]}, {"m": 2, "n": 1}),
-]
+_MEASURES = [EulerCharacteristic(), PointCount(3)]
+_POOL_MODELS = {
+    "m": CurveModel.weil("m", [1, 1, 1, 3, 9], 2),
+    "n": CurveModel.weil("n", [1, -1, 3], 1),
+}
 
 
 @given(ring_elems(), ring_elems())
 @settings(max_examples=40, deadline=None)
 def test_measures_are_ring_homomorphisms(a, b):
     for measure in _MEASURES:
-        assert measure.of_elem(a * b) == measure.of_elem(a) * measure.of_elem(b)
-        assert measure.of_elem(a + b) == measure.of_elem(a) + measure.of_elem(b)
-        assert measure.of_elem(one()) == 1
+        image = functools.partial(measure.of_elem, models=_POOL_MODELS)
+        assert image(a * b) == image(a) * image(b)
+        assert image(a + b) == image(a) + image(b)
+        assert image(one()) == 1
 
 
 # -- specializations of zeta series -------------------------------------------------
 
 
 def test_point_count_of_p1_vertex_zeta_matches_weil_series():
-    series = vertex_zeta_series(CurveModel.projective_line("p"), 0, 8)
+    line = CurveModel.projective_line("p")
+    series = vertex_zeta_series(line, 0, 8)
     for q in (2, 3, 5):
         counting = PointCount(q)
-        assert [counting.of_elem(c) for c in series.coefficients()] == weil_series([1], q, 8)
+        image = [counting.of_elem(c, {"p": line}) for c in series.coefficients()]
+        assert image == weil_series([1], q, 8)
 
 
 def test_point_count_of_symbolic_vertex_zeta_matches_weil_series():
     series = vertex_zeta_series(CurveModel.symbolic("m", 1), 0, 6)
-    counting = PointCount(5, {"m": [1, -2, 5]}, {"m": 1})
-    assert [counting.of_elem(c) for c in series.coefficients()] == weil_series([1, -2, 5], 5, 6)
+    models = {"m": CurveModel.weil("m", [1, -2, 5], 1)}
+    image = [PointCount(5).of_elem(c, models) for c in series.coefficients()]
+    assert image == weil_series([1, -2, 5], 5, 6)
 
 
 def test_euler_image_of_divisorial_zeta_smoke():
     graph = loop_vertex(1)
-    euler = euler_for_graph(graph)
     # |E| + sum(2g-2) + punctures = 1 + 0 + 0.
     series = zeta_series(ZetaKind.DIVISORIAL, graph, 6, free_leaves(graph, 6))
-    image = [euler.of_elem(c) for c in series.coefficients()]
+    image = [EulerCharacteristic().of_elem(c, graph.models) for c in series.coefficients()]
     expected = [one_minus_t_coefficient(1, d) for d in range(7)]
     assert image == expected
 
 
-def test_point_count_for_graph_pulls_model_data():
+def test_point_count_reads_elliptic_and_weil_models():
     graph = parse_graph(
         {
             "vertices": [
@@ -232,18 +233,18 @@ def test_point_count_for_graph_pulls_model_data():
             "edges": [["u", "w"], ["u", "w"]],
         }
     )
-    counting = point_count_for_graph(graph, 5)
-    assert counting.of_elem(sym_pow("u", 1)) == 5 + 1 - 2
-    assert counting.of_elem(sym_pow("w", 1)) == 5 + 1
+    counting = PointCount(5)
+    assert counting.of_elem(sym_pow("u", 1), graph.models) == 5 + 1 - 2
+    assert counting.of_elem(sym_pow("w", 1), graph.models) == 5 + 1
 
 
-def test_point_count_for_graph_leaves_uncovered_models_unrealized():
+def test_point_count_leaves_symbolic_models_unrealized():
     graph = loop_vertex(1)
-    counting = point_count_for_graph(graph, 3)
+    counting = PointCount(3)
     with pytest.raises(MeasureError, match=r"c\[m,1\]"):
-        counting.of_elem(sym_pow("m", 1))
-    declared = point_count_for_graph(declare_weil(graph, {1: [1, -1, 3]}), 3)
-    assert declared.of_elem(sym_pow("m", 1)) == 3
+        counting.of_elem(sym_pow("m", 1), graph.models)
+    declared = declare_weil(graph, {1: [1, -1, 3]})
+    assert counting.of_elem(sym_pow("m", 1), declared.models) == 3
 
 
 def test_one_minus_t_coefficient():
@@ -292,9 +293,11 @@ _NUMERATOR_SETS = (
 
 
 def _integer_measures(graph):
-    yield euler_for_graph(graph)
+    """Each integer measure, with ``graph`` as that measure reads it: point
+    counting with the symbolic models declared as weil models."""
+    yield EulerCharacteristic(), graph
     for numerators in _NUMERATOR_SETS:
-        yield point_count_for_graph(declare_weil(graph, numerators), 5)
+        yield PointCount(5), declare_weil(graph, numerators)
 
 
 @pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_GRAPHS))
@@ -302,7 +305,7 @@ def test_measure_applied_early_equals_applied_late(name):
     graph = _DIFFERENTIAL_GRAPHS[name]
     order = 6
     measures = list(_integer_measures(graph))
-    leaves = [leaf_images(graph, measure, order) for measure in measures]
+    leaves = [leaf_images(declared, measure, order) for measure, declared in measures]
     free = free_leaves(graph, order)
     zero_leads = set()
     for kind in ZetaKind:
@@ -310,15 +313,16 @@ def test_measure_applied_early_equals_applied_late(name):
         fn = zeta_rational(kind, graph, free)
         # Symbolic factors never lose degree.
         assert fn.numerator[-1] != 0 and fn.denominator[-1] != 0
-        for measure, images in zip(measures, leaves):
-            early = zeta_series(kind, graph, order, images).coefficients()
+        for (measure, declared), images in zip(measures, leaves):
+            image = functools.partial(measure.of_elem, models=declared.models)
+            early = zeta_series(kind, declared, order, images).coefficients()
             assert all(type(c) is int for c in early)
-            late = [measure.of_elem(c) for c in series.coefficients()]
+            late = [image(c) for c in series.coefficients()]
             assert list(early) == late, (kind, measure.name)
             # Side by side at the symbolic lengths, zero leading coefficients too.
-            early_fn = zeta_rational(kind, graph, images)
-            assert early_fn.numerator == tuple(map(measure.of_elem, fn.numerator))
-            assert early_fn.denominator == tuple(map(measure.of_elem, fn.denominator))
+            early_fn = zeta_rational(kind, declared, images)
+            assert early_fn.numerator == tuple(map(image, fn.numerator))
+            assert early_fn.denominator == tuple(map(image, fn.denominator))
             if early_fn.numerator[-1] == 0:
                 zero_leads.add(kind)
     # The short genus-2 numerator sends the leading coefficient to zero.
@@ -337,10 +341,10 @@ def test_printed_rational_form_expands_to_the_printed_series(name):
     order = 40
     exact = min((2 * v.genus for v in graph.vertices if v.model.kind != "p1"), default=order)
     for kind in ZetaKind:
-        for measure in _integer_measures(graph):
-            leaves = leaf_images(graph, measure, order)
-            expansion = zeta_rational(kind, graph, leaves).series(order)
-            assert expansion == zeta_series(kind, graph, order, leaves), (kind, measure.name)
+        for measure, declared in _integer_measures(graph):
+            leaves = leaf_images(declared, measure, order)
+            expansion = zeta_rational(kind, declared, leaves).series(order)
+            assert expansion == zeta_series(kind, declared, order, leaves), (kind, measure.name)
         free = free_leaves(graph, exact)
         expansion = zeta_rational(kind, graph, free).series(exact)
         assert expansion == zeta_series(kind, graph, exact, free), kind
@@ -371,25 +375,29 @@ def _reference_numerators(q):
 def test_class_series_matches_the_per_coefficient_formula():
     for q in (2, 3, 4, 5, 7, 9):
         for genus, numerator in _reference_numerators(q):
-            counting = PointCount(q, {"m": numerator}, {"m": genus})
+            model = CurveModel.weil("m", numerator, genus)
             expected = [_weil_coefficient(numerator, q, d) for d in range(13)]
-            assert counting.class_series("m", 12) == expected, (q, numerator)
+            assert PointCount(q).class_series(model, 12) == expected, (q, numerator)
     for genus in range(4):
-        euler = EulerCharacteristic({"m": genus})
+        model = CurveModel.symbolic("m", genus)
         one_minus_t = TruncSeries.from_coeffs([1, -1], 12)
         if genus == 0:
             expansion = (one_minus_t**2).inverse()
         else:
             expansion = one_minus_t ** (2 * genus - 2)
-        assert euler.class_series("m", 12) == list(expansion.coefficients()), genus
-    assert SymbolicIdentity().class_series("m", 2) == [one(), sym_pow("m", 1), sym_pow("m", 2)]
+        expected = list(expansion.coefficients())
+        assert EulerCharacteristic().class_series(model, 12) == expected, genus
+    symbolic = CurveModel.symbolic("m", 2)
+    assert SymbolicIdentity().class_series(symbolic, 2) == [one(), sym_pow("m", 1), sym_pow("m", 2)]
+    line = CurveModel.projective_line("m")
+    assert SymbolicIdentity().class_series(line, 2) == [one(), 1 + L, 1 + L + L * L]
     # c[m,0] is the unit, so degree 0 needs no realization.
-    assert PointCount(3).class_series("mystery", 0) == [1]
-    assert EulerCharacteristic().class_series("mystery", 0) == [1]
+    mystery = CurveModel.symbolic("mystery", 1)
+    assert PointCount(3).class_series(mystery, 0) == [1]
+    assert EulerCharacteristic().class_series(mystery, 0) == [1]
     with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
-        PointCount(3).class_series("mystery", 2)
-    with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
-        EulerCharacteristic().class_series("mystery", 2)
+        PointCount(3).class_series(mystery, 2)
+    assert EulerCharacteristic().class_series(mystery, 2) == [1, 0, 0]  # reads the genus alone
 
 
 def test_integer_class_series_match_the_kept_weil_series():
@@ -398,12 +406,70 @@ def test_integer_class_series_match_the_kept_weil_series():
     for order in range(41):
         for q in (2, 3, 4, 5, 7, 9):
             for genus, numerator in _reference_numerators(q):
-                counting = PointCount(q, {"m": numerator}, {"m": genus})
-                assert counting.class_series("m", order) == weil_series(numerator, q, order)
+                model = CurveModel.weil("m", numerator, genus)
+                assert PointCount(q).class_series(model, order) == weil_series(numerator, q, order)
         for genus in range(7):
             numerator = [one_minus_t_coefficient(2 * genus, d) for d in range(2 * genus + 1)]
-            euler = EulerCharacteristic({"m": genus})
-            assert euler.class_series("m", order) == weil_series(numerator, 1, order), genus
+            model = CurveModel.symbolic("m", genus)
+            expected = weil_series(numerator, 1, order)
+            assert EulerCharacteristic().class_series(model, order) == expected, genus
+
+
+@st.composite
+def _counted_models(draw, q):
+    """A curve model, and the Weil numerator point counting at ``q`` gives it
+    (None for a symbolic model, which has none)."""
+    kind = draw(st.sampled_from(["p1", "elliptic", "weil", "symbolic"]))
+    if kind == "p1":
+        return CurveModel.projective_line("m"), [1]
+    if kind == "elliptic":
+        bound = math.isqrt(4 * q)  # |a| <= 2 sqrt(q)
+        trace = draw(st.integers(-bound, bound))
+        return CurveModel.elliptic("m", trace), [1, -trace, q]
+    genus = draw(st.integers(0, 3))
+    if kind == "symbolic":
+        return CurveModel.symbolic("m", genus), None
+    coefficients = st.integers(-9, 9)
+    if draw(st.booleans()):  # degree 2g: the rest is fixed by the functional equation
+        head = [1, *draw(st.lists(coefficients, min_size=genus, max_size=genus))]
+        tail = [head[2 * genus - k] * q ** (k - genus) for k in range(genus + 1, 2 * genus + 1)]
+        numerator = head + tail
+    else:
+        numerator = [1, *draw(st.lists(coefficients, max_size=max(2 * genus - 1, 0)))]
+    return CurveModel.weil("m", numerator, genus), numerator
+
+
+def _leaf_classes(graph, measure, order):
+    try:
+        leaves = leaf_images(graph, measure, order)
+    except MeasureError as exc:
+        return str(exc)
+    return leaves.lefschetz, leaves.classes
+
+
+@given(st.sampled_from([2, 3, 4, 5, 7, 9]), st.integers(0, 40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_an_integer_measure_is_a_rule_on_the_model(q, order, data):
+    # The numerator depends on the model alone, so one measure serves every
+    # graph: two graphs that give the id "m" different curves get the leaves
+    # a fresh measure gives each.
+    pairs = [data.draw(_counted_models(q)) for _ in range(2)]
+    for model, numerator in pairs:
+        counting = PointCount(q)
+        if numerator is not None:
+            assert counting.class_series(model, order) == weil_series(numerator, q, order)
+        elif order == 0:
+            assert counting.class_series(model, order) == [1]
+        else:
+            with pytest.raises(MeasureError, match=r"c\[m,1\]"):
+                counting.class_series(model, order)
+        row = [one_minus_t_coefficient(2 * model.genus, d) for d in range(2 * model.genus + 1)]
+        assert EulerCharacteristic().class_series(model, order) == weil_series(row, 1, order)
+    graphs = [DualGraph((Vertex("v", model.genus, model),), (), ()) for model, _ in pairs]
+    for make in (EulerCharacteristic, functools.partial(PointCount, q)):
+        shared = make()
+        once = [_leaf_classes(graph, shared, order) for graph in graphs]
+        assert once == [_leaf_classes(graph, make(), order) for graph in graphs]
 
 
 # -- point counts of real curves --------------------------------------------------
@@ -490,7 +556,7 @@ def test_weil_series_counts_divisors_on_real_elliptic_curves(p):
             {"vertices": [vertex("v", 1, {"type": "elliptic", "id": "e", "trace": trace})],
              "legs": ["v"]}
         )
-        assert point_count_for_graph(graph, p).class_series("e", 3) == expected, (a, b)
+        assert PointCount(p).class_series(graph.models["e"], 3) == expected, (a, b)
 
 
 # (p, f): y^2 = f(x) is smooth over F_p (f squarefree mod p), coefficients of
@@ -521,4 +587,4 @@ def test_weil_series_counts_divisors_through_degree_four(p, f):
     expected = _effective_divisors(counts, 4)
     assert weil_series(numerator, p, 4) == expected
     graph = parse_graph({"vertices": [vertex("v", genus, model)], "legs": ["v"]})
-    assert point_count_for_graph(graph, p).class_series("c", 4) == expected
+    assert PointCount(p).class_series(graph.models["c"], 4) == expected

@@ -8,12 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divzeta.graph import CurveModel, DualGraph, GraphError, Vertex, parse_graph
-from divzeta.measures import (
-    MeasureError,
-    SymbolicIdentity,
-    euler_for_graph,
-    point_count_for_graph,
-)
+from divzeta.measures import EulerCharacteristic, MeasureError, PointCount, SymbolicIdentity
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sum_elems, sym_pow
 from divzeta.strata import (
     StablePair,
@@ -332,20 +327,22 @@ _NUMERATORS = {
 
 
 def _oracle_measures(graph):
-    yield euler_for_graph(graph)
+    """Each integer measure, with ``graph`` as that measure reads it: point
+    counting with the symbolic models declared as weil models."""
+    yield EulerCharacteristic(), graph
     for q, numerators in _NUMERATORS.items():
-        yield point_count_for_graph(declare_weil(graph, numerators), q)
+        yield PointCount(q), declare_weil(graph, numerators)
 
 
 def test_oracle_refuses_an_unrealized_model_at_every_order():
     # The leaves reach t^2g, as the closed form's do, so degree 0 fails too.
     graph = marked_curve(2)
-    counting = point_count_for_graph(graph, 3)
+    counting = PointCount(3)
     for order in (0, 3):
         with pytest.raises(MeasureError, match=r"c\[m,1\]"):
             leaf_images(graph, counting, order)
     declared = declare_weil(graph, {2: [1, -1]})
-    leaves = leaf_images(declared, point_count_for_graph(declared, 3), 0)
+    leaves = leaf_images(declared, counting, 0)
     series = divisor_series_from_strata(declared, 0, leaves)
     assert series.order == 0 and series[0] == 1
 
@@ -360,11 +357,12 @@ def test_oracle_series_matches_oracle_classes(name):
         assert series[degree] == divisor_class_from_strata(graph, degree)
     # The measure applied to each slot's classes (early) or to the symbolic
     # coefficients (late) gives the same integers.
-    for measure in _oracle_measures(graph):
-        leaves = leaf_images(graph, measure, order)
-        early = divisor_series_from_strata(graph, order, leaves).coefficients()
+    for measure, declared in _oracle_measures(graph):
+        leaves = leaf_images(declared, measure, order)
+        early = divisor_series_from_strata(declared, order, leaves).coefficients()
         assert all(type(c) is int for c in early)
-        assert list(early) == [measure.of_elem(c) for c in series.coefficients()], measure.name
+        late = [measure.of_elem(c, declared.models) for c in series.coefficients()]
+        assert list(early) == late, measure.name
 
 
 def _punctured_vertex(v, holes):
@@ -386,17 +384,18 @@ def test_vertex_factor_is_the_punctured_classes(name):
         classes = [punctured_sym_class(v.model, holes, d) for d in range(order + 1)]
         factor = divisor_series_from_strata(alone, order, free_leaves(alone, order))
         assert list(factor.coefficients()) == classes, v.id
-        for measure in _oracle_measures(graph):
-            leaves = leaf_images(alone, measure, order)
-            image = divisor_series_from_strata(alone, order, leaves).coefficients()
-            assert list(image) == [measure.of_elem(c) for c in classes], (v.id, measure.name)
+        for measure, declared in _oracle_measures(alone):
+            leaves = leaf_images(declared, measure, order)
+            image = divisor_series_from_strata(declared, order, leaves).coefficients()
+            late = [measure.of_elem(c, declared.models) for c in classes]
+            assert list(image) == late, (v.id, measure.name)
 
 
 def _chain_series_reference(order, measure):
     """The chain series as the oracle built it from symbolic torus classes,
     each mapped by the measure as a finished element."""
-    tori = [-measure.of_elem(torus_class(a - 1)) for a in range(1, order + 1)]
-    return TruncSeries([measure.of_elem(one())] + tori).inverse()
+    tori = [-measure.of_elem(torus_class(a - 1), {}) for a in range(1, order + 1)]
+    return TruncSeries([measure.of_elem(one(), {})] + tori).inverse()
 
 
 @given(st.integers(0, 16), st.sampled_from(["symbolic", "euler", 2, 3, 4, 5, 7, 8, 9, 25, 27]))
@@ -408,9 +407,9 @@ def test_chain_series_from_the_leaves_is_the_measured_torus_series(order, which)
     if which == "symbolic":
         measure = SymbolicIdentity()
     elif which == "euler":
-        measure = euler_for_graph(graph)
+        measure = EulerCharacteristic()
     else:
-        measure = point_count_for_graph(graph, which)
+        measure = PointCount(which)
     leaves = leaf_images(graph, measure, order)
     assert _chain_series(order, leaves) == _chain_series_reference(order, measure)
 
@@ -435,7 +434,7 @@ def test_oracle_product_order_is_immaterial(name):
     # The oracle multiplies the vertex factors first and the chain series in
     # last as one power; the slot-by-slot product must give the same series.
     graph = _ORDER_GRAPHS[name]
-    for order, measure in [(10, SymbolicIdentity()), (40, euler_for_graph(graph))]:
+    for order, measure in [(10, SymbolicIdentity()), (40, EulerCharacteristic())]:
         leaves = leaf_images(graph, measure, order)
         series = divisor_series_from_strata(graph, order, leaves)
         assert series == _factor_by_factor(graph, order, leaves), measure.name

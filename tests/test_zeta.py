@@ -1,11 +1,14 @@
 """Closed-form zeta constructors and their algebraic identities."""
 
+import math
+
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divzeta.graph import CurveModel, GraphError, parse_graph
-from divzeta.measures import euler_for_graph
+from divzeta.graph import CurveModel, GraphError, parse_graph, total_genus
+from divzeta.measures import EulerCharacteristic, PointCount
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sym_pow
 from divzeta.zeta import (
     ZetaKind,
@@ -274,7 +277,7 @@ def test_leaves_reach_the_order_and_twice_the_genus():
         {"vertices": [vertex("u", 2), vertex("w", 0, {"type": "p1"})], "edges": [["u", "w"]] * 3}
     )
     for order, lengths in ((0, (5, 1)), (3, (5, 4)), (7, (8, 8))):
-        leaves = leaf_images(graph, euler_for_graph(graph), order)
+        leaves = leaf_images(graph, EulerCharacteristic(), order)
         assert tuple(map(len, leaves.classes.values())) == lengths
 
 
@@ -282,18 +285,19 @@ def test_leaves_reach_the_order_and_twice_the_genus():
 
 
 @st.composite
-def punctured_graphs(draw):
+def punctured_graphs(draw, kinds=("p1", "elliptic", "symbolic"), max_punctures=2, max_trace=2):
     """1-3 vertices on a path, with loops, multi-edges, legs and punctures,
-    each a projective line, an elliptic curve or a symbolic curve."""
+    each a projective line, an elliptic curve (``|trace| <= max_trace``) or
+    a symbolic curve, as ``kinds`` allows."""
     ids = ["u", "v", "w"][: draw(st.integers(1, 3))]
     vertices = []
     for vid in ids:
-        kind = draw(st.sampled_from(["p1", "elliptic", "symbolic"]))
+        kind = draw(st.sampled_from(kinds))
         genus = {"p1": 0, "elliptic": 1}.get(kind, draw(st.integers(0, 2)))
         model = {"type": kind}
         if kind == "elliptic":
-            model["trace"] = draw(st.integers(-2, 2))
-        vertices.append(vertex(vid, genus, model, draw(st.integers(0, 2))))
+            model["trace"] = draw(st.integers(-max_trace, max_trace))
+        vertices.append(vertex(vid, genus, model, draw(st.integers(0, max_punctures))))
     ends = st.sampled_from(ids)
     extra = draw(st.lists(st.tuples(ends, ends).map(list), max_size=2))
     document = {
@@ -316,6 +320,33 @@ def test_euler_image_is_macdonald_formula(graph):
     chi = sum(2 - 2 * v.genus - v.punctures for v in graph.vertices) - graph.num_edges
     one_minus_t = RationalFn([1, -1], [1])
     expected = one_minus_t**-chi if chi <= 0 else RationalFn([1], [1, -1]) ** chi
-    leaves = leaf_images(graph, euler_for_graph(graph), 0)
+    leaves = leaf_images(graph, EulerCharacteristic(), 0)
     for kind in (ZetaKind.DIVISORIAL, ZetaKind.KAPRANOV_NODAL):
         assert zeta_rational(kind, graph, leaves) == expected
+
+
+# -- the functional equation of the Hilbert zeta under point counting ----------------
+
+_t = sympy.Symbol("t")
+
+
+def _as_sympy(fn):
+    """An integer ``RationalFn`` as a sympy rational function of ``t``."""
+    numerator = sum(c * _t**i for i, c in enumerate(fn.numerator))
+    return numerator / sum(c * _t**i for i, c in enumerate(fn.denominator))
+
+
+@given(st.sampled_from([2, 3, 4, 5, 7, 9]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_hilbert_zeta_satisfies_the_functional_equation(q, data):
+    # Over F_q the Hilbert zeta of a nodal curve of arithmetic genus g_a
+    # without punctures satisfies Z(1/(qt)) = q^(1-g_a) t^(2-2g_a) Z(t): each
+    # component's zeta does with its own genus, and each node's factor
+    # 1 - t + q t^2 goes to itself over q t^2.
+    graph = data.draw(punctured_graphs(("p1", "elliptic"), 0, math.isqrt(4 * q)))
+    leaves = leaf_images(graph, PointCount(q), 0)
+    zeta = _as_sympy(zeta_rational(ZetaKind.HILBERT, graph, leaves))
+    genus = total_genus(graph)
+    dual = zeta.subs(_t, 1 / (q * _t))
+    scale = sympy.Integer(q) ** (1 - genus) * _t ** (2 - 2 * genus)
+    assert sympy.cancel(dual - scale * zeta) == 0
