@@ -21,9 +21,9 @@ A measure is a rule on curve models (``_build_measure`` takes only
 ``--measure`` and ``--q``).  Under ``point-count`` each curve's Weil
 numerator comes from its model in the graph, its one source: no option
 supplies one, a symbolic model is not realized, and a weil numerator that
-fails the functional equation at ``--q`` is refused (exit 2) when
-``compute`` or ``verify`` reads the leaves.  ``count-strata`` applies no
-measure.
+fails the functional equation at ``--q``, or a genus-1 curve past the Hasse
+bound, is refused (exit 2) when ``compute`` or ``verify`` reads the leaves.
+``count-strata`` applies no measure.
 
 Each mode builds one report of raw values (``RingElem`` or ``int``) under a
 shared ``graph``/``mode`` header; it is written either as indented JSON, ring

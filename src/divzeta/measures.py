@@ -11,14 +11,18 @@ the target ring.  ``of_elem(elem, models)`` maps a finished symbolic
 expression, reading each generator's image from the same series; no CLI
 path calls it.  A model the measure does not realize raises
 ``MeasureError`` naming the model's first generator, ``c[m,1]`` (``c[m,0]``
-is the unit and needs no realization).
+is the unit and needs no realization); so does a generator that ``of_elem``
+finds no model for in ``models``.
 
 * ``PointCount(q)``: counting points over a field with q elements.  ``L``
   goes to q and ``c[m,d]`` to the ``t^d`` coefficient of
   ``P(t) / ((1-t)(1-q t))``, ``P`` the model's Weil numerator: ``1`` for a
   projective line, ``1 - a t + q t^2`` for an elliptic curve of trace ``a``
   and the stored numerator of a weil model, checked against the functional
-  equation at q.  A symbolic model has none and is not realized.
+  equation at q.  A numerator ``1 - a t + q t^2`` of genus 1, elliptic or
+  weil, must also satisfy the Hasse bound ``a^2 <= 4q``; the Riemann
+  hypothesis is not checked in higher genus.  A symbolic model has none and
+  is not realized.
 * ``EulerCharacteristic()``: point counting at ``L -> 1`` with the
   numerator ``(1-t)^(2g)``, so ``c[m,d]`` goes to the ``t^d`` coefficient of
   ``(1-t)^(2g-2)``; it realizes every model.
@@ -138,15 +142,21 @@ class MotivicMeasure:
 
     def of_elem(self, elem: RingElem, models: Mapping[str, CurveModel]) -> int:
         """The image of ``elem``, its generators' models looked up in
-        ``models`` (a graph's ``models``)."""
+        ``models`` (a graph's ``models``); a generator whose model is not
+        there raises ``MeasureError`` naming it."""
         total = 0
         for mono, coeff in elem.terms():
             value = coeff
             for gen, exp in mono:
                 if gen.model is None:
                     value *= self.lefschetz_image() ** exp
-                else:
-                    value *= self.class_series(models[gen.model], gen.degree)[gen.degree] ** exp
+                    continue
+                model = models.get(gen.model)
+                if model is None:
+                    raise MeasureError(
+                        f"no model for generator c[{reprlib.repr(gen.model)[1:-1]},{gen.degree}]"
+                    )
+                value *= self.class_series(model, gen.degree)[gen.degree] ** exp
             total += value
         return total
 
@@ -188,8 +198,10 @@ class PointCount(MotivicMeasure):
 
     A projective line's numerator is ``1``, an elliptic curve's
     ``1 - a t + q t^2`` and a weil model's the one it stores, which must
-    satisfy the functional equation at ``q`` when its degree is ``2g``.  A
-    symbolic model has none and raises ``MeasureError``.
+    satisfy the functional equation at ``q`` when its degree is ``2g``.  In
+    genus 1 that numerator is ``1 - a t + q t^2`` for both kinds, and a trace
+    past the Hasse bound ``a^2 <= 4q`` raises ``MeasureError``: no curve has
+    it.  A symbolic model has none and raises ``MeasureError``.
     """
 
     name = "point-count"
@@ -205,19 +217,27 @@ class PointCount(MotivicMeasure):
     def _numerator(self, model: CurveModel) -> tuple[int, ...]:
         if model.kind == "p1":
             return (1,)
-        if model.kind == "elliptic":
-            return (1, -model.trace, self.q)
         if model.kind == "symbolic":
             raise MeasureError(
                 f"no realization for generator c[{reprlib.repr(model.name)[1:-1]},1]"
                 f" under point counting with q = {self.q}"
             )
-        numerator, genus = model.numerator, model.genus
-        if len(numerator) - 1 == 2 * genus:
-            for j in range(genus + 1):
-                if numerator[2 * genus - j] != numerator[j] * self.q ** (genus - j):
-                    raise MeasureError(
-                        f"model {model.name!r}: numerator fails the functional equation"
-                        f" at degree {j}"
-                    )
+        genus = model.genus
+        if model.kind == "elliptic":
+            numerator = (1, -model.trace, self.q)
+        else:
+            numerator = model.numerator
+            if len(numerator) - 1 == 2 * genus:
+                for j in range(genus + 1):
+                    if numerator[2 * genus - j] != numerator[j] * self.q ** (genus - j):
+                        raise MeasureError(
+                            f"model {reprlib.repr(model.name)}: numerator fails the"
+                            f" functional equation at degree {j}"
+                        )
+        # A genus-1 numerator of degree 2 is 1 - a t + q t^2, q fixed by now.
+        if genus == 1 and len(numerator) == 3 and numerator[1] ** 2 > 4 * self.q:
+            raise MeasureError(
+                f"model {reprlib.repr(model.name)}: trace {-numerator[1]} is outside the"
+                f" Hasse bound |a| <= 2 sqrt(q) at q = {self.q}"
+            )
         return numerator

@@ -29,6 +29,10 @@ Series products and the products of the sides of rational functions share
 one multiply-accumulate kernel, after the same paper: a coefficient
 ``sum_i a[i]*b[d-i]`` adds every term product of every pair into one dict,
 with no intermediate ``RingElem``; over the integers it is a plain ``sum``.
+It skips a pair with a zero side and multiplies a constant monomial without
+a merge, and still inserts the terms in the order of the plain double loop:
+that order is where the display sort of ``str`` starts, so it fixes the
+cost of rendering.
 Every expansion of a rational function in ``t``, a series inverse included,
 is one linear recurrence over the same kernel (``_expand_coeffs``).
 
@@ -437,15 +441,26 @@ def _dot(xs: Iterable[RingElem], ys: Iterable[RingElem]) -> RingElem:
     """``sum(x * y for x, y in zip(xs, ys))`` for ``RingElem`` coefficients.
 
     The multiply-accumulate kernel of the t-layers: every term product of
-    every pair goes into one dict, with no intermediate ``RingElem``.
+    every pair goes into one dict, with no intermediate ``RingElem``.  A
+    pair with a zero side adds nothing and is skipped, and a term whose
+    monomial is the constant ``()`` multiplies without ``_mono_mul``; the
+    terms still go in in the order of the plain double loop, which sets the
+    term order of every product and with it the cost of sorting for display.
     """
     total: dict[Monomial, int] = {}
     get = total.get
     for x, y in zip(xs, ys):
-        y_terms = y._terms.items()
-        for mono_a, coeff_a in x._terms.items():
-            for mono_b, coeff_b in y_terms:
-                mono = _mono_mul(mono_a, mono_b)
+        x_terms, y_terms = x._terms, y._terms
+        if not x_terms or not y_terms:
+            continue
+        y_items = y_terms.items()
+        for mono_a, coeff_a in x_terms.items():
+            if not mono_a:
+                for mono_b, coeff_b in y_items:
+                    total[mono_b] = get(mono_b, 0) + coeff_a * coeff_b
+                continue
+            for mono_b, coeff_b in y_items:
+                mono = _mono_mul(mono_a, mono_b) if mono_b else mono_a
                 total[mono] = get(mono, 0) + coeff_a * coeff_b
     return RingElem(total)
 

@@ -21,13 +21,15 @@ all pairs of degree d is the ``t^d`` coefficient of a product of per-slot
 series.  ``divisor_series_from_strata`` evaluates that product for every
 degree at once, in the ring of the leaves it is given (``zeta.leaf_images``,
 the same leaves the closed form reads), so a measured product runs over the
-integers and the measure is never applied here.  A vertex's factor starts
-from its model's classes; the punctures, the chain series (built from the
-image of ``L``) and their product are the oracle's own, independent of the
-closed form's graph scalar.  Every edge and leg has the same chain series,
-so it enters last as one power, after the vertex factors are multiplied
-together.  ``divisor_class_from_strata`` is its symbolic coefficient of one
-degree.
+integers and the measure is never applied here.  A vertex's factor is its
+model's classes times ``(1-t)`` per hole; the punctures, the chain series
+(built from the image of ``L``) and their product are the oracle's own,
+independent of the closed form's graph scalar.  The product is reordered by
+commutativity alone: the narrow factors, which hold only ``L``, are
+multiplied first (``(1-t)`` to the total number of holes, and the one chain
+series every edge and leg shares, to the power ``|E|+n``), the vertex
+classes are multiplied together, and one wide product joins the two.
+``divisor_class_from_strata`` is its symbolic coefficient of one degree.
 ``stable_pair_count`` counts the pairs of every degree from the same
 factorization, with the per-slot series in closed form, as one expansion of
 a rational function; ``stable_pairs`` and ``stratum_class`` are the literal
@@ -166,14 +168,14 @@ def stable_pair_count(graph: DualGraph, order: int) -> list[int]:
 
 def torus_class(m: int, lef: Coeff | None = None) -> Coeff:
     """Class of the m-th symmetric power of the one-dimensional torus,
-    ``1`` and then ``L^m - L^(m-1)``, at ``lef`` the image of ``L`` (``L``
-    itself by default)."""
+    ``1`` and then ``L^(m-1) * (L - 1)``, one power, at ``lef`` the image of
+    ``L`` (``L`` itself by default)."""
     if m < 0:
         raise ValueError("symmetric-power index must be nonnegative")
     lef = lefschetz() if lef is None else lef
     if m == 0:
         return lef**0
-    return lef**m - lef ** (m - 1)
+    return lef ** (m - 1) * (lef - 1)
 
 
 @lru_cache(maxsize=None)
@@ -233,10 +235,12 @@ def divisor_series_from_strata(graph: DualGraph, order: int, leaves: Leaves) -> 
     ``sum_d punctured_sym_class(model, holes, d) t^d`` per vertex and one
     chain series of torus classes per edge and leg.  A vertex's series is
     its model's classes (``leaves``, from ``leaf_images(graph, measure,
-    order)``), the vertex zeta, times ``(1-t)^holes``, one product for every
-    degree at once.  The chain series is multiplied in last, raised to
-    ``|E|+n`` by repeated squaring: symbolically its coefficients hold only
-    ``L``, so the power stays narrow and one wide product replaces ``|E|+n``.
+    order)``), the vertex zeta, times ``(1-t)^holes``.  The factors are
+    regrouped by commutativity, every degree at once: ``(1-t)^H``, ``H``
+    the holes of all vertices together, times the chain series to the power
+    ``|E|+n``, both by repeated squaring, is the narrow part, whose
+    coefficients hold only ``L`` symbolically; the vertex classes multiplied
+    together are the wide part; and one wide-by-narrow product joins them.
     A measure is a ring homomorphism, so the product over its leaves is its
     image of the symbolic product.  Under ``SymbolicIdentity`` the ``t^d``
     coefficient equals, term for term, the sum of ``stratum_class`` over
@@ -244,16 +248,19 @@ def divisor_series_from_strata(graph: DualGraph, order: int, leaves: Leaves) -> 
     """
     if order < 0:
         raise ValueError("degree must be nonnegative")
-    punctured = TruncSeries.from_coeffs([leaves.one, -leaves.one], order)
-    factors = [
-        TruncSeries(leaves.classes[v.model.name][: order + 1]) * punctured ** _holes(graph, v)
-        for v in graph.vertices
-    ]
-    product = reduce(operator.mul, factors)
+    holes = sum(_holes(graph, v) for v in graph.vertices)
+    narrow = TruncSeries.from_coeffs([leaves.one, -leaves.one], order) ** holes
     chains = graph.num_edges + graph.num_legs
     if chains:
-        product = product * _chain_series(order, leaves) ** chains
-    return product
+        narrow = narrow * _chain_series(order, leaves) ** chains
+    wide = reduce(
+        operator.mul,
+        (TruncSeries(leaves.classes[v.model.name][: order + 1]) for v in graph.vertices),
+    )
+    # Narrow on the left, as in zeta_series: each coefficient then meets the
+    # vertex classes from the highest degree down, near the display order
+    # (larger class generators first), so the sort in str() does less.
+    return narrow * wide
 
 
 def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:

@@ -118,6 +118,27 @@ def test_point_count_validates_numerators():
         counting.class_series(CurveModel.weil("e", [1, -2, 3], 1), 2)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
+def test_point_count_enforces_the_hasse_bound_in_genus_one(q):
+    # A genus-1 numerator 1 - a t + q t^2 comes from a curve only when
+    # a^2 <= 4q, for an elliptic model and a weil model alike.
+    bound = math.isqrt(4 * q)
+    for trace in (-bound, bound):
+        assert PointCount(q).class_series(CurveModel.elliptic("e", trace), 1)[1] == q + 1 - trace
+        weil = CurveModel.weil("w", [1, -trace, q], 1)
+        assert PointCount(q).class_series(weil, 1)[1] == q + 1 - trace
+    for trace in (-bound - 1, bound + 1, 100):
+        message = rf"model 'e': trace {trace} is outside the Hasse bound .* at q = {q}$"
+        with pytest.raises(MeasureError, match=message):
+            PointCount(q).class_series(CurveModel.elliptic("e", trace), 1)
+        with pytest.raises(MeasureError, match=message):
+            PointCount(q).class_series(CurveModel.weil("e", [1, -trace, q], 1), 1)
+    # Degree below 2g, and genus 2, are not checked against the bound.
+    assert PointCount(q).class_series(CurveModel.weil("e", [1, 100], 1), 1)[1] == q + 101
+    genus_2 = CurveModel.weil("w", [1, 100, 0, 100 * q, q * q], 2)
+    assert PointCount(q).class_series(genus_2, 1)[1] == q + 101
+
+
 # -- generator images -------------------------------------------------------------
 
 
@@ -154,6 +175,19 @@ def test_unrealized_generator_is_named():
     with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
         PointCount(3).of_elem(sym_pow("mystery", 2), models)
     assert EulerCharacteristic().of_elem(sym_pow("mystery", 1), models) == 0
+
+
+def test_a_generator_without_a_model_is_named():
+    # of_elem looks each generator's model up in the models it is given; a
+    # missing one is a MeasureError naming the generator, not a KeyError.
+    for measure in (EulerCharacteristic(), PointCount(3)):
+        with pytest.raises(MeasureError, match=r"c\[mystery,2\]"):
+            measure.of_elem(L + sym_pow("mystery", 2), {})
+    assert EulerCharacteristic().of_elem(3 * L, {}) == 3
+    long_id = "m" * 10_000
+    with pytest.raises(MeasureError) as caught:
+        EulerCharacteristic().of_elem(sym_pow(long_id, 1), {})
+    assert len(str(caught.value)) < 100
 
 
 def test_identity_measure_passthrough():
@@ -418,7 +452,8 @@ def test_integer_class_series_match_the_kept_weil_series():
 @st.composite
 def _counted_models(draw, q):
     """A curve model, and the Weil numerator point counting at ``q`` gives it
-    (None for a symbolic model, which has none)."""
+    (None for a symbolic model, which has none).  A genus-1 weil numerator
+    may break the Hasse bound."""
     kind = draw(st.sampled_from(["p1", "elliptic", "weil", "symbolic"]))
     if kind == "p1":
         return CurveModel.projective_line("m"), [1]
@@ -456,13 +491,16 @@ def test_an_integer_measure_is_a_rule_on_the_model(q, order, data):
     pairs = [data.draw(_counted_models(q)) for _ in range(2)]
     for model, numerator in pairs:
         counting = PointCount(q)
-        if numerator is not None:
-            assert counting.class_series(model, order) == weil_series(numerator, q, order)
-        elif order == 0:
+        if order == 0:
             assert counting.class_series(model, order) == [1]
-        else:
+        elif numerator is None:
             with pytest.raises(MeasureError, match=r"c\[m,1\]"):
                 counting.class_series(model, order)
+        elif model.genus == 1 and len(numerator) == 3 and numerator[1] ** 2 > 4 * q:
+            with pytest.raises(MeasureError, match="Hasse bound"):
+                counting.class_series(model, order)
+        else:
+            assert counting.class_series(model, order) == weil_series(numerator, q, order)
         row = [one_minus_t_coefficient(2 * model.genus, d) for d in range(2 * model.genus + 1)]
         assert EulerCharacteristic().class_series(model, order) == weil_series(row, 1, order)
     graphs = [DualGraph((Vertex("v", model.genus, model),), (), ()) for model, _ in pairs]

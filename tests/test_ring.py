@@ -22,6 +22,7 @@ from divzeta.ring import (
     RationalFn,
     RingElem,
     TruncSeries,
+    _dot,
     _mono_mul,
     _mono_sorted,
     lefschetz,
@@ -625,6 +626,78 @@ def test_products_match_the_naive_definitions(data):
         _same((p * q).numerator, _naive_poly_mul(p, q))
     unit = TruncSeries([1 if kind_a == "int" else one()] + raw_a[1:])
     _same(unit.inverse().coefficients(), _naive_inverse(unit))
+
+
+# -- the kernel's term order ------------------------------------------------------
+#
+# Every product inserts its terms in the order of the plain double loop over
+# the pairs of coefficients and, within a pair, over their terms.  That order
+# is the order the display sort starts from, so the kernel's shortcuts (zero
+# pairs skipped, constant monomials multiplied without a merge) must keep it.
+
+
+@st.composite
+def kernel_coeffs(draw, size):
+    """``size`` coefficients: zero elements, ints (lifted when the other side
+    is symbolic), constants and elements with up to five terms."""
+    kinds = st.one_of(
+        st.just(zero()),
+        st.integers(-3, 3),
+        st.integers(-3, 3).map(RingElem.from_int),
+        ring_elems(),
+    )
+    return [draw(kinds) for _ in range(size)]
+
+
+def _lifted(coeffs):
+    return [RingElem.from_int(x) if isinstance(x, int) else x for x in coeffs]
+
+
+def _reference_dot(xs, ys):
+    """``sum(x * y)`` as the plain double loop, every term product in turn."""
+    total = {}
+    for x, y in zip(xs, ys):
+        for mono_a, coeff_a in x.terms():
+            for mono_b, coeff_b in y.terms():
+                mono = _dict_and_sort_product(mono_a, mono_b)
+                total[mono] = total.get(mono, 0) + coeff_a * coeff_b
+    return RingElem(total)
+
+
+def _reference_expansion(num, den, order):
+    """``num / den`` by ``s[d] = num[d] - sum_{i>=1} den[i]*s[d-i]``, the
+    pairs taken from the highest ``i`` down."""
+    out = []
+    for d in range(order + 1):
+        steps = range(min(d, len(den) - 1), 0, -1)
+        acc = _reference_dot([den[i] for i in steps], [out[d - i] for i in steps])
+        out.append(num[d] - acc if d < len(num) else -acc)
+    return out
+
+
+def _same_terms(coeffs, expected):
+    """Equal values, and a symbolic coefficient's terms in the same order."""
+    coeffs, expected = list(coeffs), list(expected)
+    assert coeffs == expected
+    for got, want in zip(coeffs, expected):
+        if isinstance(got, RingElem):
+            assert list(got._terms) == list(want._terms)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_keeps_the_double_loop_term_order(data):
+    order = data.draw(st.integers(0, 6))
+    a, b = data.draw(kernel_coeffs(order + 1)), data.draw(kernel_coeffs(order + 1))
+    xs, ys = _lifted(a), _lifted(b)
+    _same_terms([_dot(xs, ys)], [_reference_dot(xs, ys)])
+    product = TruncSeries(a) * TruncSeries(b)
+    expected = [_reference_dot(xs[: d + 1], ys[d::-1]) for d in range(order + 1)]
+    _same_terms(product.coefficients(), expected)
+    num = data.draw(kernel_coeffs(data.draw(st.integers(1, order + 2))))
+    den = [1, *b[1:]]
+    series = RationalFn(num, den).series(order)
+    _same_terms(series.coefficients(), _reference_expansion(_lifted(num), _lifted(den), order))
 
 
 # -- rational functions -------------------------------------------------------

@@ -431,8 +431,10 @@ _ORDER_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(_ORDER_GRAPHS))
 def test_oracle_product_order_is_immaterial(name):
-    # The oracle multiplies the vertex factors first and the chain series in
-    # last as one power; the slot-by-slot product must give the same series.
+    # The oracle multiplies its narrow factors first, (1-t) to the total
+    # number of holes and the chain series to |E|+n, then the vertex classes
+    # together, and joins the two in one product; the slot-by-slot product
+    # must give the same series.
     graph = _ORDER_GRAPHS[name]
     for order, measure in [(10, SymbolicIdentity()), (40, EulerCharacteristic())]:
         leaves = leaf_images(graph, measure, order)
