@@ -40,7 +40,6 @@ from .ring import (
     zero,
 )
 from .strata import (
-    StablePair,
     composition_torus_sum,
     divisor_class_from_strata,
     divisor_series_from_strata,
@@ -52,8 +51,6 @@ from .strata import (
 )
 from .zeta import (
     ZetaKind,
-    node_factor_rational,
-    vertex_zeta_series,
     zeta_rational,
     zeta_series,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "PointCount",
     "RationalFn",
     "RingElem",
-    "StablePair",
     "SymbolicIdentity",
     "TruncSeries",
     "Vertex",
@@ -82,7 +78,6 @@ __all__ = [
     "graph_to_json",
     "lefschetz",
     "load_graph",
-    "node_factor_rational",
     "one",
     "parse_elem",
     "parse_graph",
@@ -93,7 +88,6 @@ __all__ = [
     "sym_pow",
     "torus_class",
     "total_genus",
-    "vertex_zeta_series",
     "zero",
     "zeta_rational",
     "zeta_series",

@@ -470,17 +470,20 @@ def _int_dot(xs: Iterable[int], ys: Iterable[int]) -> int:
     return sum(map(operator.mul, xs, ys))
 
 
+def _one_ring(a: tuple[Coeff, ...], b: tuple[Coeff, ...]):
+    """``a`` and ``b`` in one coefficient ring, an ``int`` side lifted when
+    the other is symbolic, with that ring's dot product kernel."""
+    if _is_symbolic(a) != _is_symbolic(b):
+        return tuple(map(_require_elem, a)), tuple(map(_require_elem, b)), _dot
+    return a, b, _dot if _is_symbolic(a) else _int_dot
+
+
 def _product_coeffs(a: tuple[Coeff, ...], b: tuple[Coeff, ...], count: int) -> list[Coeff]:
     """The first ``count`` coefficients of the product of the t-polynomials
     with coefficients ``a`` and ``b``, each one dot product of a run of ``a``
-    against reversed ``b`` (``zip`` stops at the shorter side).  An ``int``
-    side is lifted when the other is symbolic.
+    against reversed ``b`` (``zip`` stops at the shorter side).
     """
-    symbolic = _is_symbolic(a)
-    if symbolic != _is_symbolic(b):
-        a, b = tuple(map(_require_elem, a)), tuple(map(_require_elem, b))
-        symbolic = True
-    dot = _dot if symbolic else _int_dot
+    a, b, dot = _one_ring(a, b)
     last, reversed_b = len(b) - 1, b[::-1]
     return [
         dot(a[: d + 1], reversed_b[last - d :]) if d < last else dot(a[d - last : d + 1], reversed_b)
@@ -492,14 +495,9 @@ def _expand_coeffs(num: tuple[Coeff, ...], den: tuple[Coeff, ...], count: int) -
     """The first ``count`` coefficients of the expansion of ``num / den``,
     where ``den[0] == 1``, by the recurrence
     ``s[d] = num[d] - sum_{i>=1} den[i]*s[d-i]``: each one dot product of
-    ``den[1:]`` reversed against the last ``len(den) - 1`` coefficients.  An
-    ``int`` side is lifted when the other is symbolic.
+    ``den[1:]`` reversed against the last ``len(den) - 1`` coefficients.
     """
-    symbolic = _is_symbolic(num)
-    if symbolic != _is_symbolic(den):
-        num, den = tuple(map(_require_elem, num)), tuple(map(_require_elem, den))
-        symbolic = True
-    dot = _dot if symbolic else _int_dot
+    num, den, dot = _one_ring(num, den)
     width, tail = len(den) - 1, den[:0:-1]
     out: list[Coeff] = []
     for d in range(count):

@@ -33,73 +33,24 @@ classes are multiplied together, and one wide product joins the two.
 ``stable_pair_count`` counts the pairs of every degree from the same
 factorization, with the per-slot series in closed form, as one expansion of
 a rational function; ``stable_pairs`` and ``stratum_class`` are the literal
-enumeration they are tested against at small degree.
+enumeration they are tested against at small degree.  There a pair is a
+plain tuple of degrees and chains, and a component's class is a binomial
+sum over its model's classes (``punctured_sym_class``), so the literal sum
+reads no closed-form builder.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Iterator
 from functools import lru_cache, reduce
 
-from .graph import DualGraph, Record, Vertex
+from .graph import DualGraph, Vertex
 from .measures import SymbolicIdentity
 from .ring import Coeff, RationalFn, RingElem, TruncSeries, lefschetz, one, sum_elems
-from .zeta import Leaves, leaf_images, vertex_zeta_series
-
-
-class StablePair(Record):
-    """One stratum: degrees on original vertices plus chain compositions.
-
-    Entries align with ``graph.vertices``, ``graph.edges``, and
-    ``graph.legs`` by position.  Chain entries are all positive.
-    """
-
-    __slots__ = _fields = ("vertex_degrees", "edge_chains", "leg_chains")
-
-    def __init__(
-        self,
-        vertex_degrees: tuple[int, ...],
-        edge_chains: tuple[tuple[int, ...], ...],
-        leg_chains: tuple[tuple[int, ...], ...],
-    ):
-        self._assign(
-            vertex_degrees=vertex_degrees, edge_chains=edge_chains, leg_chains=leg_chains
-        )
-
-    def total_degree(self) -> int:
-        return (
-            sum(self.vertex_degrees)
-            + sum(map(sum, self.edge_chains))
-            + sum(map(sum, self.leg_chains))
-        )
-
-    def sort_key(self) -> tuple:
-        return (self.vertex_degrees, self.edge_chains, self.leg_chains)
-
-    def dump(self, graph: DualGraph) -> str:
-        """One-line form, e.g. ``v:{v1:2} e:{} l:{leg0:[1,1]}``."""
-        vparts = [
-            f"{v.id}:{deg}"
-            for v, deg in zip(graph.vertices, self.vertex_degrees)
-            if deg
-        ]
-        eparts = [
-            f"e{i}:[{','.join(map(str, chain))}]"
-            for i, chain in enumerate(self.edge_chains)
-            if chain
-        ]
-        lparts = [
-            f"leg{i}:[{','.join(map(str, chain))}]"
-            for i, chain in enumerate(self.leg_chains)
-            if chain
-        ]
-        return (
-            f"v:{{{','.join(vparts)}}}"
-            f" e:{{{','.join(eparts)}}}"
-            f" l:{{{','.join(lparts)}}}"
-        )
+from .zeta import Leaves, leaf_images
 
 
 @lru_cache(maxsize=None)
@@ -126,27 +77,28 @@ def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def stable_pairs(graph: DualGraph, degree: int) -> list[StablePair]:
-    """All stable pairs of the given total degree, sorted by ``sort_key``.
+def stable_pairs(graph: DualGraph, degree: int) -> list[tuple]:
+    """All stable pairs of the given total degree, sorted.
 
-    The total degree is split over vertices, edges, and legs by weak
-    compositions; each edge or leg share then expands into every ordered
-    composition.  Chain reversal is never quotiented out.
+    A pair is a tuple ``(vertex_degrees, edge_chains, leg_chains)``, aligned
+    by position with ``graph.vertices``, ``graph.edges`` and ``graph.legs``;
+    chain entries are positive.  The total degree is split over vertices,
+    edges, and legs by weak compositions; each edge or leg share then
+    expands into every ordered composition.  Chain reversal is never
+    quotiented out.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    num_v = len(graph.vertices)
-    num_e = graph.num_edges
-    num_l = graph.num_legs
+    num_v, num_e = len(graph.vertices), graph.num_edges
     pairs = []
-    for split in weak_compositions(degree, num_v + num_e + num_l):
+    for split in weak_compositions(degree, num_v + num_e + graph.num_legs):
         vertex_degrees = split[:num_v]
         edge_options = [compositions(s) for s in split[num_v : num_v + num_e]]
         leg_options = [compositions(s) for s in split[num_v + num_e :]]
         for edge_chains in itertools.product(*edge_options):
             for leg_chains in itertools.product(*leg_options):
-                pairs.append(StablePair(vertex_degrees, edge_chains, leg_chains))
-    pairs.sort(key=StablePair.sort_key)
+                pairs.append((vertex_degrees, edge_chains, leg_chains))
+    pairs.sort()
     return pairs
 
 
@@ -182,16 +134,21 @@ def torus_class(m: int, lef: Coeff | None = None) -> Coeff:
 def punctured_sym_class(model, holes: int, degree: int) -> RingElem:
     """Class of the degree-d symmetric power of a component minus ``holes`` points.
 
-    Coefficient of ``t^degree`` in the vertex zeta times ``(1-t)^holes``,
-    the zeta of the component with ``holes`` punctures, built symbolically
+    ``sum_k (-1)^k C(holes, k) c[m, d-k]``, the ``t^d`` coefficient of the
+    model's classes (``SymbolicIdentity().class_series``: free generators,
+    or ``1 + L + ... + L^d`` for a projective line) times ``(1-t)^holes``,
     for the literal reference ``stratum_class``, one degree at a time.  The
     factorized oracle builds the same series for every degree at once, from
     the model's classes in a measure's ring.
     """
-    return vertex_zeta_series(model, holes, degree)[degree]
+    classes = SymbolicIdentity().class_series(model, degree)
+    return sum_elems(
+        classes[degree - k] * ((-1) ** k * math.comb(holes, k))
+        for k in range(min(holes, degree) + 1)
+    )
 
 
-def stratum_class(graph: DualGraph, pair: StablePair) -> RingElem:
+def stratum_class(graph: DualGraph, pair: tuple) -> RingElem:
     """Product of component classes and torus classes over one stable pair.
 
     Each original vertex contributes the class of its punctured symmetric
@@ -199,10 +156,11 @@ def stratum_class(graph: DualGraph, pair: StablePair) -> RingElem:
     punctures; each chain entry ``a`` contributes the torus class of index
     ``a - 1``.
     """
+    vertex_degrees, edge_chains, leg_chains = pair
     result = one()
-    for v, deg in zip(graph.vertices, pair.vertex_degrees):
+    for v, deg in zip(graph.vertices, vertex_degrees):
         result = result * punctured_sym_class(v.model, _holes(graph, v), deg)
-    for chain in pair.edge_chains + pair.leg_chains:
+    for chain in edge_chains + leg_chains:
         for entry in chain:
             result = result * torus_class(entry - 1)
     return result

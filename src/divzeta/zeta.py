@@ -30,6 +30,8 @@ measure every class series is the expansion of its Weil numerator over
 ``(1-t)(1-l*t)``, so the rational form expands to the series at every
 order: the CLI builds the rational form alone and expands it by one
 recurrence, linear in the order, where the series product is quadratic.
+The strata oracle reads only the leaves from here (``Leaves``,
+``leaf_images``), never a builder.
 
 For a vertex of genus g the rational form uses
 the numerator ``sum_d (c_d - (L+1) c_{d-1} + L c_{d-2}) t^d`` of degree 2g
@@ -51,9 +53,9 @@ import operator
 from collections.abc import Mapping, Sequence
 from functools import reduce
 
-from .graph import CurveModel, DualGraph, Vertex
-from .measures import MotivicMeasure, SymbolicIdentity, class_rational
-from .ring import Coeff, RationalFn, TruncSeries, _poly_product, _power, lefschetz
+from .graph import CurveModel, DualGraph
+from .measures import MotivicMeasure, class_rational
+from .ring import Coeff, RationalFn, TruncSeries, _poly_product, _power
 
 
 class ZetaKind(enum.Enum):
@@ -164,21 +166,3 @@ def zeta_rational(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalF
     factors = [class_rational(_sym_numerator(v.model, leaves), lef) for v in graph.vertices]
     scalar = _graph_scalar(kind, graph, leaves)
     return reduce(operator.mul, factors if scalar is None else [scalar, *factors])
-
-
-def vertex_zeta_series(model: CurveModel, punctures: int, order: int) -> TruncSeries:
-    """Kapranov zeta of one normalized component, times ``(1-t)^punctures``:
-    the smooth Kapranov zeta of the one-vertex graph.
-
-    Symbolic, elliptic, and weil models keep free coefficients
-    ``c[name,d]``; a projective line expands to ``1/((1-t)(1-L*t))``.
-    """
-    graph = DualGraph((Vertex(model.name, model.genus, model, punctures),), (), ())
-    leaves = leaf_images(graph, SymbolicIdentity(), order)
-    return zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order, leaves)
-
-
-def node_factor_rational() -> RationalFn:
-    """The per-node (and per-mark) factor (1 - L*t) / (1 - L*t - t + t^2)."""
-    lef = lefschetz()
-    return RationalFn([1, -lef], [1, -(lef + 1), 1])

@@ -13,6 +13,10 @@ symbolic closed forms and oracle read (``zeta_series``, ``zeta_rational``,
 expansions the package used before every expansion became one recurrence
 (``RationalFn.series``); they stay here, unchanged, as references that share
 no code with it.
+
+``node_factor_rational`` and ``vertex_zeta_series`` are small references
+for the closed forms' node factor and one component's zeta, built by no
+closed-form builder.
 """
 
 import math
@@ -23,6 +27,7 @@ from hypothesis import settings
 
 from divzeta.graph import CurveModel, DualGraph, Vertex, parse_graph
 from divzeta.measures import SymbolicIdentity
+from divzeta.ring import RationalFn, TruncSeries, lefschetz
 from divzeta.zeta import leaf_images
 
 settings.register_profile("ci", derandomize=True, deadline=None)
@@ -32,6 +37,19 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 def free_leaves(graph, order=0):
     """``graph``'s leaves under ``SymbolicIdentity``, through ``t^order``."""
     return leaf_images(graph, SymbolicIdentity(), order)
+
+
+def node_factor_rational():
+    """The per-node (and per-mark) factor ``(1 - L*t) / (1 - L*t - t + t^2)``."""
+    lef = lefschetz()
+    return RationalFn([1, -lef], [1, -(lef + 1), 1])
+
+
+def vertex_zeta_series(model, order):
+    """Kapranov zeta of one normalized component through ``t^order``: the
+    model's classes in free generators (a projective line's
+    ``1 + L + ... + L^d``)."""
+    return TruncSeries(SymbolicIdentity().class_series(model, order))
 
 
 def weil_series(numerator: Sequence[int], q: int, order: int) -> list[int]:

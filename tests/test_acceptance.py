@@ -19,7 +19,7 @@ from divzeta.strata import (
     stratum_class,
     torus_class,
 )
-from divzeta.zeta import ZetaKind, node_factor_rational, zeta_series
+from divzeta.zeta import ZetaKind, zeta_series
 from divzeta.graph import CurveModel
 
 from conftest import (
@@ -27,6 +27,7 @@ from conftest import (
     declare_weil,
     free_leaves,
     marked_curve,
+    node_factor_rational,
     one_minus_t_coefficient,
     two_components,
     vertex,

@@ -20,7 +20,6 @@ from divzeta.graph import (
     parse_graph,
     total_genus,
 )
-from divzeta.strata import StablePair
 
 from conftest import battery
 
@@ -347,7 +346,6 @@ RECORDS = {
         DualGraph((Vertex("u", 1, ELLIPTIC),), (("u", "u"),), ()),
         DualGraph((Vertex("u", 1, ELLIPTIC),), (("u", "u"),), ("u",)),
     ),
-    "stable-pair": (StablePair((1, 0), ((2, 1),), ()), StablePair((1, 0), ((1, 2),), ())),
 }
 
 
@@ -376,9 +374,6 @@ def test_records_compare_hash_and_copy_field_by_field(record, other):
 def test_record_repr_lists_the_fields():
     assert repr(ELLIPTIC) == (
         "CurveModel(kind='elliptic', name='e', genus=1, trace=1, numerator=None)"
-    )
-    assert repr(StablePair((2,), (), ((1,),))) == (
-        "StablePair(vertex_degrees=(2,), edge_chains=(), leg_chains=((1,),))"
     )
 
 

@@ -1,8 +1,13 @@
 """Measure homomorphisms and integer specializations."""
 
+import contextlib
 import functools
+import io
 import itertools
+import json
 import math
+import os
+import tempfile
 import time
 from fractions import Fraction
 
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divzeta.cli import main
 from divzeta.graph import CurveModel, DualGraph, Vertex, parse_graph
 from divzeta.measures import (
     PRIME_POWER_LIMIT,
@@ -21,13 +27,7 @@ from divzeta.measures import (
 )
 from divzeta.ring import RingElem, TruncSeries, lefschetz, one, sym_pow, zero
 from divzeta.strata import torus_class
-from divzeta.zeta import (
-    ZetaKind,
-    leaf_images,
-    vertex_zeta_series,
-    zeta_rational,
-    zeta_series,
-)
+from divzeta.zeta import ZetaKind, leaf_images, zeta_rational, zeta_series
 
 from conftest import (
     battery,
@@ -36,6 +36,7 @@ from conftest import (
     loop_vertex,
     one_minus_t_coefficient,
     vertex,
+    vertex_zeta_series,
     weil_series,
 )
 
@@ -234,7 +235,7 @@ def test_measures_are_ring_homomorphisms(a, b):
 
 def test_point_count_of_p1_vertex_zeta_matches_weil_series():
     line = CurveModel.projective_line("p")
-    series = vertex_zeta_series(line, 0, 8)
+    series = vertex_zeta_series(line, 8)
     for q in (2, 3, 5):
         counting = PointCount(q)
         image = [counting.of_elem(c, {"p": line}) for c in series.coefficients()]
@@ -242,7 +243,7 @@ def test_point_count_of_p1_vertex_zeta_matches_weil_series():
 
 
 def test_point_count_of_symbolic_vertex_zeta_matches_weil_series():
-    series = vertex_zeta_series(CurveModel.symbolic("m", 1), 0, 6)
+    series = vertex_zeta_series(CurveModel.symbolic("m", 1), 6)
     models = {"m": CurveModel.weil("m", [1, -2, 5], 1)}
     image = [PointCount(5).of_elem(c, models) for c in series.coefficients()]
     assert image == weil_series([1, -2, 5], 5, 6)
@@ -626,3 +627,67 @@ def test_weil_series_counts_divisors_through_degree_four(p, f):
     assert weil_series(numerator, p, 4) == expected
     graph = parse_graph({"vertices": [vertex("v", genus, model)], "legs": ["v"]})
     assert PointCount(p).class_series(graph.models["c"], 4) == expected
+
+
+# -- nodal Kapranov is the Hasse-Weil zeta of the nodal curve ------------------------
+
+# y^2 = x^3 + ax + b, smooth over F_p (4a^3 + 27b^2 nonzero mod p).
+_ELLIPTIC = {
+    p: [(a, b) for a, b in ((1, 1), (2, 3), (0, 1), (3, 0)) if (4 * a**3 + 27 * b**2) % p]
+    for p in (5, 7)
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _elliptic_counts(a, b, p):
+    """``#E(F_{p^k})`` for ``k = 1..4``, by brute force."""
+    return tuple(_count_points(a, b, p, k) for k in (1, 2, 3, 4))
+
+
+@st.composite
+def _nodal_elliptic_curves(draw):
+    """A prime ``p``, and a graph document of 1-3 counted elliptic curves over
+    ``F_p`` on a path, with loops, multi-edges, punctures and legs, with the
+    curve of each vertex."""
+    p = draw(st.sampled_from(sorted(_ELLIPTIC)))
+    ids = ["u", "v", "w"][: draw(st.integers(1, 3))]
+    curves, vertices = {}, []
+    for vid in ids:
+        a, b = curves[vid] = draw(st.sampled_from(_ELLIPTIC[p]))
+        trace = p + 1 - _elliptic_counts(a, b, p)[0]
+        model = {"type": "elliptic", "trace": trace}
+        vertices.append(vertex(vid, 1, model, draw(st.integers(0, 2))))
+    ends = st.sampled_from(ids)
+    extra = draw(st.lists(st.tuples(ends, ends).map(list), max_size=2))
+    document = {
+        "vertices": vertices,
+        "edges": [list(pair) for pair in zip(ids, ids[1:])] + extra,
+        "legs": draw(st.lists(ends, max_size=2)),
+    }
+    return p, curves, document
+
+
+@given(_nodal_elliptic_curves())
+@settings(max_examples=40, deadline=None)
+def test_nodal_kapranov_is_the_hasse_weil_zeta_of_the_nodal_curve(drawn):
+    # Gluing two rational points into a node loses one point over every
+    # F_(p^k), and a puncture removes one; a leg marks a point and removes
+    # none.  So #C(F_(p^k)) = sum_v N_(v,k) - |E| - p_total, and the printed
+    # point-count image of --zeta kapranov-nodal is exp(sum_k #C t^k / k).
+    p, curves, document = drawn
+    removed = len(document["edges"]) + sum(v["punctures"] for v in document["vertices"])
+    counts = [
+        sum(_elliptic_counts(*curve, p)[k] for curve in curves.values()) - removed
+        for k in range(4)
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "graph.json")
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(["--input", path, "--allow-unstable", "--zeta", "kapranov-nodal",
+                           "--measure", "point-count", "--q", str(p), "--max-degree", "4",
+                           "--output", "json"])
+    assert status == 0
+    assert json.loads(out.getvalue())["coefficients"] == _effective_divisors(counts, 4)

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import divzeta.zeta as zeta
 from divzeta.graph import CurveModel, DualGraph, GraphError, Vertex, parse_graph
 from divzeta.measures import EulerCharacteristic, MeasureError, PointCount, SymbolicIdentity
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sum_elems, sym_pow
 from divzeta.strata import (
-    StablePair,
     composition_torus_sum,
     compositions,
     divisor_class_from_strata,
@@ -25,7 +25,7 @@ from divzeta.strata import (
     torus_class,
     weak_compositions,
 )
-from divzeta.zeta import ZetaKind, leaf_images, node_factor_rational, zeta_series
+from divzeta.zeta import ZetaKind, leaf_images, zeta_series
 
 from conftest import (
     battery,
@@ -33,6 +33,7 @@ from conftest import (
     free_leaves,
     loop_vertex,
     marked_curve,
+    node_factor_rational,
     one_minus_t_coefficient,
     theta_graph,
     two_components,
@@ -69,21 +70,26 @@ def test_two_components_have_seven_strata_in_degree_two():
     assert stable_pair_count(two_components(), 2)[2] == 7
 
 
+def total_degree(pair):
+    vertex_degrees, edge_chains, leg_chains = pair
+    return sum(vertex_degrees) + sum(map(sum, edge_chains + leg_chains))
+
+
 def test_degree_zero_single_empty_pair():
     for graph in (marked_curve(), two_components(), theta_graph()):
         pairs = stable_pairs(graph, 0)
         assert len(pairs) == 1
-        assert pairs[0].total_degree() == 0
-        assert not any(pairs[0].edge_chains) and not any(pairs[0].leg_chains)
+        assert total_degree(pairs[0]) == 0
+        _, edge_chains, leg_chains = pairs[0]
+        assert not any(edge_chains) and not any(leg_chains)
 
 
 def test_pairs_are_sorted_and_unique():
     for degree in range(5):
         pairs = stable_pairs(theta_graph(), degree)
-        keys = [p.sort_key() for p in pairs]
-        assert keys == sorted(keys)
-        assert len(set(keys)) == len(keys)
-        assert all(p.total_degree() == degree for p in pairs)
+        assert pairs == sorted(pairs)
+        assert len(set(pairs)) == len(pairs)
+        assert all(total_degree(p) == degree for p in pairs)
 
 
 def test_pair_count_growth():
@@ -93,28 +99,25 @@ def test_pair_count_growth():
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-def test_dump_golden_marked_curve_degree_two():
-    lines = [pair.dump(marked_curve()) for pair in stable_pairs(marked_curve(), 2)]
-    assert lines == [
-        "v:{} e:{} l:{leg0:[1,1]}",
-        "v:{} e:{} l:{leg0:[2]}",
-        "v:{m:1} e:{} l:{leg0:[1]}",
-        "v:{m:2} e:{} l:{}",
+def test_pairs_golden_marked_curve_degree_two():
+    # (vertex degrees, edge chains, leg chains); an empty chain is ().
+    assert stable_pairs(marked_curve(), 2) == [
+        ((0,), (), ((1, 1),)),
+        ((0,), (), ((2,),)),
+        ((1,), (), ((1,),)),
+        ((2,), (), ((),)),
     ]
 
 
-def test_dump_golden_two_components_degree_two():
-    lines = [
-        pair.dump(two_components()) for pair in stable_pairs(two_components(), 2)
-    ]
-    assert lines == [
-        "v:{} e:{e0:[1,1]} l:{}",
-        "v:{} e:{e0:[2]} l:{}",
-        "v:{w:1} e:{e0:[1]} l:{}",
-        "v:{w:2} e:{} l:{}",
-        "v:{u:1} e:{e0:[1]} l:{}",
-        "v:{u:1,w:1} e:{} l:{}",
-        "v:{u:2} e:{} l:{}",
+def test_pairs_golden_two_components_degree_two():
+    assert stable_pairs(two_components(), 2) == [
+        ((0, 0), ((1, 1),), ()),
+        ((0, 0), ((2,),), ()),
+        ((0, 1), ((1,),), ()),
+        ((0, 2), ((),), ()),
+        ((1, 0), ((1,),), ()),
+        ((1, 1), ((),), ()),
+        ((2, 0), ((),), ()),
     ]
 
 
@@ -144,11 +147,14 @@ def test_punctured_sym_class():
 
 def test_stratum_classes_on_marked_curve():
     graph = marked_curve(2)
-    by_dump = {p.dump(graph): p for p in stable_pairs(graph, 2)}
-    expected = sym_pow("m", 2) - sym_pow("m", 1)
-    assert stratum_class(graph, by_dump["v:{m:2} e:{} l:{}"]) == expected
-    assert stratum_class(graph, by_dump["v:{} e:{} l:{leg0:[1,1]}"]) == one()
-    assert stratum_class(graph, by_dump["v:{} e:{} l:{leg0:[2]}"]) == L - 1
+    whole = ((2,), (), ((),))
+    two_bubbles = ((0,), (), ((1, 1),))
+    one_bubble = ((0,), (), ((2,),))
+    assert {whole, two_bubbles, one_bubble} <= set(stable_pairs(graph, 2))
+    assert all(total_degree(p) == 2 for p in (whole, two_bubbles, one_bubble))
+    assert stratum_class(graph, whole) == sym_pow("m", 2) - sym_pow("m", 1)
+    assert stratum_class(graph, two_bubbles) == one()
+    assert stratum_class(graph, one_bubble) == L - 1
 
 
 def test_oracle_sums():
@@ -317,6 +323,23 @@ def _series_graphs():
 
 
 _SERIES_GRAPHS = _series_graphs()
+
+
+def test_literal_reference_reads_no_closed_form_builder(monkeypatch):
+    # The literal sum over stable pairs stays independent of the closed
+    # form: with every closed-form builder broken, it still equals the
+    # factorized oracle on the battery, the projective line, the punctures
+    # and the legs included.
+    punctured_sym_class.cache_clear()
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the literal reference called a closed-form builder")
+
+    for name in ("zeta_series", "zeta_rational", "_graph_scalar"):
+        monkeypatch.setattr(zeta, name, broken)
+    for name, graph in sorted(_SERIES_GRAPHS.items()):
+        for degree in range(5):
+            assert literal_class(graph, degree) == divisor_class_from_strata(graph, degree), name
 
 # Weil numerators for the symbolic models, by genus, at q = 7 and at q = 4.
 # The genus-2 numerator at q = 7 has degree below 2g.

@@ -7,19 +7,20 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divzeta.graph import CurveModel, GraphError, parse_graph, total_genus
+from divzeta.graph import CurveModel, DualGraph, GraphError, Vertex, parse_graph, total_genus
 from divzeta.measures import EulerCharacteristic, PointCount
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sym_pow
-from divzeta.zeta import (
-    ZetaKind,
-    leaf_images,
-    node_factor_rational,
-    vertex_zeta_series,
-    zeta_rational,
-    zeta_series,
-)
+from divzeta.zeta import ZetaKind, _graph_scalar, leaf_images, zeta_rational, zeta_series
 
-from conftest import free_leaves, loop_vertex, marked_curve, two_components, vertex
+from conftest import (
+    free_leaves,
+    loop_vertex,
+    marked_curve,
+    node_factor_rational,
+    two_components,
+    vertex,
+    vertex_zeta_series,
+)
 
 L = lefschetz()
 
@@ -36,27 +37,34 @@ def convolve(a, b, degree):
 # -- vertex zetas ---------------------------------------------------------------
 
 
+def one_vertex_zeta(model, punctures, order):
+    """The closed form of one component with ``punctures`` punctures: its
+    smooth Kapranov zeta."""
+    graph = DualGraph((Vertex(model.name, model.genus, model, punctures),), (), ())
+    return zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order, free_leaves(graph, order))
+
+
 def test_p1_with_two_punctures_is_torus_zeta():
-    series = vertex_zeta_series(CurveModel.projective_line("p"), 2, 3)
+    series = one_vertex_zeta(CurveModel.projective_line("p"), 2, 3)
     expected = RationalFn([1, -1], [1, -L]).series(3)
     assert series == expected
 
 
 def test_p1_zeta_counts_projective_spaces():
-    series = vertex_zeta_series(CurveModel.projective_line("p"), 0, 3)
+    series = one_vertex_zeta(CurveModel.projective_line("p"), 0, 3)
     assert series[2] == L**2 + L + 1
     assert series[3] == L**3 + L**2 + L + 1
 
 
 def test_symbolic_vertex_zeta():
-    series = vertex_zeta_series(CurveModel.symbolic("m", 3), 0, 2)
+    series = one_vertex_zeta(CurveModel.symbolic("m", 3), 0, 2)
     assert series == TruncSeries([1, c("m", 1), c("m", 2)])
 
 
 def test_symbolic_vertex_with_puncture():
     # Cauchy product with (1-t), coefficients checked against a direct
     # convolution of the coefficient lists.
-    series = vertex_zeta_series(CurveModel.symbolic("m", 3), 1, 2)
+    series = one_vertex_zeta(CurveModel.symbolic("m", 3), 1, 2)
     plain = [one(), c("m", 1), c("m", 2)]
     window = [one(), -one(), one() * 0]
     for d in range(3):
@@ -66,8 +74,9 @@ def test_symbolic_vertex_with_puncture():
 
 
 def test_elliptic_vertex_stays_symbolic():
-    series = vertex_zeta_series(CurveModel.elliptic("e", 2), 0, 2)
+    series = one_vertex_zeta(CurveModel.elliptic("e", 2), 0, 2)
     assert series == TruncSeries([1, c("e", 1), c("e", 2)])
+
 
 
 # -- node factor ------------------------------------------------------------------
@@ -81,8 +90,11 @@ def test_node_factor_series_values():
 
 
 def test_node_factor_rational_shape():
-    fn = node_factor_rational()
-    assert fn.numerator == (one(), -L)
+    # One leg and no node: the divisorial scalar is the node factor times
+    # (1-t), multiplied into its numerator only.
+    fn = _graph_scalar(ZetaKind.DIVISORIAL, marked_curve(2), free_leaves(marked_curve(2)))
+    assert fn == node_factor_rational() * RationalFn([1, -1])
+    assert fn.numerator == (one(), -(L + 1), L)
     assert fn.denominator == (one(), -(L + 1), one())
 
 
@@ -91,7 +103,7 @@ def test_node_factor_rational_shape():
 
 def test_smooth_unmarked_vertex_equals_vertex_zeta():
     graph = parse_graph({"vertices": [vertex("m", 2)]})
-    expected = vertex_zeta_series(CurveModel.symbolic("m", 2), 0, 10)
+    expected = vertex_zeta_series(CurveModel.symbolic("m", 2), 10)
     for kind in ZetaKind:
         assert zeta_series(kind, graph, 10, free_leaves(graph, 10)) == expected
 
@@ -111,9 +123,8 @@ def test_divisorial_marked_first_coefficient():
 
 def test_hilbert_no_edges_is_vertex_product():
     graph = marked_curve(2)  # legs must be ignored
-    assert zeta_series(ZetaKind.HILBERT, graph, 4, free_leaves(graph, 4)) == vertex_zeta_series(
-        CurveModel.symbolic("m", 2), 0, 4
-    )
+    expected = vertex_zeta_series(CurveModel.symbolic("m", 2), 4)
+    assert zeta_series(ZetaKind.HILBERT, graph, 4, free_leaves(graph, 4)) == expected
 
 
 def test_hilbert_two_components_coefficient():
@@ -266,9 +277,9 @@ def test_smooth_zeta_is_vertex_product():
     graph = two_components(2)
     order = 3
     series = zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order, free_leaves(graph, order))
-    expected = vertex_zeta_series(
-        CurveModel.symbolic("u", 2), 0, order
-    ) * vertex_zeta_series(CurveModel.symbolic("w", 2), 0, order)
+    expected = vertex_zeta_series(CurveModel.symbolic("u", 2), order) * vertex_zeta_series(
+        CurveModel.symbolic("w", 2), order
+    )
     assert series == expected
 
 
