@@ -5,7 +5,8 @@ Three modes over a dual-graph JSON document:
 * ``compute``: coefficients of a chosen zeta function up to ``--max-degree``
   plus its unreduced rational form, optionally specialized by a measure.
   Under ``euler`` or ``point-count`` the rational form is built over the
-  integers, and the coefficients are its expansion.
+  integers from each model's classes through ``t^2g``, and the coefficients
+  are its expansion.
 * ``verify``: compare the strata-enumeration oracle against the closed-form
   divisorial coefficients degree by degree.  Each column is one series
   through ``--max-degree``, computed in the measure's ring; under a measure
@@ -230,10 +231,13 @@ def _graph_summary(graph: DualGraph) -> dict:
 def _compute(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -> dict:
     kind, order = args.zeta, args.max_degree
     # A measure is a ring homomorphism: it is applied once, to the leaves of
-    # the closed form, and both forms are built from them.  The leaves reach
-    # max_degree even when only the rational form is printed, so an
-    # unrealized model fails the same way in every output mode.
-    leaves = leaf_images(graph, measure, order)
+    # the closed form, and both forms are built from them.  Only the
+    # symbolic series reads the leaves through max_degree; the rational form
+    # reads them through t^2g.  Order min(max_degree, 1) still reads c[m,1]
+    # at a positive max_degree, so a measure refuses the same models at the
+    # same degrees in every output mode.
+    symbolic_series = args.measure == "symbolic" and args.output != "rational"
+    leaves = leaf_images(graph, measure, order if symbolic_series else min(order, 1))
     fn = zeta_rational(kind, graph, leaves)
     report = {"zeta": kind.value, "max_degree": order, "measure": args.measure}
     if args.output != "rational":
@@ -241,7 +245,7 @@ def _compute(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -
         # of degree at most 2g over (1-t)(1-l t), so the printed rational form
         # expands to the series at every order, by one recurrence linear in
         # max_degree.  In free generators the two agree only through t^2g.
-        if args.measure == "symbolic":
+        if symbolic_series:
             series = zeta_series(kind, graph, order, leaves)
         else:
             series = fn.series(order)

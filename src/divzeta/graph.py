@@ -275,6 +275,11 @@ def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:
     return parse_graph(text, allow_unstable=allow_unstable)
 
 
+def _where(vid: str) -> str:
+    """The vertex an error names; built only when one is raised."""
+    return f"vertex {reprlib.repr(vid)}"
+
+
 def _parse_vertex(item: object) -> Vertex:
     if not isinstance(item, dict):
         raise GraphError(f"vertex must be an object: {reprlib.repr(item)}")
@@ -284,25 +289,23 @@ def _parse_vertex(item: object) -> Vertex:
     vid = item.get("id")
     if not isinstance(vid, str) or not MODEL_ID_RE.fullmatch(vid):
         raise GraphError(f"invalid vertex id: {reprlib.repr(vid)}")
-    where = f"vertex {reprlib.repr(vid)}"
     genus = item.get("genus")
     if not _is_int(genus) or genus < 0:
-        raise GraphError(f"{where}: genus must be a nonnegative integer")
+        raise GraphError(f"{_where(vid)}: genus must be a nonnegative integer")
     punctures = item.get("punctures", 0)
     if not _is_int(punctures) or punctures < 0:
-        raise GraphError(f"{where}: punctures must be a nonnegative integer")
+        raise GraphError(f"{_where(vid)}: punctures must be a nonnegative integer")
     model = _parse_model(item.get("model", {"type": "symbolic"}), vid, genus)
     return Vertex(vid, genus, model, punctures)
 
 
 def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
-    where = f"vertex {reprlib.repr(vid)}"
     if not isinstance(item, dict):
-        raise GraphError(f"{where}: model must be an object")
+        raise GraphError(f"{_where(vid)}: model must be an object")
     kind = item.get("type")
     name = item.get("id", vid)
     if not isinstance(name, str):
-        raise GraphError(f"{where}: model id must be a string")
+        raise GraphError(f"{_where(vid)}: model id must be a string")
     allowed = {
         "symbolic": {"type", "id"},
         "p1": {"type", "id"},
@@ -310,10 +313,10 @@ def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
         "weil": {"type", "id", "numerator"},
     }
     if not isinstance(kind, str) or kind not in allowed:
-        raise GraphError(f"{where}: unknown model type {reprlib.repr(kind)}")
+        raise GraphError(f"{_where(vid)}: unknown model type {reprlib.repr(kind)}")
     unknown = set(item) - allowed[kind]
     if unknown:
-        raise GraphError(f"{where}: unknown model keys: {reprlib.repr(sorted(unknown))}")
+        raise GraphError(f"{_where(vid)}: unknown model keys: {reprlib.repr(sorted(unknown))}")
     if kind == "symbolic":
         model = CurveModel.symbolic(name, genus)
     elif kind == "p1":
@@ -321,16 +324,16 @@ def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
     elif kind == "elliptic":
         trace = item.get("trace")
         if not _is_int(trace):
-            raise GraphError(f"{where}: elliptic model needs integer 'trace'")
+            raise GraphError(f"{_where(vid)}: elliptic model needs integer 'trace'")
         model = CurveModel.elliptic(name, trace)
     else:
         numerator = item.get("numerator")
         if not isinstance(numerator, list) or not all(map(_is_int, numerator)):
-            raise GraphError(f"{where}: weil model needs an integer list 'numerator'")
+            raise GraphError(f"{_where(vid)}: weil model needs an integer list 'numerator'")
         model = CurveModel.weil(name, numerator, genus)
     if model.genus != genus:
         raise GraphError(
-            f"{where}: model genus {model.genus} does not match vertex genus"
+            f"{_where(vid)}: model genus {model.genus} does not match vertex genus"
             f" {reprlib.repr(genus)}"
         )
     return model
@@ -338,7 +341,8 @@ def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
 
 def _validate(graph: DualGraph, *, allow_unstable: bool) -> None:
     for v in graph.vertices:
-        if graph.models[v.model.name] != v.model:
+        model = graph.models[v.model.name]
+        if model is not v.model and model != v.model:
             raise GraphError(
                 f"vertex {reprlib.repr(v.id)}: model id {reprlib.repr(v.model.name)}"
                 " already names a different curve"

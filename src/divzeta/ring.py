@@ -14,7 +14,10 @@ Three immutable layers, all over arbitrary-precision integers:
 The ``t``-layers are generic over the coefficient ring: their coefficients
 are all ``RingElem`` or all plain ``int`` (the image of a measure), and the
 arithmetic uses only ``+``, ``*``, negation, zero and one.  Input mixing the
-two is lifted to ``RingElem``, as are the products of mixed operands.
+two is lifted to ``RingElem``, as are the products of mixed operands.  The
+constructors check their input; a product, power, inverse or expansion is
+already in one ring, with a unit constant term in a denominator, and is
+wrapped without the check.
 
 Generators are interned: ``Generator(model, degree)`` returns the one
 validated instance for that pair, so hashing and comparing monomials is
@@ -525,6 +528,14 @@ class TruncSeries:
         self._coeffs = elems
 
     @classmethod
+    def _wrap(cls, coeffs: list[Coeff]) -> TruncSeries:
+        """A series of kernel output, not checked again: ``_product_coeffs``
+        and ``_expand_coeffs`` return a nonempty list in one ring."""
+        series = cls.__new__(cls)
+        series._coeffs = tuple(coeffs)
+        return series
+
+    @classmethod
     def one(cls, order: int) -> TruncSeries:
         return cls.from_coeffs([_ONE], order)
 
@@ -565,7 +576,7 @@ class TruncSeries:
 
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         self._check_order(other)
-        return TruncSeries(_product_coeffs(self._coeffs, other._coeffs, len(self._coeffs)))
+        return TruncSeries._wrap(_product_coeffs(self._coeffs, other._coeffs, len(self._coeffs)))
 
     def __pow__(self, exponent: int) -> TruncSeries:
         if not isinstance(exponent, int) or exponent < 0:
@@ -578,7 +589,7 @@ class TruncSeries:
         coeffs = self._coeffs
         if coeffs[0] != 1:
             raise ValueError(f"series is not invertible: constant term is {coeffs[0]}")
-        return TruncSeries(_expand_coeffs((_one_of(coeffs),), coeffs, len(coeffs)))
+        return TruncSeries._wrap(_expand_coeffs((_one_of(coeffs),), coeffs, len(coeffs)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):
@@ -663,6 +674,14 @@ class RationalFn:
         self._num = num
         self._den = den
 
+    @classmethod
+    def _wrap(cls, num: list[Coeff], den: list[Coeff]) -> RationalFn:
+        """A rational function of kernel output, not checked again: each side
+        is in one ring, and ``den`` a product of unit-constant denominators."""
+        fn = cls.__new__(cls)
+        fn._num, fn._den = tuple(num), tuple(den)
+        return fn
+
     @property
     def numerator(self) -> tuple[Coeff, ...]:
         return self._num
@@ -674,7 +693,9 @@ class RationalFn:
     def __mul__(self, other: RationalFn) -> RationalFn:
         if not isinstance(other, RationalFn):
             return NotImplemented
-        return RationalFn(_poly_product(self._num, other._num), _poly_product(self._den, other._den))
+        return RationalFn._wrap(
+            _poly_product(self._num, other._num), _poly_product(self._den, other._den)
+        )
 
     def __pow__(self, exponent: int) -> RationalFn:
         if not isinstance(exponent, int) or exponent < 0:
@@ -686,7 +707,7 @@ class RationalFn:
         """Truncated expansion, by the recurrence of the denominator."""
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        return TruncSeries(_expand_coeffs(self._num, self._den, order + 1))
+        return TruncSeries._wrap(_expand_coeffs(self._num, self._den, order + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFn):

@@ -28,8 +28,9 @@ without expanding it; under ``SymbolicIdentity`` the leaves are the free
 generators, and a projective line's classes ``1 + L + ... + L^d``.  Under a
 measure every class series is the expansion of its Weil numerator over
 ``(1-t)(1-l*t)``, so the rational form expands to the series at every
-order: the CLI builds the rational form alone and expands it by one
-recurrence, linear in the order, where the series product is quadratic.
+order: the CLI builds the rational form alone, from classes through
+``t^2g``, and expands it by one recurrence, linear in the order, where the
+series product is quadratic.
 The strata oracle reads only the leaves from here (``Leaves``,
 ``leaf_images``), never a builder.
 
@@ -83,10 +84,15 @@ class Leaves:
 def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves:
     """The leaves of ``graph``'s closed forms under ``measure``.
 
-    Each model's classes run through ``t^max(order, 2g)``: the series take
-    the first ``order + 1``, and the rational form's vertex numerators the
-    first ``2g + 1``.  A model the measure does not realize to that degree
-    raises ``MeasureError`` here.
+    Each model's classes run through ``t^max(order, 2g)``.  ``order`` is the
+    highest degree a series builder will read: ``zeta_series`` and
+    ``divisor_series_from_strata`` take the first ``order + 1`` classes, so
+    ``verify`` and a symbolic ``compute`` that prints the series pass
+    ``--max-degree``.  ``zeta_rational`` takes only the first ``2g + 1``,
+    so every other ``compute``, which prints the rational form and under a
+    measure its expansion, passes ``min(max_degree, 1)``: every class of
+    degree 1 and up that it reads is still realized.  A model the measure
+    does not realize to that degree raises ``MeasureError`` here.
     """
     classes = {
         name: measure.class_series(model, max(order, 2 * model.genus))

@@ -602,7 +602,7 @@ def test_verify_checks_the_printed_rational_form(graph_file, capsys, monkeypatch
 
 def test_unrealized_model_fails_in_every_output_mode(graph_file, capsys):
     # The theta graph's genus-0 models need no generator in the rational
-    # form, but the coefficients through t^10 do, even when not printed.
+    # form, but at a positive --max-degree the leaves still read c[m,1].
     theta = {"vertices": [vertex("u", 0), vertex("w", 0)], "edges": [["u", "w"]] * 3}
     for document in (MARKED, theta):
         path = graph_file(document)
@@ -634,6 +634,79 @@ def test_a_symbolic_model_is_counted_as_a_declared_weil_model(graph_file, capsys
         out = capsys.readouterr().out
         # c[m,1] -> 1 + 1 + q, times the t^0 coefficients of the leg's factors.
         assert "t^1: 5" in out if mode == "compute" else "verified: OK" in out
+
+
+def test_point_count_refusals_by_degree(graph_file, capsys):
+    # Pinned as they stand: a genus-0 symbolic curve needs no class at
+    # --max-degree 0 and c[m,1] from 1 on; a genus-1 one needs c[m,1] at 0.
+    rational = graph_file({"vertices": [vertex("m", 0)], "legs": ["m"] * 3}, "rational.json")
+    elliptic = graph_file({"vertices": [vertex("m", 1)], "legs": ["m"]}, "elliptic.json")
+    for output in ("coefficients", "rational", "json"):
+        for path, degree, code in ((rational, 0, 0), (rational, 1, 2), (rational, 2, 2),
+                                   (elliptic, 0, 2)):
+            assert main(["--input", path, "--measure", "point-count", "--q", "7",
+                         "--max-degree", str(degree), "--output", output]) == code
+            captured = capsys.readouterr()
+            assert bool(captured.out) == (code == 0)
+            assert ("no realization for generator c[m,1]" in captured.err) == bool(code)
+
+
+def _spy_on_class_series(monkeypatch):
+    """The ``(measure, genus, order)`` of every ``class_series`` call."""
+    from divzeta import measures
+
+    calls = []
+    for cls in (measures.MotivicMeasure, measures.SymbolicIdentity):
+
+        def spy(self, model, order, build=cls.class_series):
+            calls.append((self.name, model.genus, order))
+            return build(self, model, order)
+
+        monkeypatch.setattr(cls, "class_series", spy)
+    return calls
+
+
+# Curves of genus 0, 1 and 2, and an elliptic chain.
+_MEASURED_DOCUMENTS = (MIXED, ELLIPTIC_CHAIN4)
+
+
+@pytest.mark.parametrize("output", ["coefficients", "rational", "json"])
+def test_compute_reads_classes_through_2g_unless_it_prints_a_symbolic_series(
+        graph_file, capsys, monkeypatch, output):
+    # The printed rational form reads each model's classes through t^2g, and
+    # under a measure the printed series is its expansion: no class above
+    # max(2g, 1) is built, whatever --max-degree asks.  Symbolically only the
+    # rational output qualifies: a projective line's classes are not expanded.
+    measures = [["--measure", "euler"], ["--measure", "point-count", "--q", "7"]]
+    if output == "rational":
+        measures.append([])
+    calls = _spy_on_class_series(monkeypatch)
+    for document in _MEASURED_DOCUMENTS:
+        path = graph_file(document)
+        for kind in ("divisorial", "hilbert", "kapranov-nodal"):
+            for measure in measures:
+                for degree in ("0", "1", "3", "40"):
+                    assert main(["--input", path, "--zeta", kind, *measure, "--max-degree",
+                                 degree, "--output", output]) == 0
+                    capsys.readouterr()
+                    assert calls
+                    assert all(order <= max(2 * genus, 1) for _, genus, order in calls), calls
+                    calls.clear()
+
+
+def test_verify_and_symbolic_compute_read_classes_through_max_degree(graph_file, capsys,
+                                                                      monkeypatch):
+    # The oracle and the symbolic series read every class through the
+    # degree they print.
+    calls = _spy_on_class_series(monkeypatch)
+    path = graph_file(MIXED)
+    for argv in (["--mode", "verify"], ["--mode", "verify", "--measure", "euler"],
+                 ["--mode", "verify", "--measure", "point-count", "--q", "7"],
+                 ["--mode", "compute"], ["--mode", "compute", "--output", "json"]):
+        assert main(["--input", path, "--max-degree", "7", *argv]) == 0
+        capsys.readouterr()
+        assert {order for _, _, order in calls} == {7}, argv
+        calls.clear()
 
 
 class _Unexpandable(RationalFn):

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import uuid
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from divzeta.ring import (
     RingElem,
     TruncSeries,
     _dot,
+    _mono_cmp,
     _mono_mul,
     _mono_sorted,
     lefschetz,
@@ -203,6 +205,30 @@ def test_merge_product_matches_dict_and_sort(a, b, c_):
     assert all(exp > 0 for _, exp in product)
     assert product == _mono_mul(b, a)
     assert _mono_mul(product, c_) == _mono_mul(a, _mono_mul(b, c_))
+
+
+def _display_key(gens):
+    """A monomial's negated dense exponent vector over ``gens``, which run
+    largest generator first: one sort key in place of ``_mono_cmp``."""
+
+    def key(mono):
+        exps = dict(mono)
+        return tuple(-exps.get(gen, 0) for gen in gens)
+
+    return key
+
+
+@given(st.lists(monomials(), unique=True, max_size=8))
+def test_negated_exponent_vector_sorts_in_display_order(monos):
+    # _mono_cmp compares exponents on the largest generator where two
+    # monomials differ, larger first; over one element's generators that is
+    # the lexicographic order of the negated exponent vectors.
+    gens = sorted({gen for mono in monos for gen, _ in mono}, key=Generator.sort_key, reverse=True)
+    key = _display_key(gens)
+    assert sorted(monos, key=key) == sorted(monos, key=cmp_to_key(_mono_cmp))
+    for a in monos:
+        for b in monos:
+            assert (key(a) > key(b)) - (key(a) < key(b)) == _mono_cmp(a, b)
 
 
 # -- canonical text -----------------------------------------------------------
@@ -611,6 +637,11 @@ def _same(coeffs, expected):
     assert [type(c) is int for c in coeffs] == [type(c) is int for c in expected]
 
 
+def _in_one_ring(coeffs):
+    """All ``RingElem`` or all ``int``, as the public constructors leave them."""
+    assert all(isinstance(c, RingElem) for c in coeffs) or all(type(c) is int for c in coeffs)
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_products_match_the_naive_definitions(data):
@@ -626,6 +657,19 @@ def test_products_match_the_naive_definitions(data):
         _same((p * q).numerator, _naive_poly_mul(p, q))
     unit = TruncSeries([1 if kind_a == "int" else one()] + raw_a[1:])
     _same(unit.inverse().coefficients(), _naive_inverse(unit))
+    # Products, powers, inverses and expansions wrap the kernel's output
+    # without checking it again: it must already be in one ring, and a
+    # denominator must keep its unit constant term.
+    p = RationalFn(raw_a, unit.coefficients())
+    q = RationalFn(raw_b or [0], [1 if kind_b == "int" else one(), *raw_b[1:]])
+    numerator, inverse = TruncSeries.from_coeffs(raw_a, order), TruncSeries(_naive_inverse(unit))
+    _same(p.series(order).coefficients(), _naive_series_mul(numerator, inverse))
+    for fn in (p * q, q * p, p**2, q**3):
+        _in_one_ring(fn.numerator)
+        _in_one_ring(fn.denominator)
+        assert fn.denominator[0] == 1
+    for series in (a * b, unit**3, unit.inverse(), p.series(order), (p * q).series(order)):
+        _in_one_ring(series.coefficients())
 
 
 # -- the kernel's term order ------------------------------------------------------
