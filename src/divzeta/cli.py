@@ -14,16 +14,11 @@ Three modes over a dual-graph JSON document:
   prints.
 * ``count-strata``: the number of stable pairs per degree.
 
-A measure is applied in one place: ``compute`` and ``verify`` each call
-``leaf_images`` once, and every builder they use (``zeta_rational``,
-``zeta_series``, ``divisor_series_from_strata``) reads those leaves.
-
-A measure is a rule on curve models (``_build_measure`` takes only
-``--measure`` and ``--q``).  Under ``point-count`` each curve's Weil
-numerator comes from its model in the graph, its one source: no option
-supplies one, a symbolic model is not realized, and a weil numerator that
-fails the functional equation at ``--q``, or a genus-1 curve past the Hasse
-bound, is refused (exit 2) when ``compute`` or ``verify`` reads the leaves.
+``compute`` and ``verify`` each call ``measures.leaf_images`` once, and
+every builder they use (``zeta_rational``, ``zeta_series``,
+``divisor_series_from_strata``) reads those leaves.  A measure is built
+from ``--measure`` and ``--q`` alone (``_build_measure``); the models it
+refuses, and why, are the rules of ``measures``, and a refusal exits 2.
 ``count-strata`` applies no measure.
 
 Each mode builds one report of raw values (``RingElem`` or ``int``) under a
@@ -62,13 +57,14 @@ from .measures import (
     MotivicMeasure,
     PointCount,
     SymbolicIdentity,
+    leaf_images,
 )
 from .ring import RationalFn, RingElem
 # ``divisor_class_from_strata`` is not called here, but the benchmark's tracer
 # (perfbench/tracer.py) patches ``cli.divisor_class_from_strata``, and its
 # self-test fails if the name does not resolve.
 from .strata import divisor_class_from_strata, divisor_series_from_strata, stable_pair_count
-from .zeta import ZetaKind, leaf_images, zeta_rational, zeta_series
+from .zeta import ZetaKind, zeta_rational, zeta_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1

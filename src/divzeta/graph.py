@@ -81,6 +81,15 @@ class Record:
         return (type(self), self._values())
 
 
+# The model kinds, each with the keys its JSON object may carry.
+_MODEL_KEYS = {
+    "symbolic": {"type", "id"},
+    "p1": {"type", "id"},
+    "elliptic": {"type", "id", "trace"},
+    "weil": {"type", "id", "numerator"},
+}
+
+
 class CurveModel(Record):
     """The normalization of one component.
 
@@ -88,8 +97,10 @@ class CurveModel(Record):
     symmetric-power generators ``c[name,d]`` to series coefficients;
     elliptic and weil additionally carry the data a point-count measure
     needs to realize those generators.  ``p1`` expands concretely in the
-    Lefschetz class.  A weil numerator has constant term 1 and degree at
-    most 2g; the constructor checks both for every weil model.
+    Lefschetz class.  The constructor refuses an unknown kind, a ``p1``
+    model of positive genus, an elliptic model whose genus is not 1 or whose
+    trace is not an integer, and a weil numerator without constant term 1
+    or of degree above 2g.
     """
 
     __slots__ = _fields = ("kind", "name", "genus", "trace", "numerator")
@@ -102,6 +113,15 @@ class CurveModel(Record):
         trace: int | None = None,
         numerator: tuple[int, ...] | None = None,
     ):
+        if not isinstance(kind, str) or kind not in _MODEL_KEYS:
+            raise GraphError(f"unknown model kind {reprlib.repr(kind)}")
+        if kind == "p1" and genus != 0:
+            raise GraphError(f"a p1 model has genus 0, not {reprlib.repr(genus)}")
+        if kind == "elliptic":
+            if genus != 1:
+                raise GraphError(f"an elliptic model has genus 1, not {reprlib.repr(genus)}")
+            if not _is_int(trace):
+                raise GraphError(f"elliptic trace must be an integer: {reprlib.repr(trace)}")
         if kind == "weil":
             if not numerator or numerator[0] != 1:
                 raise GraphError(
@@ -144,8 +164,8 @@ class Vertex(Record):
 class DualGraph(Record):
     """Validated dual graph; immutable and freely shareable.
 
-    ``models`` maps each model id to its curve, in order of first use
-    (``parse_graph`` checks that the vertices sharing an id agree).  It and
+    ``models`` maps each model id to its curve, in order of first use; the
+    constructor refuses a model id that names two different curves.  It and
     the per-vertex valences and leg counts are built with the graph.
     """
 
@@ -162,7 +182,12 @@ class DualGraph(Record):
         valences = {v.id: 0 for v in vertices}
         legs_at = dict(valences)
         for v in vertices:
-            models.setdefault(v.model.name, v.model)
+            model = models.setdefault(v.model.name, v.model)
+            if model is not v.model and model != v.model:
+                raise GraphError(
+                    f"{_where(v.id)}: model id {reprlib.repr(v.model.name)}"
+                    " already names a different curve"
+                )
         for u, w in edges:
             valences[u] += 1
             valences[w] += 1
@@ -306,15 +331,9 @@ def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
     name = item.get("id", vid)
     if not isinstance(name, str):
         raise GraphError(f"{_where(vid)}: model id must be a string")
-    allowed = {
-        "symbolic": {"type", "id"},
-        "p1": {"type", "id"},
-        "elliptic": {"type", "id", "trace"},
-        "weil": {"type", "id", "numerator"},
-    }
-    if not isinstance(kind, str) or kind not in allowed:
+    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
         raise GraphError(f"{_where(vid)}: unknown model type {reprlib.repr(kind)}")
-    unknown = set(item) - allowed[kind]
+    unknown = set(item) - _MODEL_KEYS[kind]
     if unknown:
         raise GraphError(f"{_where(vid)}: unknown model keys: {reprlib.repr(sorted(unknown))}")
     if kind == "symbolic":
@@ -340,14 +359,6 @@ def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
 
 
 def _validate(graph: DualGraph, *, allow_unstable: bool) -> None:
-    for v in graph.vertices:
-        model = graph.models[v.model.name]
-        if model is not v.model and model != v.model:
-            raise GraphError(
-                f"vertex {reprlib.repr(v.id)}: model id {reprlib.repr(v.model.name)}"
-                " already names a different curve"
-            )
-
     # Connectivity (legs attach to vertices, they connect nothing).
     adjacency: dict[str, set[str]] = {v.id: set() for v in graph.vertices}
     for u, w in graph.edges:

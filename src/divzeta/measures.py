@@ -4,12 +4,11 @@ A measure is a rule on curve models and holds no graph data.  It fixes an
 integer image for the Lefschetz class (``lefschetz_image``) and, for any
 ``CurveModel``, the images of the model's symmetric-power generators in one
 call (``class_series(model, order)``), then extends multiplicatively and
-additively.  A measure is applied in one place: ``zeta.leaf_images`` calls
-``class_series`` once per model of the graph (``graph.models``), and the
-closed forms and the strata oracle are built from those images directly in
-the target ring.  ``of_elem(elem, models)`` maps a finished symbolic
-expression, reading each generator's image from the same series; no CLI
-path calls it.  A model the measure does not realize raises
+additively.  It is applied in one place, ``leaf_images``: one
+``class_series`` call per model of a graph, returned as the ``Leaves`` that
+the closed forms and the strata oracle are built from, directly in the
+measure's ring.  ``of_elem(elem, models)`` maps a finished symbolic
+expression instead.  A model the measure does not realize raises
 ``MeasureError`` naming the model's first generator, ``c[m,1]`` (``c[m,0]``
 is the unit and needs no realization); so does a generator that ``of_elem``
 finds no model for in ``models``.
@@ -26,9 +25,9 @@ finds no model for in ``models``.
 * ``EulerCharacteristic()``: point counting at ``L -> 1`` with the
   numerator ``(1-t)^(2g)``, so ``c[m,d]`` goes to the ``t^d`` coefficient of
   ``(1-t)^(2g-2)``; it realizes every model.
-* ``SymbolicIdentity()``: leaves expressions unchanged; its images are the
-  free generators ``L`` and ``c[m,d]`` themselves, and a projective line's
-  classes ``1 + L + ... + L^d``.
+* ``SymbolicIdentity()``: its images are the free generators ``L`` and
+  ``c[m,d]`` themselves, and a projective line's classes
+  ``1 + L + ... + L^d``.
 
 Both integer measures share one ``class_series``: a model's classes are one
 expansion of its numerator over ``(1-t)(1-l t)``, with ``l`` the image of
@@ -42,7 +41,7 @@ import math
 import reprlib
 from collections.abc import Mapping, Sequence
 
-from .graph import CurveModel
+from .graph import CurveModel, DualGraph
 from .ring import Coeff, RationalFn, RingElem, lefschetz, one, sym_pow
 
 
@@ -162,7 +161,9 @@ class MotivicMeasure:
 
 
 class SymbolicIdentity(MotivicMeasure):
-    """The identity: apply is a no-op, useful as a uniform interface."""
+    """The identity: ``L`` and each ``c[m,d]`` are their own images, so
+    ``of_elem`` returns its input, and the leaves are the free generators
+    but for a projective line's classes, ``1 + L + ... + L^d``."""
 
     name = "symbolic"
 
@@ -241,3 +242,38 @@ class PointCount(MotivicMeasure):
                 f" Hasse bound |a| <= 2 sqrt(q) at q = {self.q}"
             )
         return numerator
+
+
+class Leaves:
+    """The leaves of the closed forms and the oracle, all in one coefficient ring.
+
+    ``lefschetz`` is the image of ``L``, ``one`` the unit of its ring, and
+    ``classes`` maps each model id to the images of ``c[m,0..N]``, the
+    classes of the model's symmetric powers.
+    """
+
+    __slots__ = ("lefschetz", "classes", "one")
+
+    def __init__(self, lefschetz: Coeff, classes: Mapping[str, Sequence[Coeff]]):
+        self.lefschetz = lefschetz
+        self.classes = classes
+        self.one = lefschetz**0  # the unit of the leaves' ring
+
+
+def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves:
+    """The leaves of ``graph`` under ``measure``.
+
+    Each model's classes run through ``t^max(order, 2g)``, in the order of
+    ``graph.models``.  ``order`` is the highest degree a series builder will
+    read (``zeta_series`` and ``divisor_series_from_strata`` take the first
+    ``order + 1`` classes); ``zeta_rational`` takes only the first
+    ``2g + 1``, so a caller that builds the rational form alone may pass
+    ``min(order, 1)`` and still have every class of degree 1 and up that it
+    reads realized.  A model the measure does not realize to that degree
+    raises ``MeasureError`` here.
+    """
+    classes = {
+        name: measure.class_series(model, max(order, 2 * model.genus))
+        for name, model in graph.models.items()
+    }
+    return Leaves(measure.lefschetz_image(), classes)

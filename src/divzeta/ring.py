@@ -188,16 +188,15 @@ def _mono_str(mono: Monomial) -> str:
     return "*".join(factors)
 
 
-def _power(base, exponent: int, unit, mul=operator.mul):
-    """``base ** exponent`` by repeated squaring, multiplying with ``mul``;
-    ``unit`` when the exponent is 0."""
+def _power(base, exponent: int, unit):
+    """``base ** exponent`` by repeated squaring; ``unit`` when the exponent is 0."""
     result = None
     while exponent:
         if exponent & 1:
-            result = base if result is None else mul(result, base)
+            result = base if result is None else result * base
         exponent >>= 1
         if exponent:
-            base = mul(base, base)
+            base = base * base
     return unit if result is None else result
 
 
@@ -349,9 +348,10 @@ def sum_elems(elems: Iterable[RingElem]) -> RingElem:
 # -- parsing -----------------------------------------------------------------
 
 # One token per match, compiled on first use (by ``re``'s cache), like
-# ``_ELEM``: nothing but ``parse_elem`` reads it.
+# ``_ELEM``: nothing but ``parse_elem`` reads it.  A model id is read by
+# ``MODEL_ID_RE``'s own pattern.
 _TOKEN = (
-    r"c\[(?P<model>[A-Za-z_][A-Za-z0-9_.-]*),(?P<degree>\d+)\]"
+    rf"c\[(?P<model>{MODEL_ID_RE.pattern}),(?P<degree>\d+)\]"
     r"|(?P<lef>L)"
     r"|(?P<num>\d+)"
     r"|(?P<op>[*^+\-])"

@@ -19,9 +19,10 @@ A stable pair is an independent choice per slot (vertex, edge, leg) and its
 class is a product of per-slot factors, so by distributivity the sum over
 all pairs of degree d is the ``t^d`` coefficient of a product of per-slot
 series.  ``divisor_series_from_strata`` evaluates that product for every
-degree at once, in the ring of the leaves it is given (``zeta.leaf_images``,
-the same leaves the closed form reads), so a measured product runs over the
-integers and the measure is never applied here.  A vertex's factor is its
+degree at once, in the ring of the leaves it is given
+(``measures.leaf_images``, the same leaves the closed form reads), so a
+measured product runs over the integers and the measure is never applied
+here.  A vertex's factor is its
 model's classes times ``(1-t)`` per hole; the punctures, the chain series
 (built from the image of ``L``) and their product are the oracle's own,
 independent of the closed form's graph scalar.  The product is reordered by
@@ -48,9 +49,8 @@ from collections.abc import Iterator
 from functools import lru_cache, reduce
 
 from .graph import DualGraph, Vertex
-from .measures import SymbolicIdentity
+from .measures import Leaves, SymbolicIdentity, leaf_images
 from .ring import Coeff, RationalFn, RingElem, TruncSeries, lefschetz, one, sum_elems
-from .zeta import Leaves, leaf_images
 
 
 @lru_cache(maxsize=None)

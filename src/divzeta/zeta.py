@@ -15,24 +15,16 @@ the exponents (the scalar is left out when all three are 0):
 * nodal Kapranov:  ``b = |E|``
 * smooth Kapranov: none, only the punctures' ``(1-t)^p``.
 
-The scalar is built once per call as an unreduced rational function and
+The scalar is built once per call as an unreduced rational function, the
+product of the powers of its three factors with a nonzero exponent, and
 multiplied into each vertex's ``numerator / ((1-t)(1-L*t))``
 (``zeta_rational``).  ``zeta_series`` builds the same closed form as a
 series instead, the product of the truncated vertex series with the
-scalar's expansion.  Both take the product's leaves (``Leaves``): the image
-of ``L`` and, per model, the images of ``c[m,0], c[m,1], ...``.  A motivic
-measure is a ring homomorphism, so it is applied once, to the leaves
-(``leaf_images``, the measure's ``class_series`` of each model), and a
-builder run over them gives the measure's image of the symbolic closed form
-without expanding it; under ``SymbolicIdentity`` the leaves are the free
-generators, and a projective line's classes ``1 + L + ... + L^d``.  Under a
-measure every class series is the expansion of its Weil numerator over
-``(1-t)(1-l*t)``, so the rational form expands to the series at every
-order: the CLI builds the rational form alone, from classes through
-``t^2g``, and expands it by one recurrence, linear in the order, where the
-series product is quadratic.
-The strata oracle reads only the leaves from here (``Leaves``,
-``leaf_images``), never a builder.
+scalar's expansion.  Both read only the leaves they are given
+(``measures.Leaves``): the image of ``L`` and, per model, the images of
+``c[m,0], c[m,1], ...``, all in one ring.  A measure is a ring
+homomorphism, so a builder run over its leaves gives the measure's image of
+the symbolic closed form without expanding it.
 
 For a vertex of genus g the rational form uses
 the numerator ``sum_d (c_d - (L+1) c_{d-1} + L c_{d-2}) t^d`` of degree 2g
@@ -51,12 +43,11 @@ from __future__ import annotations
 
 import enum
 import operator
-from collections.abc import Mapping, Sequence
 from functools import reduce
 
 from .graph import CurveModel, DualGraph
-from .measures import MotivicMeasure, class_rational
-from .ring import Coeff, RationalFn, TruncSeries, _poly_product, _power
+from .measures import Leaves, class_rational
+from .ring import Coeff, RationalFn, TruncSeries
 
 
 class ZetaKind(enum.Enum):
@@ -64,41 +55,6 @@ class ZetaKind(enum.Enum):
     HILBERT = "hilbert"
     KAPRANOV_NODAL = "kapranov-nodal"
     KAPRANOV_SMOOTH = "kapranov-smooth"
-
-
-class Leaves:
-    """The leaves of the closed forms, all in one coefficient ring.
-
-    ``classes`` maps each model id to the images of ``c[m,0..N]``, the
-    classes of the model's symmetric powers.
-    """
-
-    __slots__ = ("lefschetz", "classes", "one")
-
-    def __init__(self, lefschetz: Coeff, classes: Mapping[str, Sequence[Coeff]]):
-        self.lefschetz = lefschetz
-        self.classes = classes
-        self.one = lefschetz**0  # the unit of the leaves' ring
-
-
-def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves:
-    """The leaves of ``graph``'s closed forms under ``measure``.
-
-    Each model's classes run through ``t^max(order, 2g)``.  ``order`` is the
-    highest degree a series builder will read: ``zeta_series`` and
-    ``divisor_series_from_strata`` take the first ``order + 1`` classes, so
-    ``verify`` and a symbolic ``compute`` that prints the series pass
-    ``--max-degree``.  ``zeta_rational`` takes only the first ``2g + 1``,
-    so every other ``compute``, which prints the rational form and under a
-    measure its expansion, passes ``min(max_degree, 1)``: every class of
-    degree 1 and up that it reads is still realized.  A model the measure
-    does not realize to that degree raises ``MeasureError`` here.
-    """
-    classes = {
-        name: measure.class_series(model, max(order, 2 * model.genus))
-        for name, model in graph.models.items()
-    }
-    return Leaves(measure.lefschetz_image(), classes)
 
 
 # -- factors -------------------------------------------------------------------
@@ -120,20 +76,18 @@ def _exponents(kind: ZetaKind, graph: DualGraph) -> tuple[int, int, int]:
 def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn | None:
     """The factor fixed by the edges, legs and punctures, or None if it is 1.
 
-    ``(1-t)^b`` and the Hilbert factor have no denominator: their powers
-    are t-polynomials, multiplied into the node factor's numerator only.
+    The product of the node factor, ``(1-t)`` and the Hilbert factor, in that
+    order, each to its exponent, over the nonzero exponents only.  The last
+    two have denominator 1: their powers are t-polynomials.
     """
-    a, b, c = _exponents(kind, graph)
-    if not (a or b or c):
-        return None
     one_, lef = leaves.one, leaves.lefschetz
-    node = RationalFn([one_, -lef], [one_, -(lef + one_), one_]) ** a
-    numerator = node.numerator
-    for factor, exponent in (((one_, -one_), b), ((one_, -one_, lef), c)):
-        if exponent:
-            power = _power(factor, exponent, (one_,), _poly_product)
-            numerator = _poly_product(numerator, power)
-    return RationalFn(numerator, node.denominator)
+    factors = (
+        RationalFn([one_, -lef], [one_, -(lef + one_), one_]),
+        RationalFn([one_, -one_], [one_]),
+        RationalFn([one_, -one_, lef], [one_]),
+    )
+    powers = [f**e for f, e in zip(factors, _exponents(kind, graph)) if e]
+    return reduce(operator.mul, powers) if powers else None
 
 
 def _sym_numerator(model: CurveModel, leaves: Leaves) -> list[Coeff]:
@@ -154,7 +108,7 @@ def _sym_numerator(model: CurveModel, leaves: Leaves) -> list[Coeff]:
 def zeta_series(kind: ZetaKind, graph: DualGraph, order: int, leaves: Leaves) -> TruncSeries:
     """The closed form of ``kind``, truncated at ``order``, in the leaves' ring.
 
-    ``leaves`` reach ``t^order`` (``leaf_images(graph, measure, order)``).
+    ``leaves`` reach ``t^order`` (``measures.leaf_images(graph, measure, order)``).
     """
     product = reduce(
         operator.mul,

@@ -26,9 +26,8 @@ from collections.abc import Sequence
 from hypothesis import settings
 
 from divzeta.graph import CurveModel, DualGraph, Vertex, parse_graph
-from divzeta.measures import SymbolicIdentity
+from divzeta.measures import SymbolicIdentity, leaf_images
 from divzeta.ring import RationalFn, TruncSeries, lefschetz
-from divzeta.zeta import leaf_images
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -785,7 +785,7 @@ def test_a_measure_is_applied_once(graph_file, monkeypatch, measure):
     # A measure is a ring homomorphism, applied once, to the leaves: no
     # finished element is mapped, and compute and verify read one set of
     # leaves, as the same reports show.
-    from divzeta import cli, measures, zeta
+    from divzeta import cli, measures
 
     def refuse(self, elem, models):
         raise AssertionError("a finished element was mapped")
@@ -793,13 +793,13 @@ def test_a_measure_is_applied_once(graph_file, monkeypatch, measure):
     monkeypatch.setattr(measures.MotivicMeasure, "of_elem", refuse)
     monkeypatch.setattr(measures.SymbolicIdentity, "of_elem", refuse)
     calls = []
-    build = zeta.leaf_images
+    build = measures.leaf_images
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    for module in (cli, strata, zeta):
+    for module in (cli, strata):
         monkeypatch.setattr(module, "leaf_images", counted)
     digest = hashlib.sha256()
     for run, code, out in _one_measure_stdout(graph_file, measure):

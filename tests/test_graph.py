@@ -171,6 +171,28 @@ def test_models_list_each_id_once_in_order_of_first_use():
             parse_graph(path)
 
 
+def test_a_directly_built_graph_refuses_one_id_for_two_curves():
+    # Without the check, every vertex of id 'm' would be point-counted with
+    # the first curve, trace 1.
+    u = Vertex("u", 1, CurveModel.elliptic("m", 1))
+    w = Vertex("w", 1, CurveModel.elliptic("m", -2))
+    with pytest.raises(GraphError, match="vertex 'w': model id 'm' already names"):
+        DualGraph((u, w), (("u", "w"),), ())
+    same = DualGraph((u, Vertex("w", 1, CurveModel.elliptic("m", 1))), (("u", "w"),), ())
+    assert same.models == {"m": CurveModel.elliptic("m", 1)}
+
+
+def test_a_model_id_clash_is_reported_before_connectivity_and_stability():
+    # Two vertices without edges, so disconnected and unstable as well.
+    clash = {"vertices": [vertex("u", 0, {"type": "symbolic", "id": "m"}),
+                          vertex("w", 1, {"type": "symbolic", "id": "m"})]}
+    with pytest.raises(GraphError, match="vertex 'w': model id 'm' already names"):
+        parse_graph(clash)
+    clash["vertices"][1] = vertex("w", 0, {"type": "symbolic", "id": "m"})
+    with pytest.raises(GraphError, match="not connected"):
+        parse_graph(clash)
+
+
 def test_total_genus():
     single = parse_graph({"vertices": [vertex(genus=3)]})
     assert total_genus(single) == 3
@@ -382,6 +404,26 @@ def test_curve_model_validates_its_fields():
         CurveModel("symbolic", "1m", 1)
     with pytest.raises(GraphError, match="genus must be nonnegative"):
         CurveModel("symbolic", "m", -1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("bogus", "m", 1), "unknown model kind"),
+        ((None, "m", 1), "unknown model kind"),
+        (("elliptic", "m", 1), "trace must be an integer"),
+        (("elliptic", "m", 1, True), "trace must be an integer"),
+        (("elliptic", "m", 1, 1.0), "trace must be an integer"),
+        (("elliptic", "m", 0, 1), "genus 1"),
+        (("elliptic", "m", 2, 1), "genus 1"),
+        (("p1", "m", 3), "genus 0"),
+    ],
+)
+def test_curve_model_refuses_a_kind_it_cannot_count(args, message):
+    # Each of these would build and then fail, or count the wrong curve,
+    # under a measure.
+    with pytest.raises(GraphError, match=message):
+        CurveModel(*args)
 
 
 def test_derived_graph_data_on_the_battery():

@@ -24,10 +24,11 @@ from divzeta.measures import (
     PointCount,
     SymbolicIdentity,
     is_prime_power,
+    leaf_images,
 )
 from divzeta.ring import RingElem, TruncSeries, lefschetz, one, sym_pow, zero
 from divzeta.strata import torus_class
-from divzeta.zeta import ZetaKind, leaf_images, zeta_rational, zeta_series
+from divzeta.zeta import ZetaKind, zeta_rational, zeta_series
 
 from conftest import (
     battery,

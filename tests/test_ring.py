@@ -18,6 +18,7 @@ from sympy.polys.rings import ring
 
 from divzeta.ring import (
     LEFSCHETZ_GEN,
+    MODEL_ID_RE,
     Generator,
     Monomial,
     RationalFn,
@@ -260,6 +261,13 @@ def test_parse_rejects_garbage():
 @given(ring_elems())
 def test_parse_inverts_str(x):
     assert parse_elem(str(x)) == x
+
+
+@given(st.from_regex(MODEL_ID_RE, fullmatch=True), st.integers(1, 10**6))
+def test_parse_reads_every_model_id_the_grammar_allows(model, degree):
+    # The tokenizer and MODEL_ID_RE accept the same ids.
+    gen = sym_pow(model, degree)
+    assert parse_elem(str(gen)) == gen
 
 
 # -- parse_elem against the recursive-descent parser it replaced ---------------

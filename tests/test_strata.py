@@ -7,9 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import divzeta.ring as ring
+import divzeta.strata as strata
 import divzeta.zeta as zeta
 from divzeta.graph import CurveModel, DualGraph, GraphError, Vertex, parse_graph
-from divzeta.measures import EulerCharacteristic, MeasureError, PointCount, SymbolicIdentity
+from divzeta.measures import (
+    EulerCharacteristic,
+    MeasureError,
+    PointCount,
+    SymbolicIdentity,
+    leaf_images,
+)
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sum_elems, sym_pow
 from divzeta.strata import (
     composition_torus_sum,
@@ -25,7 +33,7 @@ from divzeta.strata import (
     torus_class,
     weak_compositions,
 )
-from divzeta.zeta import ZetaKind, leaf_images, zeta_series
+from divzeta.zeta import ZetaKind, zeta_series
 
 from conftest import (
     battery,
@@ -323,6 +331,19 @@ def _series_graphs():
 
 
 _SERIES_GRAPHS = _series_graphs()
+
+
+def test_the_oracle_imports_nothing_from_the_closed_form():
+    # The oracle takes its leaves from measures, and the closed form builds
+    # on the public ring API only.
+    from_zeta = [name for name, value in vars(strata).items()
+                 if getattr(value, "__module__", None) == "divzeta.zeta"]
+    assert from_zeta == []
+    private = [value for name, value in vars(ring).items()
+               if name.startswith("_") and not name.startswith("__")]
+    from_ring = [name for name, value in vars(zeta).items()
+                 if any(value is item for item in private)]
+    assert from_ring == []
 
 
 def test_literal_reference_reads_no_closed_form_builder(monkeypatch):

@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divzeta.graph import CurveModel, DualGraph, GraphError, Vertex, parse_graph, total_genus
-from divzeta.measures import EulerCharacteristic, PointCount
+from divzeta.measures import EulerCharacteristic, PointCount, leaf_images
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sym_pow
-from divzeta.zeta import ZetaKind, _graph_scalar, leaf_images, zeta_rational, zeta_series
+from divzeta.zeta import ZetaKind, _graph_scalar, zeta_rational, zeta_series
 
 from conftest import (
     free_leaves,
