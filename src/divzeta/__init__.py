@@ -40,7 +40,6 @@ from .ring import (
     zero,
 )
 from .strata import (
-    composition_torus_sum,
     divisor_class_from_strata,
     divisor_series_from_strata,
     punctured_sym_class,
@@ -72,7 +71,6 @@ __all__ = [
     "TruncSeries",
     "Vertex",
     "ZetaKind",
-    "composition_torus_sum",
     "divisor_class_from_strata",
     "divisor_series_from_strata",
     "graph_to_json",

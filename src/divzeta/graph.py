@@ -1,9 +1,17 @@
-"""Dual graphs of stable marked curves: data model, JSON parsing, validation.
+"""Dual graphs of stable marked curves: checked records and JSON parsing.
 
-A dual graph has one vertex per irreducible component (with its geometric
-genus and a curve model for the normalization), one edge per node (loops
-allowed), one leg per marked point, and an optional puncture count per
+A dual graph has one vertex per irreducible component, with a curve model
+for its normalization (which fixes the vertex's geometric genus), one edge
+per node (loops allowed), one leg per marked point, and a puncture count per
 vertex for quasiprojective components.
+
+The record constructors own every structural rule, however a graph is
+built: ``CurveModel`` checks its kind, genus, trace and numerator, ``Vertex``
+its id and punctures, and ``DualGraph`` that vertex ids are distinct, that
+every edge and leg endpoint names a vertex, that a model id names one curve,
+and that the graph is connected.  ``parse_graph`` only decodes JSON: the
+document's shape and keys, and the id-order orientation of edges.  It also
+applies stability, an input rule that ``allow_unstable`` relaxes.
 
 Input schema (JSON)::
 
@@ -16,10 +24,9 @@ Model objects: ``{"type": "symbolic"}``, ``{"type": "p1"}``,
 ``{"type": "elliptic", "trace": a}``, and
 ``{"type": "weil", "numerator": [1, ...]}``; each may carry an ``"id"`` to
 share one generator namespace between vertices (default: the vertex id).
-Vertices that share a model id must describe the same curve (kind, genus,
-trace, numerator); a graph that gives one id two curves is refused.
-``model`` defaults to symbolic, ``punctures`` to 0, ``edges``/``legs`` to
-empty.
+A vertex's ``genus`` is its model's genus.  Vertices that share a model id
+must describe the same curve (kind, genus, trace, numerator).  ``model``
+defaults to symbolic, ``punctures`` to 0, ``edges``/``legs`` to empty.
 
 Non-loop edges are stored with endpoints in vertex-id order; this fixes the
 orientation along which exceptional chains are read.  For a loop, the two
@@ -28,9 +35,10 @@ half-edges are distinguished and chains are read from the first slot.
 
 from __future__ import annotations
 
+import itertools
 import json
 import reprlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .ring import MODEL_ID_RE
 
@@ -90,6 +98,16 @@ _MODEL_KEYS = {
 }
 
 
+def _is_int(value: object) -> bool:
+    """JSON integer test; ``bool`` is an ``int`` subclass but not an integer here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _where(vid: object) -> str:
+    """The vertex an error names; built only when one is raised."""
+    return f"vertex {reprlib.repr(vid)}"
+
+
 class CurveModel(Record):
     """The normalization of one component.
 
@@ -97,10 +115,12 @@ class CurveModel(Record):
     symmetric-power generators ``c[name,d]`` to series coefficients;
     elliptic and weil additionally carry the data a point-count measure
     needs to realize those generators.  ``p1`` expands concretely in the
-    Lefschetz class.  The constructor refuses an unknown kind, a ``p1``
-    model of positive genus, an elliptic model whose genus is not 1 or whose
-    trace is not an integer, and a weil numerator without constant term 1
-    or of degree above 2g.
+    Lefschetz class.  The constructor refuses an unknown kind, a genus that
+    is not a nonnegative integer, a ``p1`` model of positive genus, an
+    elliptic model whose genus is not 1 or whose trace is not an integer, a
+    weil numerator that is not a list of integers with constant term 1 and
+    degree at most 2g, a trace or numerator on any other kind, and a name
+    outside the model-id grammar.  ``bool`` is not an integer here.
     """
 
     __slots__ = _fields = ("kind", "name", "genus", "trace", "numerator")
@@ -111,10 +131,12 @@ class CurveModel(Record):
         name: str,
         genus: int,
         trace: int | None = None,
-        numerator: tuple[int, ...] | None = None,
+        numerator: Sequence[int] | None = None,
     ):
         if not isinstance(kind, str) or kind not in _MODEL_KEYS:
-            raise GraphError(f"unknown model kind {reprlib.repr(kind)}")
+            raise GraphError(f"unknown model type {reprlib.repr(kind)}")
+        if not _is_int(genus) or genus < 0:
+            raise GraphError("genus must be a nonnegative integer")
         if kind == "p1" and genus != 0:
             raise GraphError(f"a p1 model has genus 0, not {reprlib.repr(genus)}")
         if kind == "elliptic":
@@ -122,19 +144,24 @@ class CurveModel(Record):
                 raise GraphError(f"an elliptic model has genus 1, not {reprlib.repr(genus)}")
             if not _is_int(trace):
                 raise GraphError(f"elliptic trace must be an integer: {reprlib.repr(trace)}")
+        elif trace is not None:
+            raise GraphError(f"a {kind} model has no trace")
         if kind == "weil":
-            if not numerator or numerator[0] != 1:
+            ints = isinstance(numerator, (list, tuple)) and all(map(_is_int, numerator))
+            if not ints or not numerator or numerator[0] != 1:
                 raise GraphError(
-                    f"weil numerator must have constant term 1: {reprlib.repr(numerator)}"
+                    "weil numerator must be a list of integers with constant term 1:"
+                    f" {reprlib.repr(numerator)}"
                 )
             if len(numerator) - 1 > 2 * genus:
                 raise GraphError(
                     f"weil numerator degree {len(numerator) - 1} exceeds 2*genus = {2 * genus}"
                 )
-        if not MODEL_ID_RE.fullmatch(name):
+            numerator = tuple(numerator)
+        elif numerator is not None:
+            raise GraphError(f"a {kind} model has no numerator")
+        if not isinstance(name, str) or not MODEL_ID_RE.fullmatch(name):
             raise GraphError(f"invalid model id: {reprlib.repr(name)}")
-        if genus < 0:
-            raise GraphError("genus must be nonnegative")
         self._assign(kind=kind, name=name, genus=genus, trace=trace, numerator=numerator)
 
     @classmethod
@@ -151,22 +178,39 @@ class CurveModel(Record):
 
     @classmethod
     def weil(cls, name: str, numerator: Iterable[int], genus: int) -> CurveModel:
-        return cls("weil", name, genus, numerator=tuple(int(c) for c in numerator))
+        return cls("weil", name, genus, numerator=tuple(numerator))
 
 
 class Vertex(Record):
-    __slots__ = _fields = ("id", "genus", "model", "punctures")
+    """One component: its id, its curve model and its punctures.
 
-    def __init__(self, id: str, genus: int, model: CurveModel, punctures: int = 0):
-        self._assign(id=id, genus=genus, model=model, punctures=punctures)
+    The constructor refuses an id outside the model-id grammar and a
+    puncture count that is not a nonnegative integer.  ``genus`` is the
+    model's.
+    """
+
+    __slots__ = _fields = ("id", "model", "punctures")
+
+    def __init__(self, id: str, model: CurveModel, punctures: int = 0):
+        if not isinstance(id, str) or not MODEL_ID_RE.fullmatch(id):
+            raise GraphError(f"invalid vertex id: {reprlib.repr(id)}")
+        if not _is_int(punctures) or punctures < 0:
+            raise GraphError(f"{_where(id)}: punctures must be a nonnegative integer")
+        self._assign(id=id, model=model, punctures=punctures)
+
+    @property
+    def genus(self) -> int:
+        return self.model.genus
 
 
 class DualGraph(Record):
     """Validated dual graph; immutable and freely shareable.
 
-    ``models`` maps each model id to its curve, in order of first use; the
-    constructor refuses a model id that names two different curves.  It and
-    the per-vertex valences and leg counts are built with the graph.
+    The constructor refuses an empty graph, a duplicate vertex id, an edge
+    or leg endpoint that is not the id of one of the vertices, a model id
+    that names two different curves, and a graph that is not connected.
+    ``models`` maps each model id to its curve, in order of first use; it
+    and the per-vertex valences and leg counts are built with the graph.
     """
 
     _fields = ("vertices", "edges", "legs")
@@ -174,25 +218,54 @@ class DualGraph(Record):
 
     def __init__(
         self,
-        vertices: tuple[Vertex, ...],
-        edges: tuple[tuple[str, str], ...],
-        legs: tuple[str, ...],
+        vertices: Iterable[Vertex],
+        edges: Iterable[tuple[str, str]],
+        legs: Iterable[str],
     ):
+        vertices, edges, legs = tuple(vertices), tuple(edges), tuple(legs)
+        if not vertices:
+            raise GraphError("a dual graph needs a nonempty list of vertices")
         models: dict[str, CurveModel] = {}
-        valences = {v.id: 0 for v in vertices}
-        legs_at = dict(valences)
+        valences: dict[str, int] = {}
         for v in vertices:
+            if v.id in valences:
+                raise GraphError(f"duplicate vertex id {reprlib.repr(v.id)}")
+            valences[v.id] = 0
             model = models.setdefault(v.model.name, v.model)
             if model is not v.model and model != v.model:
                 raise GraphError(
                     f"{_where(v.id)}: model id {reprlib.repr(v.model.name)}"
                     " already names a different curve"
                 )
+        legs_at = dict(valences)
+        for kind, ends, counts in (
+            ("edge", itertools.chain.from_iterable(edges), valences),
+            ("leg", legs, legs_at),
+        ):
+            for end in ends:
+                if not isinstance(end, str):
+                    raise GraphError(
+                        f"{kind} endpoint must be a vertex id string: {reprlib.repr(end)}"
+                    )
+                if end not in counts:
+                    raise GraphError(f"{kind} references unknown vertex id {reprlib.repr(end)}")
+                counts[end] += 1
+        # Connectivity; legs attach to vertices, they connect nothing.
+        adjacency: dict[str, set[str]] = {vid: set() for vid in valences}
         for u, w in edges:
-            valences[u] += 1
-            valences[w] += 1
-        for vid in legs:
-            legs_at[vid] += 1
+            adjacency[u].add(w)
+            adjacency[w].add(u)
+        seen = {vertices[0].id}
+        queue = [vertices[0].id]
+        while queue:
+            for nxt in adjacency[queue.pop()] - seen:
+                seen.add(nxt)
+                queue.append(nxt)
+        if len(seen) != len(vertices):
+            missing = sorted(set(adjacency) - seen)
+            raise GraphError(
+                f"graph is not connected: unreachable vertices {reprlib.repr(missing)}"
+            )
         self._assign(
             vertices=vertices,
             edges=edges,
@@ -224,10 +297,12 @@ def total_genus(graph: DualGraph) -> int:
 
 
 def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> DualGraph:
-    """Parse and validate a dual graph from JSON text or a decoded dict.
+    """Decode a dual graph from JSON text or a decoded dict.
 
-    ``allow_unstable`` skips the stability inequality, but only for a
-    single-vertex graph without edges (the smooth case).
+    The records check the graph's structure; this adds the document's shape,
+    the id-order orientation of edges, and stability.  ``allow_unstable``
+    skips the stability inequality, but only for a single-vertex graph
+    without edges (the smooth case).
     """
     if isinstance(source, (str, bytes)):
         # A ValueError covers bad syntax, bytes that do not decode and an
@@ -244,37 +319,28 @@ def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> 
     if unknown:
         raise GraphError(f"unknown top-level keys: {reprlib.repr(sorted(unknown))}")
 
-    raw_vertices = data.get("vertices")
-    if not isinstance(raw_vertices, list) or not raw_vertices:
-        raise GraphError("'vertices' must be a nonempty list")
-    vertices = tuple(_parse_vertex(item) for item in raw_vertices)
-    ids = [v.id for v in vertices]
-    if len(set(ids)) != len(ids):
-        raise GraphError("duplicate vertex ids")
-    known = set(ids)
-
+    vertices = [_parse_vertex(item) for item in _list_field(data, "vertices")]
     edges = []
     for item in _list_field(data, "edges"):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise GraphError(f"edge must be a pair of vertex ids: {reprlib.repr(item)}")
         u, w = item
-        for end in (u, w):
-            _check_endpoint(end, known, "edge")
-        edges.append((u, w) if u <= w else (w, u))
+        # A non-string endpoint stays as given, for DualGraph to refuse.
+        edges.append((w, u) if isinstance(u, str) and isinstance(w, str) and w < u else (u, w))
+    graph = DualGraph(vertices, edges, _list_field(data, "legs"))
 
-    legs = []
-    for vid in _list_field(data, "legs"):
-        _check_endpoint(vid, known, "leg")
-        legs.append(vid)
-
-    graph = DualGraph(vertices, tuple(edges), tuple(legs))
-    _validate(graph, allow_unstable=allow_unstable)
+    if allow_unstable and len(graph.vertices) == 1 and not graph.edges:
+        return graph
+    for v in graph.vertices:
+        # Punctures are excluded: stability is that of the compactified curve.
+        slack = 2 * v.genus - 2 + graph.valence(v.id) + graph.legs_at(v.id)
+        if slack <= 0:
+            raise GraphError(
+                f"unstable vertex {reprlib.repr(v.id)}: 2*genus - 2 + valence + legs = {slack}"
+                " (must be positive); pass --allow-unstable, or allow_unstable=True to"
+                " parse_graph, for smooth one-vertex input"
+            )
     return graph
-
-
-def _is_int(value: object) -> bool:
-    """JSON integer test; ``bool`` is an ``int`` subclass but not an integer here."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _list_field(data: dict, key: str) -> list:
@@ -282,13 +348,6 @@ def _list_field(data: dict, key: str) -> list:
     if not isinstance(items, (list, tuple)):
         raise GraphError(f"'{key}' must be a list")
     return items
-
-
-def _check_endpoint(end: object, known: set[str], kind: str) -> None:
-    if not isinstance(end, str):
-        raise GraphError(f"{kind} endpoint must be a vertex id string: {reprlib.repr(end)}")
-    if end not in known:
-        raise GraphError(f"{kind} references unknown vertex id {reprlib.repr(end)}")
 
 
 def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:
@@ -300,11 +359,6 @@ def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:
     return parse_graph(text, allow_unstable=allow_unstable)
 
 
-def _where(vid: str) -> str:
-    """The vertex an error names; built only when one is raised."""
-    return f"vertex {reprlib.repr(vid)}"
-
-
 def _parse_vertex(item: object) -> Vertex:
     if not isinstance(item, dict):
         raise GraphError(f"vertex must be an object: {reprlib.repr(item)}")
@@ -312,81 +366,23 @@ def _parse_vertex(item: object) -> Vertex:
     if unknown:
         raise GraphError(f"unknown vertex keys: {reprlib.repr(sorted(unknown))}")
     vid = item.get("id")
-    if not isinstance(vid, str) or not MODEL_ID_RE.fullmatch(vid):
-        raise GraphError(f"invalid vertex id: {reprlib.repr(vid)}")
-    genus = item.get("genus")
-    if not _is_int(genus) or genus < 0:
-        raise GraphError(f"{_where(vid)}: genus must be a nonnegative integer")
-    punctures = item.get("punctures", 0)
-    if not _is_int(punctures) or punctures < 0:
-        raise GraphError(f"{_where(vid)}: punctures must be a nonnegative integer")
-    model = _parse_model(item.get("model", {"type": "symbolic"}), vid, genus)
-    return Vertex(vid, genus, model, punctures)
+    try:
+        model = _parse_model(item.get("model", {"type": "symbolic"}), vid, item.get("genus"))
+    except GraphError as exc:
+        raise GraphError(f"{_where(vid)}: {exc}") from None
+    return Vertex(vid, model, item.get("punctures", 0))
 
 
-def _parse_model(item: object, vid: str, genus: int) -> CurveModel:
+def _parse_model(item: object, vid: object, genus: object) -> CurveModel:
     if not isinstance(item, dict):
-        raise GraphError(f"{_where(vid)}: model must be an object")
-    kind = item.get("type")
-    name = item.get("id", vid)
-    if not isinstance(name, str):
-        raise GraphError(f"{_where(vid)}: model id must be a string")
-    if not isinstance(kind, str) or kind not in _MODEL_KEYS:
-        raise GraphError(f"{_where(vid)}: unknown model type {reprlib.repr(kind)}")
-    unknown = set(item) - _MODEL_KEYS[kind]
+        raise GraphError("model must be an object")
+    model = CurveModel(
+        item.get("type"), item.get("id", vid), genus, item.get("trace"), item.get("numerator")
+    )
+    unknown = set(item) - _MODEL_KEYS[model.kind]
     if unknown:
-        raise GraphError(f"{_where(vid)}: unknown model keys: {reprlib.repr(sorted(unknown))}")
-    if kind == "symbolic":
-        model = CurveModel.symbolic(name, genus)
-    elif kind == "p1":
-        model = CurveModel.projective_line(name)
-    elif kind == "elliptic":
-        trace = item.get("trace")
-        if not _is_int(trace):
-            raise GraphError(f"{_where(vid)}: elliptic model needs integer 'trace'")
-        model = CurveModel.elliptic(name, trace)
-    else:
-        numerator = item.get("numerator")
-        if not isinstance(numerator, list) or not all(map(_is_int, numerator)):
-            raise GraphError(f"{_where(vid)}: weil model needs an integer list 'numerator'")
-        model = CurveModel.weil(name, numerator, genus)
-    if model.genus != genus:
-        raise GraphError(
-            f"{_where(vid)}: model genus {model.genus} does not match vertex genus"
-            f" {reprlib.repr(genus)}"
-        )
+        raise GraphError(f"unknown model keys: {reprlib.repr(sorted(unknown))}")
     return model
-
-
-def _validate(graph: DualGraph, *, allow_unstable: bool) -> None:
-    # Connectivity (legs attach to vertices, they connect nothing).
-    adjacency: dict[str, set[str]] = {v.id: set() for v in graph.vertices}
-    for u, w in graph.edges:
-        adjacency[u].add(w)
-        adjacency[w].add(u)
-    seen = {graph.vertices[0].id}
-    queue = [graph.vertices[0].id]
-    while queue:
-        for nxt in adjacency[queue.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    if len(seen) != len(graph.vertices):
-        missing = sorted(set(adjacency) - seen)
-        raise GraphError(f"graph is not connected: unreachable vertices {reprlib.repr(missing)}")
-
-    skip_stability = allow_unstable and len(graph.vertices) == 1 and not graph.edges
-    if skip_stability:
-        return
-    for v in graph.vertices:
-        # Punctures are excluded: stability is that of the compactified curve.
-        slack = 2 * v.genus - 2 + graph.valence(v.id) + graph.legs_at(v.id)
-        if slack <= 0:
-            raise GraphError(
-                f"unstable vertex {reprlib.repr(v.id)}: 2*genus - 2 + valence + legs = {slack}"
-                " (must be positive); pass --allow-unstable, or allow_unstable=True to"
-                " parse_graph, for smooth one-vertex input"
-            )
 
 
 def graph_to_json(graph: DualGraph) -> dict:

@@ -225,19 +225,3 @@ def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:
     """Class of the degree-d divisor space as a sum over strata, symbolically."""
     leaves = leaf_images(graph, SymbolicIdentity(), degree)
     return divisor_series_from_strata(graph, degree, leaves)[degree]
-
-
-def composition_torus_sum(degree: int) -> RingElem:
-    """Sum over ordered compositions of ``degree`` of products of torus classes.
-
-    Equals the ``t^degree`` coefficient of the node factor.
-    """
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    total = []
-    for alpha in compositions(degree):
-        product = one()
-        for entry in alpha:
-            product = product * torus_class(entry - 1)
-        total.append(product)
-    return sum_elems(total)

@@ -16,7 +16,8 @@ no code with it.
 
 ``node_factor_rational`` and ``vertex_zeta_series`` are small references
 for the closed forms' node factor and one component's zeta, built by no
-closed-form builder.
+closed-form builder; ``composition_torus_sum`` is the node factor's
+coefficient as a literal sum over compositions of torus classes.
 """
 
 import math
@@ -27,7 +28,8 @@ from hypothesis import settings
 
 from divzeta.graph import CurveModel, DualGraph, Vertex, parse_graph
 from divzeta.measures import SymbolicIdentity, leaf_images
-from divzeta.ring import RationalFn, TruncSeries, lefschetz
+from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sum_elems
+from divzeta.strata import compositions, torus_class
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -42,6 +44,22 @@ def node_factor_rational():
     """The per-node (and per-mark) factor ``(1 - L*t) / (1 - L*t - t + t^2)``."""
     lef = lefschetz()
     return RationalFn([1, -lef], [1, -(lef + 1), 1])
+
+
+def composition_torus_sum(degree):
+    """Sum over ordered compositions of ``degree`` of products of torus classes.
+
+    Equals the ``t^degree`` coefficient of the node factor.
+    """
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    total = []
+    for alpha in compositions(degree):
+        product = one()
+        for entry in alpha:
+            product = product * torus_class(entry - 1)
+        total.append(product)
+    return sum_elems(total)
 
 
 def vertex_zeta_series(model, order):
@@ -100,7 +118,7 @@ def declare_weil(graph, by_genus):
         for name, model in graph.models.items()
     }
     vertices = tuple(
-        Vertex(v.id, v.genus, models[v.model.name], v.punctures) for v in graph.vertices
+        Vertex(v.id, models[v.model.name], v.punctures) for v in graph.vertices
     )
     return DualGraph(vertices, graph.edges, graph.legs)
 

@@ -11,7 +11,6 @@ from divzeta.graph import parse_graph
 from divzeta.measures import EulerCharacteristic, PointCount
 from divzeta.ring import RationalFn, lefschetz, one, sym_pow, zero
 from divzeta.strata import (
-    composition_torus_sum,
     divisor_class_from_strata,
     punctured_sym_class,
     stable_pair_count,
@@ -24,6 +23,7 @@ from divzeta.graph import CurveModel
 
 from conftest import (
     battery,
+    composition_torus_sum,
     declare_weil,
     free_leaves,
     marked_curve,

@@ -373,6 +373,9 @@ _OVERSIZED = {
     "edge-of-zeros": {"vertices": [vertex("m", 2)], "edges": [[0] * 100_000]},
     "unreachable-vertices": {"vertices": [vertex(f"v{i}", 2) for i in range(2_000)]},
     "long-vertex-id": {"vertices": [vertex("v" * 100_000, 0)]},
+    "long-elliptic-genus": {
+        "vertices": [vertex("e", int("9" * 4_000), {"type": "elliptic", "trace": 1})]
+    },
 }
 
 

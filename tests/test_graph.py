@@ -130,9 +130,9 @@ def test_endpoints_must_be_vertex_id_strings():
 
 
 def test_model_genus_must_match_vertex_genus():
-    with pytest.raises(GraphError, match="does not match"):
+    with pytest.raises(GraphError, match="vertex 'a': an elliptic model has genus 1, not 2"):
         parse_graph({"vertices": [vertex("a", 2, {"type": "elliptic", "trace": 1})]})
-    with pytest.raises(GraphError, match="does not match"):
+    with pytest.raises(GraphError, match="vertex 'a': a p1 model has genus 0, not 1"):
         parse_graph({"vertices": [vertex("a", 1, {"type": "p1"})]}, allow_unstable=True)
 
 
@@ -174,11 +174,11 @@ def test_models_list_each_id_once_in_order_of_first_use():
 def test_a_directly_built_graph_refuses_one_id_for_two_curves():
     # Without the check, every vertex of id 'm' would be point-counted with
     # the first curve, trace 1.
-    u = Vertex("u", 1, CurveModel.elliptic("m", 1))
-    w = Vertex("w", 1, CurveModel.elliptic("m", -2))
+    u = Vertex("u", CurveModel.elliptic("m", 1))
+    w = Vertex("w", CurveModel.elliptic("m", -2))
     with pytest.raises(GraphError, match="vertex 'w': model id 'm' already names"):
         DualGraph((u, w), (("u", "w"),), ())
-    same = DualGraph((u, Vertex("w", 1, CurveModel.elliptic("m", 1))), (("u", "w"),), ())
+    same = DualGraph((u, Vertex("w", CurveModel.elliptic("m", 1))), (("u", "w"),), ())
     assert same.models == {"m": CurveModel.elliptic("m", 1)}
 
 
@@ -363,10 +363,10 @@ ELLIPTIC = CurveModel.elliptic("e", 1)
 RECORDS = {
     "curve-model": (ELLIPTIC, CurveModel.elliptic("e", 2)),
     "weil-model": (CurveModel.weil("w", [1, -1, 3], 1), CurveModel.weil("w", [1, -1, 2], 1)),
-    "vertex": (Vertex("u", 1, ELLIPTIC, 2), Vertex("u", 1, ELLIPTIC)),
+    "vertex": (Vertex("u", ELLIPTIC, 2), Vertex("u", ELLIPTIC)),
     "graph": (
-        DualGraph((Vertex("u", 1, ELLIPTIC),), (("u", "u"),), ()),
-        DualGraph((Vertex("u", 1, ELLIPTIC),), (("u", "u"),), ("u",)),
+        DualGraph((Vertex("u", ELLIPTIC),), (("u", "u"),), ()),
+        DualGraph((Vertex("u", ELLIPTIC),), (("u", "u"),), ("u",)),
     ),
 }
 
@@ -402,28 +402,92 @@ def test_record_repr_lists_the_fields():
 def test_curve_model_validates_its_fields():
     with pytest.raises(GraphError, match="invalid model id"):
         CurveModel("symbolic", "1m", 1)
-    with pytest.raises(GraphError, match="genus must be nonnegative"):
+    with pytest.raises(GraphError, match="genus must be a nonnegative integer"):
         CurveModel("symbolic", "m", -1)
 
 
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("bogus", "m", 1), "unknown model kind"),
-        ((None, "m", 1), "unknown model kind"),
+        (("bogus", "m", 1), "unknown model type"),
+        ((None, "m", 1), "unknown model type"),
         (("elliptic", "m", 1), "trace must be an integer"),
         (("elliptic", "m", 1, True), "trace must be an integer"),
         (("elliptic", "m", 1, 1.0), "trace must be an integer"),
         (("elliptic", "m", 0, 1), "genus 1"),
         (("elliptic", "m", 2, 1), "genus 1"),
         (("p1", "m", 3), "genus 0"),
+        (("p1", "m", 0, 3), "a p1 model has no trace"),
+        (("symbolic", "m", 1, None, (1,)), "a symbolic model has no numerator"),
     ],
 )
 def test_curve_model_refuses_a_kind_it_cannot_count(args, message):
     # Each of these would build and then fail, or count the wrong curve,
-    # under a measure.
+    # under a measure, or lose a field in a JSON round trip.
     with pytest.raises(GraphError, match=message):
         CurveModel(*args)
+
+
+def test_curve_model_refuses_numbers_that_are_not_ints():
+    # A float, a bool or a numeric string is not an integer, however the
+    # model is built.
+    for numerator in ([1, 2.9, 7], [1, True, 7], [True], [1, "-3", 7], (1, 0.0)):
+        with pytest.raises(GraphError, match="weil numerator must be a list of integers"):
+            CurveModel.weil("w", numerator, 1)
+        with pytest.raises(GraphError, match="weil numerator must be a list of integers"):
+            CurveModel("weil", "w", 1, numerator=numerator)
+    for genus in ("2", True, 1.0, None):
+        with pytest.raises(GraphError, match="genus must be a nonnegative integer"):
+            CurveModel("symbolic", "m", genus)
+    with pytest.raises(GraphError, match="genus must be a nonnegative integer"):
+        CurveModel.weil("w", [1], False)
+
+
+def _genus_2(vid, punctures=0):
+    return Vertex(vid, CurveModel.symbolic(vid, 2), punctures)
+
+
+# Each builds with the constructors alone a graph that parse_graph refuses;
+# the constructors must refuse it the same way.
+_DIRECT_REFUSALS = {
+    "duplicate-id": (lambda: DualGraph((_genus_2("u"), _genus_2("u")), (("u", "u"),), ()),
+                     "duplicate vertex id 'u'"),
+    "unknown-endpoint": (lambda: DualGraph((_genus_2("u"),), (("u", "x"),), ()),
+                         "edge references unknown vertex id 'x'"),
+    "unknown-leg": (lambda: DualGraph((_genus_2("u"),), (), ("x",)),
+                    "leg references unknown vertex id 'x'"),
+    "non-string-endpoint": (lambda: DualGraph((_genus_2("u"),), (("u", 1),), ()),
+                            "edge endpoint must be a vertex id string: 1"),
+    "disconnected": (lambda: DualGraph((_genus_2("u"), _genus_2("w")), (), ()),
+                     r"graph is not connected: unreachable vertices \['w'\]"),
+    "no-vertices": (lambda: DualGraph((), (), ()),
+                    "a dual graph needs a nonempty list of vertices"),
+    "negative-punctures": (lambda: DualGraph((_genus_2("u", -3),), (), ()),
+                           "vertex 'u': punctures must be a nonnegative integer"),
+    "bool-punctures": (lambda: DualGraph((_genus_2("u", True),), (), ()),
+                       "vertex 'u': punctures must be a nonnegative integer"),
+    "vertex-id": (lambda: DualGraph((Vertex("1v", CurveModel.symbolic("m", 2)),), (), ()),
+                  "invalid vertex id: '1v'"),
+    "elliptic-genus-2": (
+        lambda: DualGraph((Vertex("u", CurveModel("elliptic", "u", 2, trace=1)),), (), ()),
+        "an elliptic model has genus 1, not 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECT_REFUSALS))
+def test_a_directly_built_graph_refuses_what_parse_graph_refuses(name):
+    build, message = _DIRECT_REFUSALS[name]
+    with pytest.raises(GraphError, match=message):
+        build()
+
+
+def test_a_vertex_reads_its_genus_from_its_model():
+    assert Vertex._fields == ("id", "model", "punctures")
+    v = Vertex("u", CurveModel.elliptic("m", 3), 2)
+    assert v.genus == 1 and v.punctures == 2
+    graph = DualGraph([v], [("u", "u")], [])
+    assert total_genus(graph) == 2 and graph == DualGraph((v,), (("u", "u"),), ())
 
 
 def test_derived_graph_data_on_the_battery():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divzeta.graph import DualGraph, GraphError, parse_graph
+from divzeta.graph import CurveModel, DualGraph, GraphError, Vertex, graph_to_json, parse_graph
 from divzeta.ring import sum_elems
 from divzeta.strata import divisor_series_from_strata, stable_pairs, stratum_class
 from divzeta.zeta import ZetaKind, zeta_rational, zeta_series
@@ -146,6 +146,35 @@ def test_graphs_sharing_vertex_data_and_counts_agree(data):
     except GraphError:
         assume(False)  # the rewired graph is unstable
     _assert_same_results(document, other)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_parsing_adds_only_json_work_and_stability(data):
+    # The generated vertices, connected by a path and up to two more edges,
+    # with up to two legs and no stabilizing legs added, built directly with
+    # the edges in id order.
+    documents = data.draw(_vertices())
+    ids = [v["id"] for v in documents]
+    ends = st.sampled_from(ids)
+    edges = list(zip(ids, ids[1:])) + data.draw(st.lists(st.tuples(ends, ends), max_size=2))
+    legs = data.draw(st.lists(ends, max_size=2))
+    vertices = []
+    for v in documents:
+        model = v["model"]
+        curve = CurveModel(model["type"], model["id"], v["genus"],
+                           model.get("trace"), model.get("numerator"))
+        vertices.append(Vertex(v["id"], curve, v["punctures"]))
+    graph = DualGraph(vertices, [tuple(sorted(edge)) for edge in edges], legs)
+    unstable = [
+        v.id for v in graph.vertices
+        if 2 * v.genus - 2 + graph.valence(v.id) + graph.legs_at(v.id) <= 0
+    ]
+    if not unstable:
+        assert parse_graph(graph_to_json(graph)) == graph
+        return
+    with pytest.raises(GraphError, match=f"unstable vertex '({'|'.join(unstable)})'"):
+        parse_graph(graph_to_json(graph))
 
 
 _V = [vertex("a", 1), vertex("b", 0, {"type": "p1"}), vertex("c", 1, punctures=1)]

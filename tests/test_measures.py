@@ -505,7 +505,7 @@ def test_an_integer_measure_is_a_rule_on_the_model(q, order, data):
             assert counting.class_series(model, order) == weil_series(numerator, q, order)
         row = [one_minus_t_coefficient(2 * model.genus, d) for d in range(2 * model.genus + 1)]
         assert EulerCharacteristic().class_series(model, order) == weil_series(row, 1, order)
-    graphs = [DualGraph((Vertex("v", model.genus, model),), (), ()) for model, _ in pairs]
+    graphs = [DualGraph((Vertex("v", model),), (), ()) for model, _ in pairs]
     for make in (EulerCharacteristic, functools.partial(PointCount, q)):
         shared = make()
         once = [_leaf_classes(graph, shared, order) for graph in graphs]

@@ -20,7 +20,6 @@ from divzeta.measures import (
 )
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sum_elems, sym_pow
 from divzeta.strata import (
-    composition_torus_sum,
     compositions,
     divisor_class_from_strata,
     divisor_series_from_strata,
@@ -37,6 +36,7 @@ from divzeta.zeta import ZetaKind, zeta_series
 
 from conftest import (
     battery,
+    composition_torus_sum,
     declare_weil,
     free_leaves,
     loop_vertex,
@@ -412,7 +412,7 @@ def test_oracle_series_matches_oracle_classes(name):
 def _punctured_vertex(v, holes):
     """``v`` alone, its holes as punctures: a graph whose oracle series is
     the vertex factor, with no chain series."""
-    return DualGraph((Vertex(v.id, v.genus, v.model, holes),), (), ())
+    return DualGraph((Vertex(v.id, v.model, holes),), (), ())
 
 
 @pytest.mark.parametrize("name", sorted(_SERIES_GRAPHS))

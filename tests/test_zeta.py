@@ -40,7 +40,7 @@ def convolve(a, b, degree):
 def one_vertex_zeta(model, punctures, order):
     """The closed form of one component with ``punctures`` punctures: its
     smooth Kapranov zeta."""
-    graph = DualGraph((Vertex(model.name, model.genus, model, punctures),), (), ())
+    graph = DualGraph((Vertex(model.name, model, punctures),), (), ())
     return zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order, free_leaves(graph, order))
 
 
