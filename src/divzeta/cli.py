@@ -38,14 +38,16 @@ neither ``argparse`` nor ``dataclasses``: every call runs in a fresh
 interpreter, and those two were most of the package's import time.
 
 Exit codes: 0 success/verified (and ``--help``), 1 usage error (including
-a ``--max-degree`` above ``MAX_DEGREE_LIMIT``), 2 validation error,
-3 verification mismatch.
+a ``--max-degree`` above ``MAX_DEGREE_LIMIT``), 2 validation error (and an
+input that cannot be read or output that cannot be written: a closed pipe
+or a full disk), 3 verification mismatch.
 """
 
 from __future__ import annotations
 
 import getopt
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -376,7 +378,17 @@ def run(args: SimpleNamespace) -> int:
     except ValueError:
         print(f"divzeta: {_digit_limit_message(args)}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(text)
+    # A closed pipe or a full disk is reported like an unreadable input.
+    # After a broken pipe stdout points at the null device, so the flush at
+    # interpreter exit has nowhere to fail.
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"divzeta: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK if report.get("verified", True) else EXIT_MISMATCH
 
 

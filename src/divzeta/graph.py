@@ -8,10 +8,10 @@ vertex for quasiprojective components.
 The record constructors own every structural rule, however a graph is
 built: ``CurveModel`` checks its kind, genus, trace and numerator, ``Vertex``
 its id and punctures, and ``DualGraph`` that vertex ids are distinct, that
-every edge and leg endpoint names a vertex, that a model id names one curve,
-and that the graph is connected.  ``parse_graph`` only decodes JSON: the
-document's shape and keys, and the id-order orientation of edges.  It also
-applies stability, an input rule that ``allow_unstable`` relaxes.
+every edge is a pair and every edge and leg endpoint names a vertex, that a
+model id names one curve, and that the graph is connected.  ``parse_graph``
+only decodes JSON, the document's shape and keys, and applies stability, an
+input rule that ``allow_unstable`` relaxes.
 
 Input schema (JSON)::
 
@@ -26,16 +26,13 @@ Model objects: ``{"type": "symbolic"}``, ``{"type": "p1"}``,
 share one generator namespace between vertices (default: the vertex id).
 A vertex's ``genus`` is its model's genus.  Vertices that share a model id
 must describe the same curve (kind, genus, trace, numerator).  ``model``
-defaults to symbolic, ``punctures`` to 0, ``edges``/``legs`` to empty.
-
-Non-loop edges are stored with endpoints in vertex-id order; this fixes the
-orientation along which exceptional chains are read.  For a loop, the two
-half-edges are distinguished and chains are read from the first slot.
+defaults to symbolic, ``punctures`` to 0, ``edges``/``legs`` to empty.  An
+edge is a pair of vertex ids, stored as written, and no result reads its
+direction.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import reprlib
 from collections.abc import Iterable, Sequence
@@ -106,6 +103,20 @@ def _is_int(value: object) -> bool:
 def _where(vid: object) -> str:
     """The vertex an error names; built only when one is raised."""
     return f"vertex {reprlib.repr(vid)}"
+
+
+def _check_keys(item: dict, allowed: set[str], what: str) -> None:
+    """Refuse keys outside ``allowed``; keys of any type sort by their text."""
+    unknown = set(item) - allowed
+    if unknown:
+        raise GraphError(f"unknown {what} keys: {reprlib.repr(sorted(unknown, key=str))}")
+
+
+def _pair(edge: object) -> tuple:
+    """An edge as a tuple of its two endpoints, in the order written."""
+    if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+        raise GraphError(f"edge must be a pair of vertex ids: {reprlib.repr(edge)}")
+    return tuple(edge)
 
 
 class CurveModel(Record):
@@ -184,9 +195,9 @@ class CurveModel(Record):
 class Vertex(Record):
     """One component: its id, its curve model and its punctures.
 
-    The constructor refuses an id outside the model-id grammar and a
-    puncture count that is not a nonnegative integer.  ``genus`` is the
-    model's.
+    The constructor refuses an id outside the model-id grammar, a model
+    that is not a ``CurveModel`` and a puncture count that is not a
+    nonnegative integer.  ``genus`` is the model's.
     """
 
     __slots__ = _fields = ("id", "model", "punctures")
@@ -194,6 +205,8 @@ class Vertex(Record):
     def __init__(self, id: str, model: CurveModel, punctures: int = 0):
         if not isinstance(id, str) or not MODEL_ID_RE.fullmatch(id):
             raise GraphError(f"invalid vertex id: {reprlib.repr(id)}")
+        if not isinstance(model, CurveModel):
+            raise GraphError(f"{_where(id)}: model must be a CurveModel: {reprlib.repr(model)}")
         if not _is_int(punctures) or punctures < 0:
             raise GraphError(f"{_where(id)}: punctures must be a nonnegative integer")
         self._assign(id=id, model=model, punctures=punctures)
@@ -206,9 +219,10 @@ class Vertex(Record):
 class DualGraph(Record):
     """Validated dual graph; immutable and freely shareable.
 
-    The constructor refuses an empty graph, a duplicate vertex id, an edge
-    or leg endpoint that is not the id of one of the vertices, a model id
-    that names two different curves, and a graph that is not connected.
+    The constructor refuses an edge that is not a pair (each is stored as a
+    tuple, as written), no vertices, a vertex that is not a ``Vertex``, a
+    duplicate vertex id, an edge or leg endpoint that is not a vertex id, a
+    model id that names two curves, and a graph that is not connected.
     ``models`` maps each model id to its curve, in order of first use; it
     and the per-vertex valences and leg counts are built with the graph.
     """
@@ -217,17 +231,16 @@ class DualGraph(Record):
     __slots__ = _fields + ("models", "_valences", "_legs_at")
 
     def __init__(
-        self,
-        vertices: Iterable[Vertex],
-        edges: Iterable[tuple[str, str]],
-        legs: Iterable[str],
+        self, vertices: Iterable[Vertex], edges: Iterable[Sequence[str]], legs: Iterable[str]
     ):
-        vertices, edges, legs = tuple(vertices), tuple(edges), tuple(legs)
+        vertices, edges, legs = tuple(vertices), tuple(map(_pair, edges)), tuple(legs)
         if not vertices:
             raise GraphError("a dual graph needs a nonempty list of vertices")
         models: dict[str, CurveModel] = {}
         valences: dict[str, int] = {}
         for v in vertices:
+            if not isinstance(v, Vertex):
+                raise GraphError(f"vertex must be a Vertex: {reprlib.repr(v)}")
             if v.id in valences:
                 raise GraphError(f"duplicate vertex id {reprlib.repr(v.id)}")
             valences[v.id] = 0
@@ -239,7 +252,7 @@ class DualGraph(Record):
                 )
         legs_at = dict(valences)
         for kind, ends, counts in (
-            ("edge", itertools.chain.from_iterable(edges), valences),
+            ("edge", (end for edge in edges for end in edge), valences),
             ("leg", legs, legs_at),
         ):
             for end in ends:
@@ -255,8 +268,7 @@ class DualGraph(Record):
         for u, w in edges:
             adjacency[u].add(w)
             adjacency[w].add(u)
-        seen = {vertices[0].id}
-        queue = [vertices[0].id]
+        seen, queue = {vertices[0].id}, [vertices[0].id]
         while queue:
             for nxt in adjacency[queue.pop()] - seen:
                 seen.add(nxt)
@@ -299,11 +311,13 @@ def total_genus(graph: DualGraph) -> int:
 def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> DualGraph:
     """Decode a dual graph from JSON text or a decoded dict.
 
-    The records check the graph's structure; this adds the document's shape,
-    the id-order orientation of edges, and stability.  ``allow_unstable``
-    skips the stability inequality, but only for a single-vertex graph
-    without edges (the smooth case).
+    The records check the graph's structure; this adds the document's shape
+    and keys, and stability.  An edge is a pair of vertex ids, stored as
+    written, and no result reads its direction.  ``allow_unstable`` skips
+    the stability inequality, but only for a single-vertex graph without
+    edges (the smooth case).
     """
+    data = source
     if isinstance(source, (str, bytes)):
         # A ValueError covers bad syntax, bytes that do not decode and an
         # integer past Python's digit limit; deep nesting is a RecursionError.
@@ -311,23 +325,11 @@ def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> 
             data = json.loads(source)
         except (ValueError, RecursionError) as exc:
             raise GraphError(f"invalid JSON: {exc}") from None
-    else:
-        data = source
     if not isinstance(data, dict):
         raise GraphError("graph document must be a JSON object")
-    unknown = set(data) - {"vertices", "edges", "legs"}
-    if unknown:
-        raise GraphError(f"unknown top-level keys: {reprlib.repr(sorted(unknown))}")
-
+    _check_keys(data, {"vertices", "edges", "legs"}, "top-level")
     vertices = [_parse_vertex(item) for item in _list_field(data, "vertices")]
-    edges = []
-    for item in _list_field(data, "edges"):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise GraphError(f"edge must be a pair of vertex ids: {reprlib.repr(item)}")
-        u, w = item
-        # A non-string endpoint stays as given, for DualGraph to refuse.
-        edges.append((w, u) if isinstance(u, str) and isinstance(w, str) and w < u else (u, w))
-    graph = DualGraph(vertices, edges, _list_field(data, "legs"))
+    graph = DualGraph(vertices, _list_field(data, "edges"), _list_field(data, "legs"))
 
     if allow_unstable and len(graph.vertices) == 1 and not graph.edges:
         return graph
@@ -362,9 +364,7 @@ def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:
 def _parse_vertex(item: object) -> Vertex:
     if not isinstance(item, dict):
         raise GraphError(f"vertex must be an object: {reprlib.repr(item)}")
-    unknown = set(item) - {"id", "genus", "model", "punctures"}
-    if unknown:
-        raise GraphError(f"unknown vertex keys: {reprlib.repr(sorted(unknown))}")
+    _check_keys(item, {"id", "genus", "model", "punctures"}, "vertex")
     vid = item.get("id")
     try:
         model = _parse_model(item.get("model", {"type": "symbolic"}), vid, item.get("genus"))
@@ -379,9 +379,7 @@ def _parse_model(item: object, vid: object, genus: object) -> CurveModel:
     model = CurveModel(
         item.get("type"), item.get("id", vid), genus, item.get("trace"), item.get("numerator")
     )
-    unknown = set(item) - _MODEL_KEYS[model.kind]
-    if unknown:
-        raise GraphError(f"unknown model keys: {reprlib.repr(sorted(unknown))}")
+    _check_keys(item, _MODEL_KEYS[model.kind], "model")
     return model
 
 

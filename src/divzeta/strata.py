@@ -4,8 +4,8 @@ A stratum of the degree-d divisor space is indexed by a stable pair: a
 subdivision of the dual graph together with a degree assignment that is at
 least 1 on every exceptional vertex.  Concretely that is a nonnegative
 degree per original vertex, an ordered composition per edge (the degrees
-along the chain of exceptional bubbles subdividing it, read along the
-edge's stored orientation), and an ordered composition per leg (the chain
+along the chain of exceptional bubbles subdividing it, read from the
+edge's first endpoint), and an ordered composition per leg (the chain
 inserted between the component and the marked point, read from the
 component outward).
 

@@ -1,9 +1,12 @@
 """End-to-end CLI behaviour: modes, outputs, exit codes."""
 
+import errno
 import hashlib
 import io
+import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -31,6 +34,7 @@ TWO_COMPONENTS = {
 }
 LOOP_GENUS_2 = {"vertices": [vertex("m", 2)], "edges": [["m", "m"]]}
 TORUS = {"vertices": [vertex("g", 0, {"type": "p1"}, punctures=2)]}
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -901,3 +905,72 @@ def test_every_accepted_graph_runs_in_every_mode(document):
                 status = main(["--input", path, "--max-degree", "2", *argv])
             assert status == expected, (argv, err.getvalue())
             assert bool(out.getvalue()) == (expected == 0)
+
+
+@pytest.mark.parametrize("measure", sorted(_ONE_MEASURE_DIGESTS))
+def test_reversing_every_edge_changes_no_report(graph_file, measure):
+    # An edge is stored as written, and no result reads its direction: every
+    # battery graph with each edge reversed prints what it printed before,
+    # in every mode, kind and output.
+    extra = {"symbolic": [], "euler": ["--measure", "euler"],
+             "point-count": ["--measure", "point-count", "--q", "7"]}[measure]
+    for name, graph in battery().items():
+        document = graph_to_json(declare_weil(graph, _WEIL_BY_GENUS))
+        flipped = {**document, "edges": [edge[::-1] for edge in document["edges"]]}
+        paths = [graph_file(document, f"{name}.json"),
+                 graph_file(flipped, f"{name}-reversed.json")]
+        for degree, run in itertools.product(("0", "4"), _ONE_MEASURE_RUNS):
+            results = []
+            for path in paths:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(["--input", path, *extra, "--max-degree", degree, *run])
+                results.append((code, out.getvalue(), err.getvalue()))
+            assert results[0] == results[1], (name, degree, run)
+            assert results[0][0] == 0, (name, degree, run)
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` fails as a full disk does."""
+
+    def __init__(self, method):
+        super().__init__()
+        self.method = method
+
+    def write(self, text):
+        if self.method == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_output_that_cannot_be_written_exits_two(graph_file, capsys, monkeypatch, method):
+    path = graph_file(TWO_COMPONENTS)
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(method))
+    assert main(["--input", path, "--max-degree", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "divzeta: cannot write output: [Errno 28] No space left on device\n"
+    )
+
+
+def test_a_closed_pipe_exits_two_with_one_line(graph_file):
+    # The reader takes one byte of a report far larger than a pipe's buffer
+    # and closes its end; the flush at interpreter exit must stay silent.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "divzeta.cli", "--input", graph_file(TWO_COMPONENTS),
+         "--mode", "count-strata", "--max-degree", str(MAX_DEGREE_LIMIT)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert process.stdout.read(1) == b"g"
+    process.stdout.close()
+    try:
+        assert process.wait(timeout=60) == 2
+    finally:
+        process.kill()
+    assert process.stderr.read() == b"divzeta: cannot write output: [Errno 32] Broken pipe\n"
+    process.stderr.close()

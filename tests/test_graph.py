@@ -102,6 +102,21 @@ def test_schema_violations():
         parse_graph({"vertices": [vertex("a", 1, {"type": "mystery"})]})
 
 
+def test_unknown_keys_of_mixed_types_are_listed():
+    # JSON keys are strings; a decoded dict from a caller need not be.
+    marked = {"vertices": [vertex("a", 1)], "legs": ["a"]}
+    cases = [
+        ({**marked, 1: 0, "x": 0}, r"unknown top-level keys: \[1, 'x'\]"),
+        ({**marked, "vertices": [{**vertex("a", 1), 2: 0, "b": 0}]},
+         r"unknown vertex keys: \[2, 'b'\]"),
+        ({**marked, "vertices": [vertex("a", 0, {"type": "p1", (3,): 0, "c": 0})]},
+         r"unknown model keys: \[\(3,\), 'c'\]"),
+    ]
+    for document, message in cases:
+        with pytest.raises(GraphError, match=message):
+            parse_graph(document)
+
+
 def test_booleans_are_not_integers():
     marked = {"vertices": [vertex("a", 1)], "legs": ["a"]}
     cases = [
@@ -215,11 +230,19 @@ def test_counts_figures():
     assert loop.valence("v") == 2
 
 
-def test_edges_are_stored_in_id_order():
+def test_edges_are_stored_as_written_as_tuples():
     graph = parse_graph(
-        {"vertices": [vertex("b", 1), vertex("a", 1)], "edges": [["b", "a"]]}
+        {"vertices": [vertex("b", 1), vertex("a", 1)], "edges": [["b", "a"], ["a", "b"]]}
     )
-    assert graph.edges == (("a", "b"),)
+    assert graph.edges == (("b", "a"), ("a", "b"))
+    assert all(type(edge) is tuple for edge in graph.edges)
+    vertices = (_genus_2("u"), _genus_2("w"))
+    listed = DualGraph(vertices, [["w", "u"]], ())
+    written = DualGraph(vertices, (("w", "u"),), ())
+    # A list edge is stored as a tuple: the graphs are equal and hashable.
+    assert listed == written and hash(listed) == hash(written)
+    # Equality reads the edges as written, as it reads their order.
+    assert listed != DualGraph(vertices, (("u", "w"),), ())
 
 
 def test_json_round_trip():
@@ -447,8 +470,9 @@ def _genus_2(vid, punctures=0):
     return Vertex(vid, CurveModel.symbolic(vid, 2), punctures)
 
 
-# Each builds with the constructors alone a graph that parse_graph refuses;
-# the constructors must refuse it the same way.
+# Each builds with the constructors alone a graph that parse_graph refuses,
+# or a record holding a field of the wrong record type, which no document
+# decodes to; the constructors must refuse it with a GraphError.
 _DIRECT_REFUSALS = {
     "duplicate-id": (lambda: DualGraph((_genus_2("u"), _genus_2("u")), (("u", "u"),), ()),
                      "duplicate vertex id 'u'"),
@@ -472,6 +496,14 @@ _DIRECT_REFUSALS = {
         lambda: DualGraph((Vertex("u", CurveModel("elliptic", "u", 2, trace=1)),), (), ()),
         "an elliptic model has genus 1, not 2",
     ),
+    "model-not-a-curve": (lambda: Vertex("u", "m"),
+                          "vertex 'u': model must be a CurveModel: 'm'"),
+    "vertex-not-a-vertex": (lambda: DualGraph(["u"], (), ()),
+                            "vertex must be a Vertex: 'u'"),
+    "three-endpoints": (lambda: DualGraph((_genus_2("u"),), (("u", "u", "u"),), ()),
+                        r"edge must be a pair of vertex ids: \('u', 'u', 'u'\)"),
+    "string-edge": (lambda: DualGraph((_genus_2("u"), _genus_2("w")), ("uw",), ()),
+                    "edge must be a pair of vertex ids: 'uw'"),
 }
 
 

@@ -110,7 +110,7 @@ def _presentations(draw):
 def test_presentation_does_not_change_the_elements(pair):
     document, rewritten = pair
     graph, other = parse_graph(document), parse_graph(rewritten)
-    # parse_graph stores an edge in vertex-id order; reversed here as stored,
+    # parse_graph stores each edge as written; every edge is reversed here,
     # so the chains of every edge are read the other way.
     reversed_edges = DualGraph(graph.vertices, tuple(e[::-1] for e in graph.edges), graph.legs)
     expected = _elements(graph)
@@ -153,11 +153,12 @@ def test_graphs_sharing_vertex_data_and_counts_agree(data):
 def test_parsing_adds_only_json_work_and_stability(data):
     # The generated vertices, connected by a path and up to two more edges,
     # with up to two legs and no stabilizing legs added, built directly with
-    # the edges in id order.
+    # each edge in a drawn direction.
     documents = data.draw(_vertices())
     ids = [v["id"] for v in documents]
     ends = st.sampled_from(ids)
     edges = list(zip(ids, ids[1:])) + data.draw(st.lists(st.tuples(ends, ends), max_size=2))
+    edges = [edge[::-1] if data.draw(st.booleans()) else edge for edge in edges]
     legs = data.draw(st.lists(ends, max_size=2))
     vertices = []
     for v in documents:
@@ -165,7 +166,7 @@ def test_parsing_adds_only_json_work_and_stability(data):
         curve = CurveModel(model["type"], model["id"], v["genus"],
                            model.get("trace"), model.get("numerator"))
         vertices.append(Vertex(v["id"], curve, v["punctures"]))
-    graph = DualGraph(vertices, [tuple(sorted(edge)) for edge in edges], legs)
+    graph = DualGraph(vertices, edges, legs)
     unstable = [
         v.id for v in graph.vertices
         if 2 * v.genus - 2 + graph.valence(v.id) + graph.legs_at(v.id) <= 0
