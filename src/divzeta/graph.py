@@ -7,11 +7,12 @@ vertex for quasiprojective components.
 
 The record constructors own every structural rule, however a graph is
 built: ``CurveModel`` checks its kind, genus, trace and numerator, ``Vertex``
-its id and punctures, and ``DualGraph`` that vertex ids are distinct, that
-every edge is a pair and every edge and leg endpoint names a vertex, that a
-model id names one curve, and that the graph is connected.  ``parse_graph``
-only decodes JSON, the document's shape and keys, and applies stability, an
-input rule that ``allow_unstable`` relaxes.
+its id and punctures, and ``DualGraph`` that its three fields are lists or
+tuples, that vertex ids are distinct, that every edge is a pair and every
+edge and leg endpoint names a vertex, that a model id names one curve, and
+that the graph is connected.  ``parse_graph`` only decodes JSON (the
+document, its list of vertex objects, the model objects and their keys) and
+applies stability, an input rule that ``allow_unstable`` relaxes.
 
 Input schema (JSON)::
 
@@ -110,6 +111,13 @@ def _check_keys(item: dict, allowed: set[str], what: str) -> None:
     unknown = set(item) - allowed
     if unknown:
         raise GraphError(f"unknown {what} keys: {reprlib.repr(sorted(unknown, key=str))}")
+
+
+def _list_field(items: object, key: str) -> list | tuple:
+    """``items``, the value of the graph field ``key``, if it is a list or tuple."""
+    if not isinstance(items, (list, tuple)):
+        raise GraphError(f"'{key}' must be a list")
+    return items
 
 
 def _pair(edge: object) -> tuple:
@@ -219,7 +227,8 @@ class Vertex(Record):
 class DualGraph(Record):
     """Validated dual graph; immutable and freely shareable.
 
-    The constructor refuses an edge that is not a pair (each is stored as a
+    The constructor refuses a field that is not a list or tuple (all three
+    are checked first), an edge that is not a pair (each is stored as a
     tuple, as written), no vertices, a vertex that is not a ``Vertex``, a
     duplicate vertex id, an edge or leg endpoint that is not a vertex id, a
     model id that names two curves, and a graph that is not connected.
@@ -231,8 +240,10 @@ class DualGraph(Record):
     __slots__ = _fields + ("models", "_valences", "_legs_at")
 
     def __init__(
-        self, vertices: Iterable[Vertex], edges: Iterable[Sequence[str]], legs: Iterable[str]
+        self, vertices: Sequence[Vertex], edges: Sequence[Sequence[str]], legs: Sequence[str]
     ):
+        for key, items in zip(self._fields, (vertices, edges, legs)):
+            _list_field(items, key)
         vertices, edges, legs = tuple(vertices), tuple(map(_pair, edges)), tuple(legs)
         if not vertices:
             raise GraphError("a dual graph needs a nonempty list of vertices")
@@ -311,11 +322,12 @@ def total_genus(graph: DualGraph) -> int:
 def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> DualGraph:
     """Decode a dual graph from JSON text or a decoded dict.
 
-    The records check the graph's structure; this adds the document's shape
-    and keys, and stability.  An edge is a pair of vertex ids, stored as
-    written, and no result reads its direction.  ``allow_unstable`` skips
-    the stability inequality, but only for a single-vertex graph without
-    edges (the smooth case).
+    The records check the graph's structure, the shape of its fields
+    included; this decodes the document, its list of vertex objects and
+    their model objects, checks their keys, and applies stability.  An edge
+    is a pair of vertex ids, stored as written, and no result reads its
+    direction.  ``allow_unstable`` skips the stability inequality, but only
+    for a single-vertex graph without edges (the smooth case).
     """
     data = source
     if isinstance(source, (str, bytes)):
@@ -328,8 +340,8 @@ def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> 
     if not isinstance(data, dict):
         raise GraphError("graph document must be a JSON object")
     _check_keys(data, {"vertices", "edges", "legs"}, "top-level")
-    vertices = [_parse_vertex(item) for item in _list_field(data, "vertices")]
-    graph = DualGraph(vertices, _list_field(data, "edges"), _list_field(data, "legs"))
+    vertices = [_parse_vertex(v) for v in _list_field(data.get("vertices", []), "vertices")]
+    graph = DualGraph(vertices, data.get("edges", []), data.get("legs", []))
 
     if allow_unstable and len(graph.vertices) == 1 and not graph.edges:
         return graph
@@ -343,13 +355,6 @@ def parse_graph(source: str | bytes | dict, *, allow_unstable: bool = False) -> 
                 " parse_graph, for smooth one-vertex input"
             )
     return graph
-
-
-def _list_field(data: dict, key: str) -> list:
-    items = data.get(key, [])
-    if not isinstance(items, (list, tuple)):
-        raise GraphError(f"'{key}' must be a list")
-    return items
 
 
 def load_graph(path: str, *, allow_unstable: bool = False) -> DualGraph:

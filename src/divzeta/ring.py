@@ -516,7 +516,7 @@ class TruncSeries:
     """Power series in ``t``, truncated at a fixed order.
 
     A series of order ``N`` stores exactly the coefficients of ``t^0``
-    through ``t^N``.  Binary operations require equal orders.
+    through ``t^N``.  The two factors of a product must have equal orders.
     """
 
     __slots__ = ("_coeffs",)
@@ -565,14 +565,6 @@ class TruncSeries:
             raise ValueError(
                 f"truncation order mismatch: {self.order} vs {other.order}"
             )
-
-    def __add__(self, other: TruncSeries) -> TruncSeries:
-        self._check_order(other)
-        return TruncSeries(a + b for a, b in zip(self._coeffs, other._coeffs))
-
-    def __sub__(self, other: TruncSeries) -> TruncSeries:
-        self._check_order(other)
-        return TruncSeries(a - b for a, b in zip(self._coeffs, other._coeffs))
 
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         self._check_order(other)

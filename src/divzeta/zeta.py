@@ -13,7 +13,9 @@ the exponents (the scalar is left out when all three are 0):
 * divisorial:      ``a = |E|+n``, ``b = 2|E|+n``
 * Hilbert:         ``c = |E|``   (legs ignored)
 * nodal Kapranov:  ``b = |E|``
-* smooth Kapranov: none, only the punctures' ``(1-t)^p``.
+
+On a smooth curve (one vertex, no edges) without legs, every kind is the
+Kapranov zeta times the punctures' ``(1-t)^p``.
 
 The scalar is built once per call as an unreduced rational function, the
 product of the powers of its three factors with a nonzero exponent, and
@@ -54,7 +56,6 @@ class ZetaKind(enum.Enum):
     DIVISORIAL = "divisorial"
     HILBERT = "hilbert"
     KAPRANOV_NODAL = "kapranov-nodal"
-    KAPRANOV_SMOOTH = "kapranov-smooth"
 
 
 # -- factors -------------------------------------------------------------------
@@ -68,9 +69,7 @@ def _exponents(kind: ZetaKind, graph: DualGraph) -> tuple[int, int, int]:
         return edges + legs, 2 * edges + legs + punctures, 0
     if kind is ZetaKind.HILBERT:
         return 0, punctures, edges
-    if kind is ZetaKind.KAPRANOV_NODAL:
-        return 0, edges + punctures, 0
-    return 0, punctures, 0
+    return 0, edges + punctures, 0
 
 
 def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn | None:

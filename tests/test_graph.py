@@ -142,6 +142,11 @@ def test_endpoints_must_be_vertex_id_strings():
     for key in ("edges", "legs"):
         with pytest.raises(GraphError, match=f"'{key}' must be a list"):
             parse_graph({**base, key: "uw"})
+    # Several faults: each field's shape is named before an edge or a leg.
+    with pytest.raises(GraphError, match="'legs' must be a list"):
+        parse_graph({**base, "edges": ["uw", 1], "legs": None})
+    with pytest.raises(GraphError, match="'edges' must be a list"):
+        parse_graph({**base, "edges": {"u": "w"}, "legs": [0]})
 
 
 def test_model_genus_must_match_vertex_genus():
@@ -237,10 +242,12 @@ def test_edges_are_stored_as_written_as_tuples():
     assert graph.edges == (("b", "a"), ("a", "b"))
     assert all(type(edge) is tuple for edge in graph.edges)
     vertices = (_genus_2("u"), _genus_2("w"))
-    listed = DualGraph(vertices, [["w", "u"]], ())
-    written = DualGraph(vertices, (("w", "u"),), ())
-    # A list edge is stored as a tuple: the graphs are equal and hashable.
+    listed = DualGraph(list(vertices), [["w", "u"]], ["u"])
+    written = DualGraph(vertices, (("w", "u"),), ("u",))
+    # List fields and a list edge are stored as tuples: the graphs are equal
+    # and hash alike.
     assert listed == written and hash(listed) == hash(written)
+    assert all(type(field) is tuple for field in (listed.vertices, listed.edges, listed.legs))
     # Equality reads the edges as written, as it reads their order.
     assert listed != DualGraph(vertices, (("u", "w"),), ())
 
@@ -504,6 +511,19 @@ _DIRECT_REFUSALS = {
                         r"edge must be a pair of vertex ids: \('u', 'u', 'u'\)"),
     "string-edge": (lambda: DualGraph((_genus_2("u"), _genus_2("w")), ("uw",), ()),
                     "edge must be a pair of vertex ids: 'uw'"),
+    "string-legs": (lambda: DualGraph((_genus_2("u"), _genus_2("w")), (("u", "w"),), "uw"),
+                    "'legs' must be a list"),
+    "none-vertices": (lambda: DualGraph(None, (), ()), "'vertices' must be a list"),
+    "none-edges": (lambda: DualGraph((_genus_2("u"),), None, ()), "'edges' must be a list"),
+    "none-legs": (lambda: DualGraph((_genus_2("u"),), (), None), "'legs' must be a list"),
+    "int-legs": (lambda: DualGraph((_genus_2("u"),), (), 5), "'legs' must be a list"),
+    "dict-vertices": (lambda: DualGraph({"a": _genus_2("a")}, (), ()),
+                      "'vertices' must be a list"),
+    "generator-edges": (lambda: DualGraph((_genus_2("u"),), (e for e in [("u", "u")]), ()),
+                        "'edges' must be a list"),
+    # Every field's shape is checked before any edge: the legs are named first.
+    "shape-before-pairs": (lambda: DualGraph((_genus_2("u"),), ("uw",), None),
+                           "'legs' must be a list"),
 }
 
 

@@ -577,14 +577,6 @@ def test_series_pow_square_of_torus_zeta():
     assert squared[2] == 3 * L**2 - 4 * L + 1
 
 
-def test_series_add_sub():
-    order = 3
-    a = TruncSeries.from_coeffs([1, L], order)
-    b = TruncSeries.from_coeffs([1, 1], order)
-    assert a - b == TruncSeries.from_coeffs([0, L - 1], order)
-    assert (a - b) + b == a
-
-
 # -- products against their naive definitions ---------------------------------
 
 _KINDS = ("symbolic", "int", "mixed")

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divzeta.graph import CurveModel, DualGraph, GraphError, Vertex, parse_graph, total_genus
-from divzeta.measures import EulerCharacteristic, PointCount, leaf_images
+from divzeta.measures import EulerCharacteristic, PointCount, SymbolicIdentity, leaf_images
 from divzeta.ring import RationalFn, TruncSeries, lefschetz, one, sym_pow
 from divzeta.zeta import ZetaKind, _graph_scalar, zeta_rational, zeta_series
 
@@ -38,10 +38,16 @@ def convolve(a, b, degree):
 
 
 def one_vertex_zeta(model, punctures, order):
-    """The closed form of one component with ``punctures`` punctures: its
-    smooth Kapranov zeta."""
+    """The closed form of one component with ``punctures`` punctures and no
+    edges or legs: its Kapranov zeta times ``(1-t)^punctures``."""
     graph = DualGraph((Vertex(model.name, model, punctures),), (), ())
-    return zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order, free_leaves(graph, order))
+    series = zeta_series(ZetaKind.DIVISORIAL, graph, order, free_leaves(graph, order))
+    assert series == vertex_zeta_series(model, order) * one_minus_t(order) ** punctures
+    return series
+
+
+def one_minus_t(order):
+    return TruncSeries.from_coeffs([1, -1], order)
 
 
 def test_p1_with_two_punctures_is_torus_zeta():
@@ -259,28 +265,88 @@ def test_rational_is_unreduced_product():
 
 def test_divisorial_equals_smooth_kapranov_on_smooth_unmarked_curves():
     # The paper: on a smooth unmarked curve the divisorial zeta function is
-    # Kapranov's, as a series and as a rational function.
+    # Kapranov's, as a series and as a rational function: the component's
+    # numerator over (1-t)(1-L t), with no graph scalar.
     for genus, model in ((2, None), (1, {"type": "elliptic", "trace": 3}), (0, {"type": "p1"})):
         graph = parse_graph({"vertices": [vertex("m", genus, model)]}, allow_unstable=True)
         leaves = free_leaves(graph, 8)
+        kapranov = vertex_zeta_series(graph.vertices[0].model, 8)
+        assert zeta_series(ZetaKind.DIVISORIAL, graph, 8, leaves) == kapranov
         divisorial = zeta_rational(ZetaKind.DIVISORIAL, graph, leaves)
-        kapranov = zeta_rational(ZetaKind.KAPRANOV_SMOOTH, graph, leaves)
-        assert divisorial == kapranov
-        assert divisorial.numerator == kapranov.numerator
-        assert divisorial.denominator == kapranov.denominator
-        assert zeta_series(ZetaKind.DIVISORIAL, graph, 8, leaves) == zeta_series(
-            ZetaKind.KAPRANOV_SMOOTH, graph, 8, leaves
-        )
+        assert len(divisorial.numerator) == 2 * genus + 1
+        assert divisorial.denominator == (one(), -(L + 1), L)
+        # Free generators satisfy the curve recurrence only through t^2g; a
+        # projective line's classes are concrete and satisfy it at every order.
+        through = slice(9 if genus == 0 else 2 * genus + 1)
+        assert divisorial.series(8).coefficients()[through] == kapranov.coefficients()[through]
 
 
 def test_smooth_zeta_is_vertex_product():
-    graph = two_components(2)
-    order = 3
-    series = zeta_series(ZetaKind.KAPRANOV_SMOOTH, graph, order, free_leaves(graph, order))
-    expected = vertex_zeta_series(CurveModel.symbolic("u", 2), order) * vertex_zeta_series(
-        CurveModel.symbolic("w", 2), order
+    # Each kind multiplies its graph scalar into the product over the vertices
+    # of their Kapranov zetas, each times (1-t) per puncture; the nodal
+    # scalar of one node is (1-t).
+    graph = parse_graph(
+        {"vertices": [vertex("u", 2, punctures=1), vertex("w", 1)], "edges": [["u", "w"]]}
     )
+    order = 4
+    series = zeta_series(ZetaKind.KAPRANOV_NODAL, graph, order, free_leaves(graph, order))
+    expected = one_minus_t(order) ** graph.num_edges
+    for v in graph.vertices:
+        expected *= vertex_zeta_series(v.model, order) * one_minus_t(order) ** v.punctures
     assert series == expected
+
+
+# Prime powers from 2 to 27: the fields a point count is drawn over.
+_FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
+
+
+@st.composite
+def smooth_curves(draw, q):
+    """One component of any model kind, realizable over a field with ``q``
+    elements unless symbolic, with 0-3 punctures, no edges and no legs."""
+    kind = draw(st.sampled_from(("symbolic", "p1", "elliptic", "weil")))
+    bound = math.isqrt(4 * q)
+    if kind == "symbolic":
+        model = CurveModel.symbolic("m", draw(st.integers(0, 3)))
+    elif kind == "p1":
+        model = CurveModel.projective_line("m")
+    elif kind == "elliptic":
+        model = CurveModel.elliptic("m", draw(st.integers(-bound, bound)))
+    else:
+        genus = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            # Full degree 2g: the functional equation fixes the top half, and
+            # in genus 1 the Hasse bound holds the middle coefficient.
+            low = [1] + draw(st.lists(st.integers(-bound, bound), min_size=genus, max_size=genus))
+            numerator = low + [low[j] * q ** (genus - j) for j in reversed(range(genus))]
+        else:
+            numerator = [1] + draw(st.lists(st.integers(-3, 3), max_size=2 * genus - 1))
+        model = CurveModel.weil("m", numerator, genus)
+    return DualGraph((Vertex("m", model, draw(st.integers(0, 3))),), (), ())
+
+
+@given(st.sampled_from(_FIELD_SIZES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_smooth_unmarked_closed_forms_are_kapranov_times_punctures(q, data):
+    # The paper's degeneration: without nodes or marks the divisorial zeta is
+    # the component's Kapranov zeta, times (1-t) per puncture, in every ring.
+    graph = data.draw(smooth_curves(q))
+    (v,) = graph.vertices
+    order = 10
+    reference = vertex_zeta_series(v.model, order) * one_minus_t(order) ** v.punctures
+    measures = [SymbolicIdentity(), EulerCharacteristic()]
+    if v.model.kind != "symbolic":
+        measures.append(PointCount(q))
+    for measure in measures:
+        expected = [measure.of_elem(c, graph.models) for c in reference.coefficients()]
+        leaves = leaf_images(graph, measure, order)
+        series = zeta_series(ZetaKind.DIVISORIAL, graph, order, leaves)
+        assert list(series.coefficients()) == expected
+        # Free generators satisfy the curve recurrence only through t^2g.
+        free = isinstance(measure, SymbolicIdentity) and v.model.kind != "p1"
+        exact = min(order, 2 * v.genus) if free else order
+        expansion = zeta_rational(ZetaKind.DIVISORIAL, graph, leaves).series(order)
+        assert list(expansion.coefficients())[: exact + 1] == expected[: exact + 1]
 
 
 def test_leaves_reach_the_order_and_twice_the_genus():
