@@ -15,9 +15,9 @@ The ``t``-layers are generic over the coefficient ring: their coefficients
 are all ``RingElem`` or all plain ``int`` (the image of a measure), and the
 arithmetic uses only ``+``, ``*``, negation, zero and one.  Input mixing the
 two is lifted to ``RingElem``, as are the products of mixed operands.  The
-constructors check their input; a product, power, inverse or expansion is
-already in one ring, with a unit constant term in a denominator, and is
-wrapped without the check.
+constructors check their input, and ``_power`` every exponent; a product,
+power, inverse, expansion, padded series or unit of ``**`` is already in one
+ring, with a unit constant term in a denominator, and is wrapped unchecked.
 
 Generators are interned: ``Generator(model, degree)`` returns the one
 validated instance for that pair, so hashing and comparing monomials is
@@ -190,6 +190,8 @@ def _mono_str(mono: Monomial) -> str:
 
 def _power(base, exponent: int, unit):
     """``base ** exponent`` by repeated squaring; ``unit`` when the exponent is 0."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
     result = None
     while exponent:
         if exponent & 1:
@@ -260,8 +262,6 @@ class RingElem:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> RingElem:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("ring exponent must be a nonnegative integer")
         return _power(self, exponent, _ONE)
 
     def __eq__(self, other: object) -> bool:
@@ -416,12 +416,9 @@ Coeff = RingElem | int
 def _ring_coeffs(values: Iterable[Coeff]) -> tuple[Coeff, ...]:
     """The values as coefficients of one ring: ``RingElem`` if any is one, else ``int``."""
     values = tuple(values)
-    if any(isinstance(value, RingElem) for value in values):
-        return tuple(_require_elem(value) for value in values)
-    for value in values:
-        if not isinstance(value, int):
-            raise TypeError(f"cannot use {value!r} as a ring element")
-    return values
+    if all(isinstance(value, int) for value in values):
+        return values
+    return tuple(map(_require_elem, values))
 
 
 def _is_symbolic(coeffs: tuple[Coeff, ...]) -> bool:
@@ -528,9 +525,9 @@ class TruncSeries:
         self._coeffs = elems
 
     @classmethod
-    def _wrap(cls, coeffs: list[Coeff]) -> TruncSeries:
-        """A series of kernel output, not checked again: ``_product_coeffs``
-        and ``_expand_coeffs`` return a nonempty list in one ring."""
+    def _wrap(cls, coeffs: Iterable[Coeff]) -> TruncSeries:
+        """A series not checked again: ``_product_coeffs``, ``_expand_coeffs``
+        and ``from_coeffs`` give nonempty coefficients in one ring."""
         series = cls.__new__(cls)
         series._coeffs = tuple(coeffs)
         return series
@@ -544,9 +541,8 @@ class TruncSeries:
         """Build a series of the given order, zero-padding or truncating."""
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        elems = list(_ring_coeffs(coeffs)[: order + 1])
-        elems.extend([_zero_of(tuple(elems))] * (order + 1 - len(elems)))
-        return cls(elems)
+        elems = _ring_coeffs(coeffs)[: order + 1]
+        return cls._wrap(elems + (_zero_of(elems),) * (order + 1 - len(elems)))
 
     @property
     def order(self) -> int:
@@ -571,8 +567,6 @@ class TruncSeries:
         return TruncSeries._wrap(_product_coeffs(self._coeffs, other._coeffs, len(self._coeffs)))
 
     def __pow__(self, exponent: int) -> TruncSeries:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series exponent must be a nonnegative integer")
         unit = TruncSeries.from_coeffs([_one_of(self._coeffs)], self.order)
         return _power(self, exponent, unit)
 
@@ -690,9 +684,7 @@ class RationalFn:
         )
 
     def __pow__(self, exponent: int) -> RationalFn:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("rational exponent must be a nonnegative integer")
-        unit = RationalFn([_one_of(self._num)], [_one_of(self._den)])
+        unit = RationalFn._wrap([_one_of(self._num)], [_one_of(self._den)])
         return _power(self, exponent, unit)
 
     def series(self, order: int) -> TruncSeries:

@@ -219,17 +219,31 @@ def _display_key(gens):
     return key
 
 
+def _packed_display_key(gens, base):
+    """The same vector packed into one int, ``-sum(exp * base**rank)``:
+    ``base`` exceeds every exponent, and ``rank`` counts from 0 at the
+    smallest generator, so the largest is the most significant digit."""
+    ranks = {gen: rank for rank, gen in enumerate(reversed(gens))}
+
+    def key(mono):
+        return -sum(exp * base ** ranks[gen] for gen, exp in mono)
+
+    return key
+
+
 @given(st.lists(monomials(), unique=True, max_size=8))
 def test_negated_exponent_vector_sorts_in_display_order(monos):
     # _mono_cmp compares exponents on the largest generator where two
     # monomials differ, larger first; over one element's generators that is
-    # the lexicographic order of the negated exponent vectors.
+    # the lexicographic order of the negated exponent vectors, and the order
+    # of those vectors read as digits of one number.
     gens = sorted({gen for mono in monos for gen, _ in mono}, key=Generator.sort_key, reverse=True)
-    key = _display_key(gens)
-    assert sorted(monos, key=key) == sorted(monos, key=cmp_to_key(_mono_cmp))
-    for a in monos:
-        for b in monos:
-            assert (key(a) > key(b)) - (key(a) < key(b)) == _mono_cmp(a, b)
+    base = 1 + max((exp for mono in monos for _, exp in mono), default=0)
+    for key in (_display_key(gens), _packed_display_key(gens, base)):
+        assert sorted(monos, key=key) == sorted(monos, key=cmp_to_key(_mono_cmp))
+        for a in monos:
+            for b in monos:
+                assert (key(a) > key(b)) - (key(a) < key(b)) == _mono_cmp(a, b)
 
 
 # -- canonical text -----------------------------------------------------------
@@ -881,3 +895,36 @@ def test_int_and_ring_coefficients_agree():
     assert (RationalFn([1, -2]) ** 2).numerator == (1, -4, 4)
     assert all(type(c) is int for c in (RationalFn([1, -2]) ** 2).numerator)
     assert RationalFn([1], [1, -1]).series(3).coefficients() == (1, 1, 1, 1)
+
+
+_BAD_EXPONENT = "exponent must be a nonnegative integer"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: L**-1, ValueError, _BAD_EXPONENT),
+        (lambda: L**1.5, ValueError, _BAD_EXPONENT),
+        (lambda: TruncSeries.one(3) ** -1, ValueError, _BAD_EXPONENT),
+        (lambda: RationalFn([1], [1]) ** "2", ValueError, _BAD_EXPONENT),
+        (lambda: TruncSeries([1, 2.5]), TypeError, r"cannot use 2\.5 as a ring element"),
+        (lambda: TruncSeries([L, 2.5]), TypeError, r"cannot use 2\.5 as a ring element"),
+        (lambda: TruncSeries.from_coeffs([1, None], 3), TypeError, r"cannot use None as a ring element"),
+        (lambda: RationalFn([1], [1, "x"]), TypeError, r"cannot use 'x' as a ring element"),
+    ],
+    ids=[
+        "ring-negative",
+        "ring-float",
+        "series-negative",
+        "rational-string",
+        "int-series-float",
+        "ring-series-float",
+        "padded-none",
+        "denominator-string",
+    ],
+)
+def test_each_refusal_has_one_message(build, error, message):
+    # One exponent check in _power for all three layers, and one coefficient
+    # check in _require_elem for every constructor, the padded series included.
+    with pytest.raises(error, match=rf"^{message}$"):
+        build()
