@@ -15,9 +15,10 @@ The ``t``-layers are generic over the coefficient ring: their coefficients
 are all ``RingElem`` or all plain ``int`` (the image of a measure), and the
 arithmetic uses only ``+``, ``*``, negation, zero and one.  Input mixing the
 two is lifted to ``RingElem``, as are the products of mixed operands.  The
-constructors check their input, and ``_power`` every exponent; a product,
-power, inverse, expansion, padded series or unit of ``**`` is already in one
-ring, with a unit constant term in a denominator, and is wrapped unchecked.
+constructors check their input, ``_power`` every exponent and
+``RationalFn.series`` every order; a product, power, inverse, expansion or
+unit of ``**`` is already in one ring, with a unit constant term in a
+denominator, and is wrapped unchecked.
 
 Generators are interned: ``Generator(model, degree)`` returns the one
 validated instance for that pair, so hashing and comparing monomials is
@@ -188,10 +189,15 @@ def _mono_str(mono: Monomial) -> str:
     return "*".join(factors)
 
 
+def _require_natural(value: object, name: str) -> None:
+    """Refuse anything but a nonnegative ``int``: an exponent or an order."""
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer")
+
+
 def _power(base, exponent: int, unit):
     """``base ** exponent`` by repeated squaring; ``unit`` when the exponent is 0."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("exponent must be a nonnegative integer")
+    _require_natural(exponent, "exponent")
     result = None
     while exponent:
         if exponent & 1:
@@ -429,10 +435,6 @@ def _is_symbolic(coeffs: tuple[Coeff, ...]) -> bool:
     return not coeffs or isinstance(coeffs[0], RingElem)
 
 
-def _zero_of(coeffs: tuple[Coeff, ...]) -> Coeff:
-    return _ZERO if _is_symbolic(coeffs) else 0
-
-
 def _one_of(coeffs: tuple[Coeff, ...]) -> Coeff:
     return _ONE if _is_symbolic(coeffs) else 1
 
@@ -526,23 +528,11 @@ class TruncSeries:
 
     @classmethod
     def _wrap(cls, coeffs: Iterable[Coeff]) -> TruncSeries:
-        """A series not checked again: ``_product_coeffs``, ``_expand_coeffs``
-        and ``from_coeffs`` give nonempty coefficients in one ring."""
+        """A series not checked again: ``_product_coeffs`` and
+        ``_expand_coeffs`` give nonempty coefficients in one ring."""
         series = cls.__new__(cls)
         series._coeffs = tuple(coeffs)
         return series
-
-    @classmethod
-    def one(cls, order: int) -> TruncSeries:
-        return cls.from_coeffs([_ONE], order)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Coeff], order: int) -> TruncSeries:
-        """Build a series of the given order, zero-padding or truncating."""
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        elems = _ring_coeffs(coeffs)[: order + 1]
-        return cls._wrap(elems + (_zero_of(elems),) * (order + 1 - len(elems)))
 
     @property
     def order(self) -> int:
@@ -567,7 +557,7 @@ class TruncSeries:
         return TruncSeries._wrap(_product_coeffs(self._coeffs, other._coeffs, len(self._coeffs)))
 
     def __pow__(self, exponent: int) -> TruncSeries:
-        unit = TruncSeries.from_coeffs([_one_of(self._coeffs)], self.order)
+        unit = RationalFn([_one_of(self._coeffs)]).series(self.order)
         return _power(self, exponent, unit)
 
     def inverse(self) -> TruncSeries:
@@ -688,9 +678,9 @@ class RationalFn:
         return _power(self, exponent, unit)
 
     def series(self, order: int) -> TruncSeries:
-        """Truncated expansion, by the recurrence of the denominator."""
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        """Truncated expansion, by the recurrence of the denominator; over
+        the denominator ``1``, the numerator truncated or zero-padded."""
+        _require_natural(order, "truncation order")
         return TruncSeries._wrap(_expand_coeffs(self._num, self._den, order + 1))
 
     def __eq__(self, other: object) -> bool:

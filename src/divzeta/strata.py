@@ -111,8 +111,6 @@ def stable_pair_count(graph: DualGraph, order: int) -> list[int]:
     ``(1-t)/(1-2t)``.  The counts are the expansion of
     ``((1-t)/(1-2t))^(|E|+n) * (1-t)^(-|V|)``.
     """
-    if order < 0:
-        raise ValueError("degree must be nonnegative")
     chain, vertex = RationalFn([1, -1], [1, -2]), RationalFn([1], [1, -1])
     counts = chain ** (graph.num_edges + graph.num_legs) * vertex ** len(graph.vertices)
     return list(counts.series(order).coefficients())
@@ -204,10 +202,8 @@ def divisor_series_from_strata(graph: DualGraph, order: int, leaves: Leaves) -> 
     coefficient equals, term for term, the sum of ``stratum_class`` over
     ``stable_pairs(graph, d)``.
     """
-    if order < 0:
-        raise ValueError("degree must be nonnegative")
     holes = sum(_holes(graph, v) for v in graph.vertices)
-    narrow = TruncSeries.from_coeffs([leaves.one, -leaves.one], order) ** holes
+    narrow = RationalFn([leaves.one, -leaves.one]).series(order) ** holes
     chains = graph.num_edges + graph.num_legs
     if chains:
         narrow = narrow * _chain_series(order, leaves) ** chains

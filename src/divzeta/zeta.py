@@ -8,7 +8,7 @@ vertex zetas,
     ``node_factor^a * (1-t)^(b+p) * (1 - t + L*t^2)^c * prod_v Z_v``
 
 where ``node_factor = (1 - L*t) / (1 - L*t - t + t^2)`` and the kind fixes
-the exponents (the scalar is left out when all three are 0):
+the exponents (the scalar is the unit when all three are 0):
 
 * divisorial:      ``a = |E|+n``, ``b = 2|E|+n``
 * Hilbert:         ``c = |E|``   (legs ignored)
@@ -21,10 +21,10 @@ The scalar is built once per call as an unreduced rational function, the
 product of the powers of its three factors with a nonzero exponent, and
 multiplied into each vertex's ``numerator / ((1-t)(1-L*t))``
 (``zeta_rational``).  ``zeta_series`` builds the same closed form as a
-series instead, the product of the truncated vertex series with the
-scalar's expansion.  Both read only the leaves they are given
-(``measures.Leaves``): the image of ``L`` and, per model, the images of
-``c[m,0], c[m,1], ...``, all in one ring.  A measure is a ring
+series instead, the scalar's expansion, which checks the order, times the
+product of the truncated vertex series.  Both read only the leaves they are
+given (``measures.Leaves``): the image of ``L`` and, per model, the images
+of ``c[m,0], c[m,1], ...``, all in one ring.  A measure is a ring
 homomorphism, so a builder run over its leaves gives the measure's image of
 the symbolic closed form without expanding it.
 
@@ -72,12 +72,11 @@ def _exponents(kind: ZetaKind, graph: DualGraph) -> tuple[int, int, int]:
     return 0, edges + punctures, 0
 
 
-def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn | None:
-    """The factor fixed by the edges, legs and punctures, or None if it is 1.
-
-    The product of the node factor, ``(1-t)`` and the Hilbert factor, in that
-    order, each to its exponent, over the nonzero exponents only.  The last
-    two have denominator 1: their powers are t-polynomials.
+def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn:
+    """The factor fixed by the edges, legs and punctures: the node factor,
+    ``(1-t)`` and the Hilbert factor, in that order, each to its exponent,
+    over the nonzero exponents only, or the unit ``1/1`` when all are 0.
+    The last two have denominator 1: their powers are t-polynomials.
     """
     one_, lef = leaves.one, leaves.lefschetz
     factors = (
@@ -86,7 +85,7 @@ def _graph_scalar(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalF
         RationalFn([one_, -one_, lef], [one_]),
     )
     powers = [f**e for f, e in zip(factors, _exponents(kind, graph)) if e]
-    return reduce(operator.mul, powers) if powers else None
+    return reduce(operator.mul, powers) if powers else RationalFn([one_], [one_])
 
 
 def _sym_numerator(model: CurveModel, leaves: Leaves) -> list[Coeff]:
@@ -109,19 +108,18 @@ def zeta_series(kind: ZetaKind, graph: DualGraph, order: int, leaves: Leaves) ->
 
     ``leaves`` reach ``t^order`` (``measures.leaf_images(graph, measure, order)``).
     """
+    scalar = _graph_scalar(kind, graph, leaves).series(order)
     product = reduce(
         operator.mul,
         (TruncSeries(leaves.classes[v.model.name][: order + 1]) for v in graph.vertices),
     )
-    scalar = _graph_scalar(kind, graph, leaves)
     # Operand order sets each coefficient's term order, and with it the cost
     # of the display sort in str(); this order keeps the established cost.
-    return product if scalar is None else scalar.series(order) * product
+    return scalar * product
 
 
 def zeta_rational(kind: ZetaKind, graph: DualGraph, leaves: Leaves) -> RationalFn:
     """The closed form of ``kind`` as an unreduced rational function, in the leaves' ring."""
     lef = leaves.lefschetz
     factors = [class_rational(_sym_numerator(v.model, leaves), lef) for v in graph.vertices]
-    scalar = _graph_scalar(kind, graph, leaves)
-    return reduce(operator.mul, factors if scalar is None else [scalar, *factors])
+    return reduce(operator.mul, factors, _graph_scalar(kind, graph, leaves))

@@ -26,7 +26,7 @@ from divzeta.measures import (
     is_prime_power,
     leaf_images,
 )
-from divzeta.ring import RingElem, TruncSeries, lefschetz, one, sym_pow, zero
+from divzeta.ring import RationalFn, RingElem, lefschetz, one, sym_pow, zero
 from divzeta.strata import torus_class
 from divzeta.zeta import ZetaKind, zeta_rational, zeta_series
 
@@ -416,7 +416,7 @@ def test_class_series_matches_the_per_coefficient_formula():
             assert PointCount(q).class_series(model, 12) == expected, (q, numerator)
     for genus in range(4):
         model = CurveModel.symbolic("m", genus)
-        one_minus_t = TruncSeries.from_coeffs([1, -1], 12)
+        one_minus_t = RationalFn([1, -1]).series(12)
         if genus == 0:
             expansion = (one_minus_t**2).inverse()
         else:

@@ -16,6 +16,8 @@ from sympy import QQ
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from sympy.polys.rings import ring
 
+from divzeta.graph import parse_graph
+from divzeta.measures import SymbolicIdentity, leaf_images
 from divzeta.ring import (
     LEFSCHETZ_GEN,
     MODEL_ID_RE,
@@ -35,6 +37,10 @@ from divzeta.ring import (
     sym_pow,
     zero,
 )
+from divzeta.strata import divisor_series_from_strata, stable_pair_count
+from divzeta.zeta import ZetaKind, zeta_series
+
+from conftest import vertex
 
 L = lefschetz()
 
@@ -503,10 +509,10 @@ def geometric(ratio, order):
 
 def test_series_mul_basic():
     order = 4
-    one_plus_t = TruncSeries.from_coeffs([1, 1], order)
-    one_minus_t = TruncSeries.from_coeffs([1, -1], order)
-    assert one_plus_t * one_minus_t == TruncSeries.from_coeffs([1, 0, -1], order)
-    assert one_minus_t * geometric(one(), order) == TruncSeries.one(order)
+    one_plus_t = RationalFn([1, 1]).series(order)
+    one_minus_t = RationalFn([1, -1]).series(order)
+    assert one_plus_t * one_minus_t == RationalFn([1, 0, -1]).series(order)
+    assert one_minus_t * geometric(one(), order) == RationalFn([one()]).series(order)
 
 
 def test_series_mul_rational_pair_cancels():
@@ -514,23 +520,23 @@ def test_series_mul_rational_pair_cancels():
     order = 6
     a = RationalFn([1, -1], [1, -L]).series(order)
     b = RationalFn([1, -L], [1, -1]).series(order)
-    assert a * b == TruncSeries.one(order)
+    assert a * b == RationalFn([one()]).series(order)
 
 
 def test_series_mul_order_mismatch():
     with pytest.raises(ValueError):
-        TruncSeries.one(3) * TruncSeries.one(4)
+        RationalFn([one()]).series(3) * RationalFn([one()]).series(4)
 
 
 def test_series_inverse_geometric():
     order = 6
-    assert TruncSeries.from_coeffs([1, -1], order).inverse() == geometric(one(), order)
-    assert TruncSeries.from_coeffs([1, -L], order).inverse() == geometric(L, order)
+    assert RationalFn([1, -1]).series(order).inverse() == geometric(one(), order)
+    assert RationalFn([1, -L]).series(order).inverse() == geometric(L, order)
 
 
 def test_series_inverse_quadratic_denominator():
     # 1/(1 - (L+1)t + t^2): f_d = (L+1) f_{d-1} - f_{d-2}, solved by hand.
-    inv = TruncSeries.from_coeffs([1, -(L + 1), 1], 3).inverse()
+    inv = RationalFn([1, -(L + 1), 1]).series(3).inverse()
     assert inv[0] == one()
     assert inv[1] == L + 1
     assert inv[2] == L**2 + 2 * L
@@ -539,27 +545,27 @@ def test_series_inverse_quadratic_denominator():
 
 def test_series_inverse_requires_unit():
     with pytest.raises(ValueError):
-        TruncSeries.from_coeffs([L, 1], 3).inverse()
+        RationalFn([L, 1]).series(3).inverse()
     with pytest.raises(ValueError):
-        TruncSeries.from_coeffs([2, 1], 3).inverse()
+        RationalFn([2, 1]).series(3).inverse()
 
 
 @given(st.one_of(unit_series(), int_unit_series()))
 @settings(max_examples=60, deadline=None)
 def test_series_inverse_is_inverse(series):
-    assert series * series.inverse() == TruncSeries.one(series.order)
+    assert series * series.inverse() == RationalFn([one()]).series(series.order)
 
 
 def test_series_pow():
     order = 4
-    one_minus_t = TruncSeries.from_coeffs([1, -1], order)
-    assert one_minus_t**0 == TruncSeries.one(order)
-    assert one_minus_t**2 == TruncSeries.from_coeffs([1, -2, 1], order)
+    one_minus_t = RationalFn([1, -1]).series(order)
+    assert one_minus_t**0 == RationalFn([one()]).series(order)
+    assert one_minus_t**2 == RationalFn([1, -2, 1]).series(order)
 
 
 _POWER_BASES = [
-    (TruncSeries([1, -2, 3, 0, 5]), TruncSeries.from_coeffs([1], 4)),
-    (TruncSeries([one(), L - 1, c("m", 1), zero(), 2 * L]), TruncSeries.one(4)),
+    (TruncSeries([1, -2, 3, 0, 5]), RationalFn([1]).series(4)),
+    (TruncSeries([one(), L - 1, c("m", 1), zero(), 2 * L]), RationalFn([one()]).series(4)),
     (RationalFn([2, -1, 3], [1, 5]), RationalFn([1])),
     (RationalFn([one(), L - 1, c("m", 1)]), RationalFn([one()])),
     (L - c("m", 1) + 2, one()),
@@ -665,7 +671,7 @@ def test_products_match_the_naive_definitions(data):
     raw_b = data.draw(sparse_coeffs(kind_b, data.draw(st.integers(0, order + 1))))
     for x, y in [(raw_a, raw_b), (raw_a, _alternating(raw_a))]:
         y = y or [0]
-        a, b = TruncSeries(x), TruncSeries.from_coeffs(y, order)
+        a, b = TruncSeries(x), RationalFn(y).series(order)
         _same((a * b).coefficients(), _naive_series_mul(a, b))
         p, q = RationalFn(x), RationalFn(y)
         _same((p * q).numerator, _naive_poly_mul(p, q))
@@ -676,7 +682,7 @@ def test_products_match_the_naive_definitions(data):
     # denominator must keep its unit constant term.
     p = RationalFn(raw_a, unit.coefficients())
     q = RationalFn(raw_b or [0], [1 if kind_b == "int" else one(), *raw_b[1:]])
-    numerator, inverse = TruncSeries.from_coeffs(raw_a, order), TruncSeries(_naive_inverse(unit))
+    numerator, inverse = RationalFn(raw_a).series(order), TruncSeries(_naive_inverse(unit))
     _same(p.series(order).coefficients(), _naive_series_mul(numerator, inverse))
     for fn in (p * q, q * p, p**2, q**3):
         _in_one_ring(fn.numerator)
@@ -781,7 +787,22 @@ def test_expansion_of_node_factor():
 
 
 def test_expansion_of_unit():
-    assert RationalFn([1], [1]).series(5) == TruncSeries.one(5)
+    assert RationalFn([1], [1]).series(5) == TruncSeries([1, 0, 0, 0, 0, 0])
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_series_of_a_polynomial_truncates_or_pads_it(data):
+    # Over the denominator 1, series(order) cuts the coefficients at t^order
+    # or pads them with the ring's zero: RingElem() symbolically, 0 over the
+    # integers.  An empty list counts as symbolic.
+    kind = data.draw(st.sampled_from(("symbolic", "int")))
+    coeffs = data.draw(sparse_coeffs(kind, data.draw(st.integers(1 if kind == "int" else 0, 8))))
+    order = data.draw(st.integers(0, 10))
+    expected = coeffs[: order + 1] + [0 if kind == "int" else zero()] * (order + 1 - len(coeffs))
+    series = RationalFn(coeffs).series(order)
+    assert series.coefficients() == tuple(expected)
+    assert [type(x) for x in series.coefficients()] == [type(x) for x in expected]
 
 
 def test_rational_denominator_must_be_unit():
@@ -797,8 +818,8 @@ def test_expansion_times_denominator_is_numerator(order):
         ([1, c("m", 1), c("m", 2)], [1, -1, L]),
     ]:
         expansion = RationalFn(num, den).series(order)
-        denominator = TruncSeries.from_coeffs(den, order)
-        assert expansion * denominator == TruncSeries.from_coeffs(num, order)
+        denominator = RationalFn(den).series(order)
+        assert expansion * denominator == RationalFn(num).series(order)
 
 
 _QQ_T, _T = ring("t", QQ)
@@ -830,8 +851,8 @@ def test_integer_expansion_matches_sympy(num, den_tail, order):
 
 def _inverse_times_numerator(num, den, order):
     """The expansion as ``RationalFn.series`` computed it before the recurrence."""
-    inverse = TruncSeries.from_coeffs(den, order).inverse()
-    return inverse * TruncSeries.from_coeffs(num, order)
+    inverse = RationalFn(den).series(order).inverse()
+    return inverse * RationalFn(num).series(order)
 
 
 @given(st.data())
@@ -860,7 +881,7 @@ def test_rational_product_is_unreduced():
     product = a * b
     # (1-t)(1-Lt) on both sides, not cancelled.
     assert product.numerator == product.denominator == (1, -(L + 1), L)
-    assert product.series(6) == TruncSeries.one(6)
+    assert product.series(6) == RationalFn([one()]).series(6)
 
 
 def test_rational_sides_keep_their_formal_length():
@@ -888,7 +909,7 @@ def test_int_and_ring_coefficients_agree():
     assert all(type(c) is int for c in ints.coefficients())
     assert (ints * ints).coefficients() == (1, 4, 4)
     assert all(type(c) is int for c in (ints * ints).inverse().coefficients())
-    mixed = ints * TruncSeries.from_coeffs([1, L], 2)
+    mixed = ints * RationalFn([1, L]).series(2)
     assert all(isinstance(c, RingElem) for c in mixed.coefficients())
     assert mixed == TruncSeries([one(), L + 2, 2 * L])
     assert str(RationalFn([-3, 1, 0, -1, 0])) == "(-3 + t - t^3) / (1)"
@@ -898,6 +919,11 @@ def test_int_and_ring_coefficients_agree():
 
 
 _BAD_EXPONENT = "exponent must be a nonnegative integer"
+_BAD_ORDER = "truncation order must be a nonnegative integer"
+# A smooth, unmarked curve: its graph scalar is the unit, whose expansion
+# still checks the order, and its leaves reach t^4 (2g) when built at order 2.
+_SMOOTH = parse_graph({"vertices": [vertex("m", 2)]})
+_LEAVES = leaf_images(_SMOOTH, SymbolicIdentity(), 2)
 
 
 @pytest.mark.parametrize(
@@ -905,12 +931,25 @@ _BAD_EXPONENT = "exponent must be a nonnegative integer"
     [
         (lambda: L**-1, ValueError, _BAD_EXPONENT),
         (lambda: L**1.5, ValueError, _BAD_EXPONENT),
-        (lambda: TruncSeries.one(3) ** -1, ValueError, _BAD_EXPONENT),
+        (lambda: RationalFn([one()]).series(3) ** -1, ValueError, _BAD_EXPONENT),
         (lambda: RationalFn([1], [1]) ** "2", ValueError, _BAD_EXPONENT),
         (lambda: TruncSeries([1, 2.5]), TypeError, r"cannot use 2\.5 as a ring element"),
         (lambda: TruncSeries([L, 2.5]), TypeError, r"cannot use 2\.5 as a ring element"),
-        (lambda: TruncSeries.from_coeffs([1, None], 3), TypeError, r"cannot use None as a ring element"),
         (lambda: RationalFn([1], [1, "x"]), TypeError, r"cannot use 'x' as a ring element"),
+        (lambda: RationalFn([1]).series(-1), ValueError, _BAD_ORDER),
+        (lambda: RationalFn([1]).series(1.5), ValueError, _BAD_ORDER),
+        (lambda: RationalFn([1]).series("2"), ValueError, _BAD_ORDER),
+        (lambda: divisor_series_from_strata(_SMOOTH, -1, _LEAVES), ValueError, _BAD_ORDER),
+        (lambda: divisor_series_from_strata(_SMOOTH, 1.5, _LEAVES), ValueError, _BAD_ORDER),
+        (lambda: stable_pair_count(_SMOOTH, -1), ValueError, _BAD_ORDER),
+        (lambda: stable_pair_count(_SMOOTH, 1.5), ValueError, _BAD_ORDER),
+        (lambda: zeta_series(ZetaKind.DIVISORIAL, _SMOOTH, -5, _LEAVES), ValueError, _BAD_ORDER),
+        (lambda: zeta_series(ZetaKind.DIVISORIAL, _SMOOTH, 1.5, _LEAVES), ValueError, _BAD_ORDER),
+        (
+            lambda: zeta_series(ZetaKind.DIVISORIAL, _SMOOTH, 10, _LEAVES),
+            ValueError,
+            "truncation order mismatch: 10 vs 4",
+        ),
     ],
     ids=[
         "ring-negative",
@@ -919,12 +958,23 @@ _BAD_EXPONENT = "exponent must be a nonnegative integer"
         "rational-string",
         "int-series-float",
         "ring-series-float",
-        "padded-none",
         "denominator-string",
+        "order-negative",
+        "order-float",
+        "order-string",
+        "strata-order-negative",
+        "strata-order-float",
+        "count-order-negative",
+        "count-order-float",
+        "unit-scalar-order-negative",
+        "unit-scalar-order-float",
+        "order-past-the-leaves",
     ],
 )
 def test_each_refusal_has_one_message(build, error, message):
-    # One exponent check in _power for all three layers, and one coefficient
-    # check in _require_elem for every constructor, the padded series included.
+    # One exponent check in _power for all three layers, one coefficient
+    # check in _require_elem for every constructor, and one order check in
+    # RationalFn.series, which every series builder reaches before it reads
+    # the order: a closed form whose graph scalar is the unit included.
     with pytest.raises(error, match=rf"^{message}$"):
         build()

@@ -47,7 +47,7 @@ def one_vertex_zeta(model, punctures, order):
 
 
 def one_minus_t(order):
-    return TruncSeries.from_coeffs([1, -1], order)
+    return RationalFn([1, -1]).series(order)
 
 
 def test_p1_with_two_punctures_is_torus_zeta():
@@ -163,7 +163,7 @@ def test_divisorial_to_nodal_ratio():
         expected = (
             zeta_series(ZetaKind.KAPRANOV_NODAL, graph, order, leaves)
             * node_factor_rational().series(order) ** scale
-            * TruncSeries.from_coeffs([1, -1], order) ** scale
+            * RationalFn([1, -1]).series(order) ** scale
         )
         assert zeta_series(ZetaKind.DIVISORIAL, graph, order, leaves) == expected
 
@@ -209,7 +209,7 @@ def test_loop_and_mark_puncture_exchange():
         for graph in (with_loop, with_mark, base)
     )
     assert loop == mark
-    one_minus_t = TruncSeries.from_coeffs([1, -1], order)
+    one_minus_t = RationalFn([1, -1]).series(order)
     factor = node_factor_rational().series(order) * one_minus_t**2
     assert loop == plain * factor
 
@@ -222,7 +222,7 @@ def test_puncture_multiplies_by_one_minus_t():
         zeta_series(ZetaKind.DIVISORIAL, graph, order, free_leaves(graph, order))
         for graph in (plain, punctured)
     )
-    assert after == before * TruncSeries.from_coeffs([1, -1], order)
+    assert after == before * RationalFn([1, -1]).series(order)
 
 
 # -- rational forms -----------------------------------------------------------------
