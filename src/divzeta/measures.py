@@ -42,7 +42,7 @@ import reprlib
 from collections.abc import Mapping, Sequence
 
 from .graph import CurveModel, DualGraph
-from .ring import Coeff, RationalFn, RingElem, lefschetz, one, sym_pow
+from .ring import Coeff, RationalFn, RingElem, _require_natural, lefschetz, one, sym_pow
 
 
 class MeasureError(ValueError):
@@ -270,8 +270,10 @@ def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves
     ``2g + 1``, so a caller that builds the rational form alone may pass
     ``min(order, 1)`` and still have every class of degree 1 and up that it
     reads realized.  A model the measure does not realize to that degree
-    raises ``MeasureError`` here.
+    raises ``MeasureError`` here, and an order that is not a nonnegative
+    ``int`` the ring's ``ValueError``, before any class is built.
     """
+    _require_natural(order, "truncation order")
     classes = {
         name: measure.class_series(model, max(order, 2 * model.genus))
         for name, model in graph.models.items()

@@ -35,8 +35,14 @@ one multiply-accumulate kernel, after the same paper: a coefficient
 with no intermediate ``RingElem``; over the integers it is a plain ``sum``.
 It skips a pair with a zero side and multiplies a constant monomial without
 a merge, and still inserts the terms in the order of the plain double loop:
-that order is where the display sort of ``str`` starts, so it fixes the
-cost of rendering.
+the right factor's coefficients from the highest degree down, the left
+factor's terms in their stored order within each pair.  That order is where
+the display sort of ``str`` starts, so it fixes the cost of rendering.  A
+left factor whose coefficients store their terms in display order
+(``RingElem.in_display_order``) times a right factor whose coefficients are
+each one monomial, in generators larger than all of the left's, comes out
+in display order, and ``str`` sorts it in one pass.  Two monomials whose
+generators do not interleave multiply by concatenation, without a merge.
 Every expansion of a rational function in ``t``, a series inverse included,
 is one linear recurrence over the same kernel (``_expand_coeffs``).
 
@@ -143,11 +149,17 @@ def _mono_sorted(items: Iterable[tuple[Generator, int]]) -> Monomial:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product of two monomials: one merge of the ascending factor lists."""
+    """Product of two monomials: one merge of the ascending factor lists, or
+    their concatenation when every generator of one side comes before every
+    generator of the other."""
     if not a:
         return b
     if not b:
         return a
+    if a[-1][0]._key < b[0][0]._key:
+        return a + b
+    if b[-1][0]._key < a[0][0]._key:
+        return b + a
     out = []
     i = j = 0
     len_a, len_b = len(a), len(b)
@@ -180,6 +192,13 @@ def _mono_cmp(a: Monomial, b: Monomial) -> int:
         if ea != eb:
             return -1 if ea > eb else 1
     return 0
+
+
+def _display_order(terms: Iterable[Monomial]) -> list[Monomial]:
+    """The monomials in the order ``str`` prints them: a list already in that
+    order is sorted in one pass of ``len - 1`` comparisons.  ``str`` sorts
+    with it directly, so it builds no ordered copy of a wide element."""
+    return sorted(terms, key=cmp_to_key(_mono_cmp))
 
 
 def _mono_str(mono: Monomial) -> str:
@@ -282,12 +301,19 @@ class RingElem:
             return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
+    def in_display_order(self) -> RingElem:
+        """An equal element whose terms are stored in display order, the
+        order ``str`` prints them in, so that sorting them again for display
+        takes one pass."""
+        ordered = RingElem.__new__(RingElem)
+        ordered._terms = {mono: self._terms[mono] for mono in _display_order(self._terms)}
+        return ordered
+
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        ordered = sorted(self._terms, key=cmp_to_key(_mono_cmp))
-        for index, mono in enumerate(ordered):
+        for index, mono in enumerate(_display_order(self._terms)):
             coeff = self._terms[mono]
             magnitude = abs(coeff)
             if not mono:

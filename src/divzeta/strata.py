@@ -28,8 +28,10 @@ model's classes times ``(1-t)`` per hole; the punctures, the chain series
 independent of the closed form's graph scalar.  The product is reordered by
 commutativity alone: the narrow factors, which hold only ``L``, are
 multiplied first (``(1-t)`` to the total number of holes, and the one chain
-series every edge and leg shares, to the power ``|E|+n``), the vertex
-classes are multiplied together, and one wide product joins the two.
+series every edge and leg shares, to the power ``|E|+n``), and the vertex
+classes are folded onto them one vertex at a time, in ascending model order.
+With distinct symbolic models every coefficient then comes out with its
+terms in display order, so ``str`` sorts it in one pass.
 ``divisor_class_from_strata`` is its symbolic coefficient of one degree.
 ``stable_pair_count`` counts the pairs of every degree from the same
 factorization, with the per-slot series in closed form, as one expansion of
@@ -195,10 +197,10 @@ def divisor_series_from_strata(graph: DualGraph, order: int, leaves: Leaves) -> 
     regrouped by commutativity, every degree at once: ``(1-t)^H``, ``H``
     the holes of all vertices together, times the chain series to the power
     ``|E|+n``, both by repeated squaring, is the narrow part, whose
-    coefficients hold only ``L`` symbolically; the vertex classes multiplied
-    together are the wide part; and one wide-by-narrow product joins them.
-    A measure is a ring homomorphism, so the product over its leaves is its
-    image of the symbolic product.  Under ``SymbolicIdentity`` the ``t^d``
+    coefficients hold only ``L`` symbolically and are stored in display
+    order; then each vertex's classes are multiplied on, in ascending model
+    order.  A measure is a ring homomorphism, so the product over its
+    leaves is its image of the symbolic product.  Under ``SymbolicIdentity`` the ``t^d``
     coefficient equals, term for term, the sum of ``stratum_class`` over
     ``stable_pairs(graph, d)``.
     """
@@ -207,14 +209,21 @@ def divisor_series_from_strata(graph: DualGraph, order: int, leaves: Leaves) -> 
     chains = graph.num_edges + graph.num_legs
     if chains:
         narrow = narrow * _chain_series(order, leaves) ** chains
-    wide = reduce(
+    # The kernel pairs the right factor's coefficients from the highest
+    # degree down and keeps the left's term order within each pair.  So once
+    # the narrow part is stored in display order (its own products are only
+    # nearly so, and integers have no term order), each vertex's classes,
+    # folded on in ascending model order, become the most significant sort
+    # key: with distinct symbolic models every coefficient comes out in the
+    # order str() prints it in.
+    if isinstance(leaves.one, RingElem):
+        narrow = TruncSeries([coeff.in_display_order() for coeff in narrow.coefficients()])
+    vertices = sorted(graph.vertices, key=lambda v: v.model.name)
+    return reduce(
         operator.mul,
-        (TruncSeries(leaves.classes[v.model.name][: order + 1]) for v in graph.vertices),
+        (TruncSeries(leaves.classes[v.model.name][: order + 1]) for v in vertices),
+        narrow,
     )
-    # Narrow on the left, as in zeta_series: each coefficient then meets the
-    # vertex classes from the highest degree down, near the display order
-    # (larger class generators first), so the sort in str() does less.
-    return narrow * wide
 
 
 def divisor_class_from_strata(graph: DualGraph, degree: int) -> RingElem:

@@ -126,26 +126,43 @@ def test_verify_exits_zero_on_battery(graph_file, capsys):
     capsys.readouterr()
 
 
-def test_symbolic_verify_merges_few_monomials(graph_file, capsys, monkeypatch):
-    # The oracle multiplies its narrow factors first, the punctures' (1-t)
-    # and the chain series, which hold only L, and then makes one wide
-    # product with the vertex classes; the kernel merges no pair that has a
-    # constant monomial.  Slot by slot, with every pair merged, symbolic
-    # verify of the battery at degree 8 made 8,493 merges.
+def _count_calls(name, graph_file, capsys, monkeypatch):
+    """Calls of ``ring.<name>`` made by symbolic verify of the battery at
+    degree 8."""
     calls = 0
-    merge = ring._mono_mul
+    function = getattr(ring, name)
 
     def counted(a, b):
         nonlocal calls
         calls += 1
-        return merge(a, b)
+        return function(a, b)
 
-    monkeypatch.setattr(ring, "_mono_mul", counted)
-    for name, graph in battery().items():
-        path = graph_file(graph_to_json(graph), f"{name}.json")
+    monkeypatch.setattr(ring, name, counted)
+    for graph_name, graph in battery().items():
+        path = graph_file(graph_to_json(graph), f"{graph_name}.json")
         assert main(["--input", path, "--mode", "verify", "--max-degree", "8"]) == 0
     capsys.readouterr()
-    assert calls == 2462
+    return calls
+
+
+def test_symbolic_verify_merges_few_monomials(graph_file, capsys, monkeypatch):
+    # The oracle multiplies its narrow factors first, the punctures' (1-t)
+    # and the chain series, which hold only L, and then folds on one vertex's
+    # classes at a time; the kernel merges no pair that has a constant
+    # monomial.  Slot by slot, with every pair merged, this made 8,493
+    # merges; with the vertex classes multiplied together and joined to the
+    # narrow part in one product, 2,462.  The fold costs more products, 2,601,
+    # most of them joined by concatenation, not by a merge.
+    assert _count_calls("_mono_mul", graph_file, capsys, monkeypatch) == 2601
+
+
+def test_symbolic_verify_sorts_each_coefficient_in_one_pass(graph_file, capsys, monkeypatch):
+    # The oracle stores every coefficient in display order, so str makes
+    # n-1 comparisons for n terms (1,307 for the 1,361 printed terms of 54
+    # nonzero coefficients), and sorting the narrow part's coefficients
+    # before the fold 198 more.  With one wide product the display sort made
+    # 4,947.
+    assert _count_calls("_mono_cmp", graph_file, capsys, monkeypatch) == 1505
 
 
 def test_mutation_is_detected(graph_file, capsys, monkeypatch):

@@ -37,7 +37,7 @@ from divzeta.ring import (
     sym_pow,
     zero,
 )
-from divzeta.strata import divisor_series_from_strata, stable_pair_count
+from divzeta.strata import divisor_class_from_strata, divisor_series_from_strata, stable_pair_count
 from divzeta.zeta import ZetaKind, zeta_series
 
 from conftest import vertex
@@ -214,6 +214,30 @@ def test_merge_product_matches_dict_and_sort(a, b, c_):
     assert _mono_mul(product, c_) == _mono_mul(a, _mono_mul(b, c_))
 
 
+_LEF, _M1, _M2, _N1 = Generator(), Generator("m", 1), Generator("m", 2), Generator("n", 1)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (((_LEF, 2), (_M1, 1)), ((_M2, 1), (_N1, 3))),
+        (((_M2, 1), (_N1, 3)), ((_LEF, 2), (_M1, 1))),
+        (((_LEF, 1), (_M2, 1)), ((_M2, 2), (_N1, 1))),
+        (((_LEF, 3),), ((_M2, 4),)),
+        (((_M2, 4),), ((_LEF, 3),)),
+    ],
+    ids=["a-below-b", "b-below-a", "shared-at-the-boundary", "L-then-c", "c-then-L"],
+)
+def test_disjoint_monomials_multiply_by_concatenation(a, b):
+    # When every generator of one side comes before every generator of the
+    # other, the product is the two tuples joined; a generator on both sides
+    # at the boundary still merges.  Either way the product is the merge's.
+    product = _mono_mul(a, b)
+    assert product == _dict_and_sort_product(a, b)
+    keys = [gen.sort_key() for gen, _ in product]
+    assert keys == sorted(set(keys))
+
+
 def _display_key(gens):
     """A monomial's negated dense exponent vector over ``gens``, which run
     largest generator first: one sort key in place of ``_mono_cmp``."""
@@ -253,6 +277,17 @@ def test_negated_exponent_vector_sorts_in_display_order(monos):
 
 
 # -- canonical text -----------------------------------------------------------
+
+
+@given(st.lists(monomials(), unique=True, max_size=8), st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+def test_display_order_is_stored(monos, coeffs):
+    # in_display_order stores the terms in the order str prints them, and
+    # keeps the element.
+    elem = RingElem(dict(zip(monos, coeffs)))
+    ordered = elem.in_display_order()
+    assert ordered == elem and str(ordered) == str(elem)
+    stored = [mono for mono, _ in ordered.terms()]
+    assert stored == sorted(stored, key=cmp_to_key(_mono_cmp))
 
 
 def test_canonical_strings():
@@ -924,6 +959,8 @@ _BAD_ORDER = "truncation order must be a nonnegative integer"
 # still checks the order, and its leaves reach t^4 (2g) when built at order 2.
 _SMOOTH = parse_graph({"vertices": [vertex("m", 2)]})
 _LEAVES = leaf_images(_SMOOTH, SymbolicIdentity(), 2)
+# A rational symbolic component: its leaves run through t^order, not t^2g.
+_RATIONAL = parse_graph({"vertices": [vertex("z", 0)], "legs": ["z", "z", "z"]})
 
 
 @pytest.mark.parametrize(
@@ -945,6 +982,9 @@ _LEAVES = leaf_images(_SMOOTH, SymbolicIdentity(), 2)
         (lambda: stable_pair_count(_SMOOTH, 1.5), ValueError, _BAD_ORDER),
         (lambda: zeta_series(ZetaKind.DIVISORIAL, _SMOOTH, -5, _LEAVES), ValueError, _BAD_ORDER),
         (lambda: zeta_series(ZetaKind.DIVISORIAL, _SMOOTH, 1.5, _LEAVES), ValueError, _BAD_ORDER),
+        (lambda: leaf_images(_SMOOTH, SymbolicIdentity(), 5.5), ValueError, _BAD_ORDER),
+        (lambda: leaf_images(_SMOOTH, SymbolicIdentity(), -1), ValueError, _BAD_ORDER),
+        (lambda: divisor_class_from_strata(_RATIONAL, 1.5), ValueError, _BAD_ORDER),
         (
             lambda: zeta_series(ZetaKind.DIVISORIAL, _SMOOTH, 10, _LEAVES),
             ValueError,
@@ -968,6 +1008,9 @@ _LEAVES = leaf_images(_SMOOTH, SymbolicIdentity(), 2)
         "count-order-float",
         "unit-scalar-order-negative",
         "unit-scalar-order-float",
+        "leaves-order-float",
+        "leaves-order-negative",
+        "strata-class-order-float",
         "order-past-the-leaves",
     ],
 )
@@ -976,5 +1019,6 @@ def test_each_refusal_has_one_message(build, error, message):
     # check in _require_elem for every constructor, and one order check in
     # RationalFn.series, which every series builder reaches before it reads
     # the order: a closed form whose graph scalar is the unit included.
+    # leaf_images applies the same order check before it builds any class.
     with pytest.raises(error, match=rf"^{message}$"):
         build()

@@ -476,11 +476,60 @@ _ORDER_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(_ORDER_GRAPHS))
 def test_oracle_product_order_is_immaterial(name):
     # The oracle multiplies its narrow factors first, (1-t) to the total
-    # number of holes and the chain series to |E|+n, then the vertex classes
-    # together, and joins the two in one product; the slot-by-slot product
-    # must give the same series.
+    # number of holes and the chain series to |E|+n, and then folds on each
+    # vertex's classes in ascending model order; the slot-by-slot product
+    # must give the same series, shared and p1 models included.
     graph = _ORDER_GRAPHS[name]
     for order, measure in [(10, SymbolicIdentity()), (40, EulerCharacteristic())]:
         leaves = leaf_images(graph, measure, order)
         series = divisor_series_from_strata(graph, order, leaves)
         assert series == _factor_by_factor(graph, order, leaves), measure.name
+
+
+def _stored_in_display_order(series):
+    """Whether every coefficient of ``series`` stores its terms in the
+    order ``str`` prints them in."""
+    for coeff in series.coefficients():
+        stored = [mono for mono, _ in coeff.terms()]
+        if stored != [mono for mono, _ in coeff.in_display_order().terms()]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(battery()))
+def test_oracle_stores_each_coefficient_in_display_order(name):
+    # Each battery graph has distinct symbolic models, so each vertex's
+    # classes fold on as the largest generators yet and the kernel emits
+    # every term in display order: str then sorts in one pass.
+    graph = battery()[name]
+    series = divisor_series_from_strata(graph, 8, free_leaves(graph, 8))
+    assert _stored_in_display_order(series)
+
+
+@st.composite
+def distinct_model_graphs(draw):
+    """Connected graphs on 1-3 vertices with distinct symbolic models, whose
+    names come in an order other than the vertices'."""
+    names = draw(st.permutations(["z", "a", "q"]))[: draw(st.integers(1, 3))]
+    ids = [f"v{index}" for index in range(len(names))]
+    vertices = [
+        vertex(vid, draw(st.integers(0, 2)), {"type": "symbolic", "id": name},
+               draw(st.integers(0, 1)))
+        for vid, name in zip(ids, names)
+    ]
+    edges = [[u, w] for u, w in zip(ids, ids[1:])]
+    extra = st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                     max_size=3 - len(edges))
+    edges += [list(pair) for pair in draw(extra)]
+    legs = draw(st.lists(st.sampled_from(ids), max_size=2))
+    try:
+        return parse_graph({"vertices": vertices, "edges": edges, "legs": legs})
+    except GraphError:
+        assume(False)
+
+
+@given(distinct_model_graphs(), st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_oracle_display_order_on_random_graphs(graph, order):
+    series = divisor_series_from_strata(graph, order, free_leaves(graph, order))
+    assert _stored_in_display_order(series)
