@@ -38,7 +38,7 @@ import json
 import reprlib
 from collections.abc import Iterable, Sequence
 
-from .ring import MODEL_ID_RE
+from .ring import MODEL_ID_RE, _is_int
 
 
 class GraphError(ValueError):
@@ -96,11 +96,6 @@ _MODEL_KEYS = {
 }
 
 
-def _is_int(value: object) -> bool:
-    """JSON integer test; ``bool`` is an ``int`` subclass but not an integer here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _where(vid: object) -> str:
     """The vertex an error names; built only when one is raised."""
     return f"vertex {reprlib.repr(vid)}"
@@ -139,7 +134,7 @@ class CurveModel(Record):
     elliptic model whose genus is not 1 or whose trace is not an integer, a
     weil numerator that is not a list of integers with constant term 1 and
     degree at most 2g, a trace or numerator on any other kind, and a name
-    outside the model-id grammar.  ``bool`` is not an integer here.
+    outside the model-id grammar.  An integer is ``ring._is_int``: no ``bool``.
     """
 
     __slots__ = _fields = ("kind", "name", "genus", "trace", "numerator")

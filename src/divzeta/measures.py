@@ -1,7 +1,7 @@
 """Motivic measures: ring homomorphisms to concrete targets.
 
 A measure is a rule on curve models and holds no graph data.  It fixes an
-integer image for the Lefschetz class (``lefschetz_image``) and, for any
+image for the Lefschetz class (``lefschetz_image``) and, for any
 ``CurveModel``, the images of the model's symmetric-power generators in one
 call (``class_series(model, order)``), then extends multiplicatively and
 additively.  It is applied in one place, ``leaf_images``: one
@@ -29,10 +29,12 @@ finds no model for in ``models``.
   ``c[m,d]`` themselves, and a projective line's classes
   ``1 + L + ... + L^d``.
 
-Both integer measures share one ``class_series``: a model's classes are one
-expansion of its numerator over ``(1-t)(1-l t)``, with ``l`` the image of
-``L`` (``class_rational``, expanded by ``RationalFn.series``).  The closed
-forms build each vertex zeta from the same ``class_rational``.
+Every measure realizes a model in one place, ``class_series``: the unit at
+degree 0, then one expansion of the model's numerator over ``(1-t)(1-l t)``,
+``l`` the image of ``L`` (``class_rational``).  A projective line's
+numerator is ``1``; ``_numerator`` gives any other's, or ``None`` to keep
+``c[m,d]`` free.  The closed forms build each vertex zeta from the same
+``class_rational``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import reprlib
 from collections.abc import Mapping, Sequence
 
 from .graph import CurveModel, DualGraph
-from .ring import Coeff, RationalFn, RingElem, _require_natural, lefschetz, one, sym_pow
+from .ring import Coeff, RationalFn, RingElem, _require_natural, lefschetz, sym_pow
 
 
 class MeasureError(ValueError):
@@ -115,29 +117,33 @@ def is_prime_power(value: int) -> bool:
 
 
 class MotivicMeasure:
-    """Base class: integer-valued ring homomorphism.
+    """Base class: a ring homomorphism from the symbolic ring.
 
     A subclass fixes the image ``l`` of ``L`` (``lefschetz_image``) and a
-    rule that gives each curve model an integer numerator ``P``
-    (``_numerator``); the model's classes are then the expansion of
-    ``P(t) / ((1-t)(1-l t))``.  A measure holds no graph data.
+    rule that gives each curve model a Weil numerator ``P`` or ``None``
+    (``_numerator``); ``class_series`` expands ``P(t) / ((1-t)(1-l t))``, or
+    keeps the free generators.  A measure holds no graph data.
     """
 
     name = "abstract"
 
-    def lefschetz_image(self) -> int:
+    def lefschetz_image(self) -> Coeff:
         raise NotImplementedError
 
-    def _numerator(self, model: CurveModel) -> Sequence[int]:
+    def _numerator(self, model: CurveModel) -> Sequence[Coeff] | None:
         raise NotImplementedError
 
-    def class_series(self, model: CurveModel, order: int) -> list[int]:
+    def class_series(self, model: CurveModel, order: int) -> list[Coeff]:
         """Images of ``c[m,0]`` (the unit) through ``c[m,order]``, ``m`` the
         model's id."""
+        _require_natural(order, "truncation order")
+        lef = self.lefschetz_image()
         if order == 0:  # c[m,0] is the unit: no numerator needed
-            return [1]
-        expansion = class_rational(self._numerator(model), self.lefschetz_image())
-        return list(expansion.series(order).coefficients())
+            return [lef**0]
+        numerator = (lef**0,) if model.kind == "p1" else self._numerator(model)
+        if numerator is None:
+            return [sym_pow(model.name, d) for d in range(order + 1)]
+        return list(class_rational(numerator, lef).series(order).coefficients())
 
     def of_elem(self, elem: RingElem, models: Mapping[str, CurveModel]) -> int:
         """The image of ``elem``, its generators' models looked up in
@@ -162,8 +168,8 @@ class MotivicMeasure:
 
 class SymbolicIdentity(MotivicMeasure):
     """The identity: ``L`` and each ``c[m,d]`` are their own images, so
-    ``of_elem`` returns its input, and the leaves are the free generators
-    but for a projective line's classes, ``1 + L + ... + L^d``."""
+    ``of_elem`` returns its input, and no model but a projective line
+    (``1 + L + ... + L^d``) has a numerator: every other keeps ``c[m,d]``."""
 
     name = "symbolic"
 
@@ -173,12 +179,8 @@ class SymbolicIdentity(MotivicMeasure):
     def lefschetz_image(self) -> RingElem:
         return lefschetz()
 
-    def class_series(self, model: CurveModel, order: int) -> list[RingElem]:
-        """A projective line's classes ``1 + L + ... + L^d``; every other
-        model's free generators ``c[m,d]``."""
-        if model.kind == "p1":
-            return list(class_rational([one()], lefschetz()).series(order).coefficients())
-        return [sym_pow(model.name, d) for d in range(order + 1)]
+    def _numerator(self, model: CurveModel) -> None:
+        return None
 
 
 class EulerCharacteristic(MotivicMeasure):
@@ -197,12 +199,12 @@ class EulerCharacteristic(MotivicMeasure):
 class PointCount(MotivicMeasure):
     """Point counting over a field with ``q`` elements.
 
-    A projective line's numerator is ``1``, an elliptic curve's
-    ``1 - a t + q t^2`` and a weil model's the one it stores, which must
-    satisfy the functional equation at ``q`` when its degree is ``2g``.  In
-    genus 1 that numerator is ``1 - a t + q t^2`` for both kinds, and a trace
-    past the Hasse bound ``a^2 <= 4q`` raises ``MeasureError``: no curve has
-    it.  A symbolic model has none and raises ``MeasureError``.
+    An elliptic curve's numerator is ``1 - a t + q t^2`` and a weil model's
+    the one it stores, which must satisfy the functional equation at ``q``
+    when its degree is ``2g``.  In genus 1 that numerator is
+    ``1 - a t + q t^2`` for both kinds, and a trace past the Hasse bound
+    ``a^2 <= 4q`` raises ``MeasureError``: no curve has it.  A symbolic model
+    has none and raises ``MeasureError``.
     """
 
     name = "point-count"
@@ -216,8 +218,6 @@ class PointCount(MotivicMeasure):
         return self.q
 
     def _numerator(self, model: CurveModel) -> tuple[int, ...]:
-        if model.kind == "p1":
-            return (1,)
         if model.kind == "symbolic":
             raise MeasureError(
                 f"no realization for generator c[{reprlib.repr(model.name)[1:-1]},1]"

@@ -16,9 +16,10 @@ are all ``RingElem`` or all plain ``int`` (the image of a measure), and the
 arithmetic uses only ``+``, ``*``, negation, zero and one.  Input mixing the
 two is lifted to ``RingElem``, as are the products of mixed operands.  The
 constructors check their input, ``_power`` every exponent and
-``RationalFn.series`` every order; a product, power, inverse, expansion or
-unit of ``**`` is already in one ring, with a unit constant term in a
-denominator, and is wrapped unchecked.
+``RationalFn.series`` every order, by the package's one rule for a count
+(``_require_natural``: an ``int``, not a ``bool``, and nonnegative); a
+product, power, inverse, expansion or unit of ``**`` is already in one ring,
+with a unit constant term in a denominator, and is wrapped unchecked.
 
 Generators are interned: ``Generator(model, degree)`` returns the one
 validated instance for that pair, so hashing and comparing monomials is
@@ -82,6 +83,17 @@ from functools import cmp_to_key
 MODEL_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 
 
+def _is_int(value: object) -> bool:
+    """The package's integer test: an ``int``, but not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_natural(value: object, name: str) -> None:
+    """Refuse anything but a nonnegative integer: the one check of a count."""
+    if not _is_int(value) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer")
+
+
 class Generator:
     """One ring generator: ``L`` (model None) or ``c[model,degree]``.
 
@@ -93,7 +105,7 @@ class Generator:
     __slots__ = ("model", "degree", "_key")
 
     def __new__(cls, model: str | None = None, degree: int = 0) -> Generator:
-        if type(degree) is not int:
+        if not _is_int(degree):
             raise ValueError(f"generator degree must be an int, got {degree!r}")
         gen = _GENERATORS.get((model, degree))
         if gen is None:
@@ -208,12 +220,6 @@ def _mono_str(mono: Monomial) -> str:
     return "*".join(factors)
 
 
-def _require_natural(value: object, name: str) -> None:
-    """Refuse anything but a nonnegative ``int``: an exponent or an order."""
-    if not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer")
-
-
 def _power(base, exponent: int, unit):
     """``base ** exponent`` by repeated squaring; ``unit`` when the exponent is 0."""
     _require_natural(exponent, "exponent")
@@ -290,9 +296,8 @@ class RingElem:
         return _power(self, exponent, _ONE)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = RingElem.from_int(other)
-        if not isinstance(other, RingElem):
+        other = _as_elem(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._terms == other._terms
 
@@ -363,7 +368,7 @@ def sym_pow(model: str, degree: int) -> RingElem:
 def _as_elem(value: object) -> RingElem:
     if isinstance(value, RingElem):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return RingElem.from_int(value)
     return NotImplemented
 
@@ -448,7 +453,7 @@ Coeff = RingElem | int
 def _ring_coeffs(values: Iterable[Coeff]) -> tuple[Coeff, ...]:
     """The values as coefficients of one ring: ``RingElem`` if any is one, else ``int``."""
     values = tuple(values)
-    if all(isinstance(value, int) for value in values):
+    if all(map(_is_int, values)):
         return values
     return tuple(map(_require_elem, values))
 

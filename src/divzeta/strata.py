@@ -38,8 +38,8 @@ factorization, with the per-slot series in closed form, as one expansion of
 a rational function; ``stable_pairs`` and ``stratum_class`` are the literal
 enumeration they are tested against at small degree.  There a pair is a
 plain tuple of degrees and chains, and a component's class is a binomial
-sum over its model's classes (``punctured_sym_class``), so the literal sum
-reads no closed-form builder.
+sum over its model's classes (``punctured_sym_class``): the literal sum
+reads no closed-form builder, and it checks every count by ``ring``'s rule.
 """
 
 from __future__ import annotations
@@ -53,13 +53,13 @@ from functools import lru_cache, reduce
 from .graph import DualGraph, Vertex
 from .measures import Leaves, SymbolicIdentity, leaf_images
 from .ring import Coeff, RationalFn, RingElem, TruncSeries, lefschetz, one, sum_elems
+from .ring import _require_natural
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def compositions(total: int) -> tuple[tuple[int, ...], ...]:
     """All ordered compositions of ``total``; only the empty one for 0."""
-    if total < 0:
-        raise ValueError("cannot compose a negative total")
+    _require_natural(total, "composition total")
     if total == 0:
         return ((),)
     out = []
@@ -89,8 +89,7 @@ def stable_pairs(graph: DualGraph, degree: int) -> list[tuple]:
     expands into every ordered composition.  Chain reversal is never
     quotiented out.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    _require_natural(degree, "degree")
     num_v, num_e = len(graph.vertices), graph.num_edges
     pairs = []
     for split in weak_compositions(degree, num_v + num_e + graph.num_legs):
@@ -122,25 +121,25 @@ def torus_class(m: int, lef: Coeff | None = None) -> Coeff:
     """Class of the m-th symmetric power of the one-dimensional torus,
     ``1`` and then ``L^(m-1) * (L - 1)``, one power, at ``lef`` the image of
     ``L`` (``L`` itself by default)."""
-    if m < 0:
-        raise ValueError("symmetric-power index must be nonnegative")
+    _require_natural(m, "symmetric-power index")
     lef = lefschetz() if lef is None else lef
     if m == 0:
         return lef**0
     return lef ** (m - 1) * (lef - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def punctured_sym_class(model, holes: int, degree: int) -> RingElem:
     """Class of the degree-d symmetric power of a component minus ``holes`` points.
 
     ``sum_k (-1)^k C(holes, k) c[m, d-k]``, the ``t^d`` coefficient of the
     model's classes (``SymbolicIdentity().class_series``: free generators,
     or ``1 + L + ... + L^d`` for a projective line) times ``(1-t)^holes``,
-    for the literal reference ``stratum_class``, one degree at a time.  The
-    factorized oracle builds the same series for every degree at once, from
-    the model's classes in a measure's ring.
+    for the literal reference ``stratum_class``, one degree at a time; the
+    factorized oracle builds it for every degree at once.  ``holes``, and
+    ``degree`` in ``class_series``, must be nonnegative integers.
     """
+    _require_natural(holes, "holes")
     classes = SymbolicIdentity().class_series(model, degree)
     return sum_elems(
         classes[degree - k] * ((-1) ** k * math.comb(holes, k))

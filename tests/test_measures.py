@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divzeta.cli import main
@@ -510,6 +510,49 @@ def test_an_integer_measure_is_a_rule_on_the_model(q, order, data):
         shared = make()
         once = [_leaf_classes(graph, shared, order) for graph in graphs]
         assert once == [_leaf_classes(graph, make(), order) for graph in graphs]
+
+
+def _has_a_jacobian(drawn):
+    """Whether a drawn ``(q, (model, numerator))`` is a curve's at ``q``: a
+    numerator of degree ``2g`` (which meets the functional equation), inside
+    the Hasse bound in genus 1."""
+    q, (model, numerator) = drawn
+    if numerator is None or len(numerator) != 2 * model.genus + 1:
+        return False
+    return model.genus != 1 or numerator[1] ** 2 <= 4 * q
+
+
+_JACOBIAN_MODELS = (
+    st.sampled_from([q for q in range(2, 28) if is_prime_power(q)])
+    .flatmap(lambda q: st.tuples(st.just(q), _counted_models(q)))
+    .filter(_has_a_jacobian)
+)
+
+
+@given(_JACOBIAN_MODELS)
+@example((7, (CurveModel.elliptic("m", 3), [1, -3, 7])))
+@example((7, (CurveModel.elliptic("m", -5), [1, 5, 7])))
+@example((7, (CurveModel.weil("m", [1, 2, 5, 14, 49], 2), [1, 2, 5, 14, 49])))
+@example((8, (CurveModel.weil("m", [1, 0, 0, 0, 64], 2), [1, 0, 0, 0, 64])))
+@settings(max_examples=200, deadline=None)
+def test_symmetric_powers_past_2g_minus_2_are_projective_bundles(drawn):
+    # For d >= 2g-1, Sym^d C is a P^(d-g)-bundle over the Jacobian (Kapranov,
+    # arXiv:math/0001005), so #Sym^d C(F_q) = h (q^(d-g+1) - 1)/(q - 1) with
+    # h = P(1) the Jacobian's number of points: a fact no measure encodes.
+    # It follows from the functional equation by partial fractions.
+    q, (model, numerator) = drawn
+    genus, h = model.genus, sum(numerator)
+    counts = PointCount(q).class_series(model, 20)
+    euler = EulerCharacteristic().class_series(model, 20)
+    for d in range(max(2 * genus - 1, 0), 21):
+        assert counts[d] * (q - 1) == h * (q ** (d - genus + 1) - 1), d
+        # The limit q -> 1, where h = (1-1)^(2g) is 1 in genus 0 and 0 above.
+        assert euler[d] == (genus == 0) * (d - genus + 1), d
+    if model.kind == "p1":  # 1 + l + ... + l^d under every measure
+        for measure in (SymbolicIdentity(), EulerCharacteristic(), PointCount(q)):
+            lef = measure.lefschetz_image()
+            expected = [sum(lef**k for k in range(d + 1)) for d in range(21)]
+            assert measure.class_series(model, 20) == expected, measure.name
 
 
 # -- point counts of real curves --------------------------------------------------

@@ -1,6 +1,7 @@
 """Ring, series, and rational-function arithmetic."""
 
 import copy
+import functools
 import pickle
 import re
 import sys
@@ -16,8 +17,8 @@ from sympy import QQ
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from sympy.polys.rings import ring
 
-from divzeta.graph import parse_graph
-from divzeta.measures import SymbolicIdentity, leaf_images
+from divzeta.graph import CurveModel, parse_graph
+from divzeta.measures import EulerCharacteristic, PointCount, SymbolicIdentity, leaf_images
 from divzeta.ring import (
     LEFSCHETZ_GEN,
     MODEL_ID_RE,
@@ -37,7 +38,15 @@ from divzeta.ring import (
     sym_pow,
     zero,
 )
-from divzeta.strata import divisor_class_from_strata, divisor_series_from_strata, stable_pair_count
+from divzeta.strata import (
+    compositions,
+    divisor_class_from_strata,
+    divisor_series_from_strata,
+    punctured_sym_class,
+    stable_pair_count,
+    stable_pairs,
+    torus_class,
+)
 from divzeta.zeta import ZetaKind, zeta_series
 
 from conftest import vertex
@@ -953,14 +962,22 @@ def test_int_and_ring_coefficients_agree():
     assert RationalFn([1], [1, -1]).series(3).coefficients() == (1, 1, 1, 1)
 
 
-_BAD_EXPONENT = "exponent must be a nonnegative integer"
-_BAD_ORDER = "truncation order must be a nonnegative integer"
+_NATURAL = " must be a nonnegative integer"
+_BAD_EXPONENT = "exponent" + _NATURAL
+_BAD_ORDER = "truncation order" + _NATURAL
 # A smooth, unmarked curve: its graph scalar is the unit, whose expansion
 # still checks the order, and its leaves reach t^4 (2g) when built at order 2.
 _SMOOTH = parse_graph({"vertices": [vertex("m", 2)]})
 _LEAVES = leaf_images(_SMOOTH, SymbolicIdentity(), 2)
 # A rational symbolic component: its leaves run through t^order, not t^2g.
 _RATIONAL = parse_graph({"vertices": [vertex("z", 0)], "legs": ["z", "z", "z"]})
+# A curve every measure realizes, and an order each refuses.
+_ELLIPTIC = CurveModel.elliptic("e", 1)
+_CLASS_ORDERS = [
+    (measure, order)
+    for measure in (SymbolicIdentity(), EulerCharacteristic(), PointCount(7))
+    for order in (-1, 1.5, 0.0)
+]
 
 
 @pytest.mark.parametrize(
@@ -990,6 +1007,21 @@ _RATIONAL = parse_graph({"vertices": [vertex("z", 0)], "legs": ["z", "z", "z"]})
             ValueError,
             "truncation order mismatch: 10 vs 4",
         ),
+        *[
+            (functools.partial(measure.class_series, _ELLIPTIC, order), ValueError, _BAD_ORDER)
+            for measure, order in _CLASS_ORDERS
+        ],
+        (lambda: punctured_sym_class(_ELLIPTIC, 1, -1), ValueError, _BAD_ORDER),
+        (lambda: punctured_sym_class(_ELLIPTIC, -1, 2), ValueError, "holes" + _NATURAL),
+        (lambda: stable_pairs(_SMOOTH, 1.5), ValueError, "degree" + _NATURAL),
+        (lambda: stable_pairs(_SMOOTH, -1), ValueError, "degree" + _NATURAL),
+        (lambda: compositions(1.5), ValueError, "composition total" + _NATURAL),
+        (lambda: compositions(-1), ValueError, "composition total" + _NATURAL),
+        (lambda: torus_class(1.5), ValueError, "symmetric-power index" + _NATURAL),
+        (lambda: torus_class(-1), ValueError, "symmetric-power index" + _NATURAL),
+        (lambda: L**True, ValueError, _BAD_EXPONENT),
+        (lambda: RationalFn([1]).series(True), ValueError, _BAD_ORDER),
+        (lambda: TruncSeries([True, 2]), TypeError, "cannot use True as a ring element"),
     ],
     ids=[
         "ring-negative",
@@ -1012,6 +1044,18 @@ _RATIONAL = parse_graph({"vertices": [vertex("z", 0)], "legs": ["z", "z", "z"]})
         "leaves-order-negative",
         "strata-class-order-float",
         "order-past-the-leaves",
+        *[f"{measure.name}-class-order-{order}" for measure, order in _CLASS_ORDERS],
+        "punctured-degree-negative",
+        "punctured-holes-negative",
+        "pairs-degree-float",
+        "pairs-degree-negative",
+        "compositions-float",
+        "compositions-negative",
+        "torus-index-float",
+        "torus-index-negative",
+        "ring-bool",
+        "order-bool",
+        "bool-coefficient",
     ],
 )
 def test_each_refusal_has_one_message(build, error, message):
@@ -1019,6 +1063,10 @@ def test_each_refusal_has_one_message(build, error, message):
     # check in _require_elem for every constructor, and one order check in
     # RationalFn.series, which every series builder reaches before it reads
     # the order: a closed form whose graph scalar is the unit included.
-    # leaf_images applies the same order check before it builds any class.
+    # leaf_images and every measure's class_series apply the same order
+    # check before they build any class, and every other count of the
+    # package (a degree, a composition total, a torus index, holes) is
+    # refused by that rule.  A bool is no integer, as a count or as a
+    # coefficient.
     with pytest.raises(error, match=rf"^{message}$"):
         build()
