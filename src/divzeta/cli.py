@@ -231,11 +231,9 @@ def _compute(args: SimpleNamespace, graph: DualGraph, measure: MotivicMeasure) -
     # A measure is a ring homomorphism: it is applied once, to the leaves of
     # the closed form, and both forms are built from them.  Only the
     # symbolic series reads the leaves through max_degree; the rational form
-    # reads them through t^2g.  Order min(max_degree, 1) still reads c[m,1]
-    # at a positive max_degree, so a measure refuses the same models at the
-    # same degrees in every output mode.
+    # reads them through t^2g.
     symbolic_series = args.measure == "symbolic" and args.output != "rational"
-    leaves = leaf_images(graph, measure, order if symbolic_series else min(order, 1))
+    leaves = leaf_images(graph, measure, order if symbolic_series else 0)
     fn = zeta_rational(kind, graph, leaves)
     report = {"zeta": kind.value, "max_degree": order, "measure": args.measure}
     if args.output != "rational":

@@ -38,7 +38,7 @@ import json
 import reprlib
 from collections.abc import Iterable, Sequence
 
-from .ring import MODEL_ID_RE, _is_int
+from .ring import _is_int, _is_model_id
 
 
 class GraphError(ValueError):
@@ -134,7 +134,8 @@ class CurveModel(Record):
     elliptic model whose genus is not 1 or whose trace is not an integer, a
     weil numerator that is not a list of integers with constant term 1 and
     degree at most 2g, a trace or numerator on any other kind, and a name
-    outside the model-id grammar.  An integer is ``ring._is_int``: no ``bool``.
+    outside the model-id grammar (``ring._is_model_id``).  An integer is
+    ``ring._is_int``: no ``bool``.
     """
 
     __slots__ = _fields = ("kind", "name", "genus", "trace", "numerator")
@@ -174,7 +175,7 @@ class CurveModel(Record):
             numerator = tuple(numerator)
         elif numerator is not None:
             raise GraphError(f"a {kind} model has no numerator")
-        if not isinstance(name, str) or not MODEL_ID_RE.fullmatch(name):
+        if not _is_model_id(name):
             raise GraphError(f"invalid model id: {reprlib.repr(name)}")
         self._assign(kind=kind, name=name, genus=genus, trace=trace, numerator=numerator)
 
@@ -206,7 +207,7 @@ class Vertex(Record):
     __slots__ = _fields = ("id", "model", "punctures")
 
     def __init__(self, id: str, model: CurveModel, punctures: int = 0):
-        if not isinstance(id, str) or not MODEL_ID_RE.fullmatch(id):
+        if not _is_model_id(id):
             raise GraphError(f"invalid vertex id: {reprlib.repr(id)}")
         if not isinstance(model, CurveModel):
             raise GraphError(f"{_where(id)}: model must be a CurveModel: {reprlib.repr(model)}")

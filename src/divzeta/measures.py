@@ -9,9 +9,9 @@ additively.  It is applied in one place, ``leaf_images``: one
 the closed forms and the strata oracle are built from, directly in the
 measure's ring.  ``of_elem(elem, models)`` maps a finished symbolic
 expression instead.  A model the measure does not realize raises
-``MeasureError`` naming the model's first generator, ``c[m,1]`` (``c[m,0]``
-is the unit and needs no realization); so does a generator that ``of_elem``
-finds no model for in ``models``.
+``MeasureError`` naming the model's first generator, ``c[m,1]``, at every
+order, 0 included; so does a generator that ``of_elem`` finds no model for
+in ``models``.
 
 * ``PointCount(q)``: counting points over a field with q elements.  ``L``
   goes to q and ``c[m,d]`` to the ``t^d`` coefficient of
@@ -29,11 +29,11 @@ finds no model for in ``models``.
   ``c[m,d]`` themselves, and a projective line's classes
   ``1 + L + ... + L^d``.
 
-Every measure realizes a model in one place, ``class_series``: the unit at
-degree 0, then one expansion of the model's numerator over ``(1-t)(1-l t)``,
-``l`` the image of ``L`` (``class_rational``).  A projective line's
-numerator is ``1``; ``_numerator`` gives any other's, or ``None`` to keep
-``c[m,d]`` free.  The closed forms build each vertex zeta from the same
+Every measure realizes a model in one place, ``class_series``: one
+expansion of the model's numerator over ``(1-t)(1-l t)``, ``l`` the image
+of ``L`` (``class_rational``), whose constant term is the unit ``c[m,0]``.
+A projective line's numerator is ``1``; ``_numerator`` gives any other's,
+or ``None`` to keep ``c[m,d]`` free.  The closed forms build each vertex zeta from the same
 ``class_rational``.
 """
 
@@ -44,7 +44,7 @@ import reprlib
 from collections.abc import Mapping, Sequence
 
 from .graph import CurveModel, DualGraph
-from .ring import Coeff, RationalFn, RingElem, _require_natural, lefschetz, sym_pow
+from .ring import Coeff, RationalFn, RingElem, _is_int, _require_natural, lefschetz, sym_pow
 
 
 class MeasureError(ValueError):
@@ -138,8 +138,6 @@ class MotivicMeasure:
         model's id."""
         _require_natural(order, "truncation order")
         lef = self.lefschetz_image()
-        if order == 0:  # c[m,0] is the unit: no numerator needed
-            return [lef**0]
         numerator = (lef**0,) if model.kind == "p1" else self._numerator(model)
         if numerator is None:
             return [sym_pow(model.name, d) for d in range(order + 1)]
@@ -210,8 +208,8 @@ class PointCount(MotivicMeasure):
     name = "point-count"
 
     def __init__(self, q: int):
-        if not is_prime_power(q):
-            raise ValueError(f"q must be a prime power >= 2, got {q}")
+        if not _is_int(q) or not is_prime_power(q):
+            raise ValueError(f"q must be a prime power >= 2, got {q!r}")
         self.q = q
 
     def lefschetz_image(self) -> int:
@@ -267,11 +265,10 @@ def leaf_images(graph: DualGraph, measure: MotivicMeasure, order: int) -> Leaves
     ``graph.models``.  ``order`` is the highest degree a series builder will
     read (``zeta_series`` and ``divisor_series_from_strata`` take the first
     ``order + 1`` classes); ``zeta_rational`` takes only the first
-    ``2g + 1``, so a caller that builds the rational form alone may pass
-    ``min(order, 1)`` and still have every class of degree 1 and up that it
-    reads realized.  A model the measure does not realize to that degree
-    raises ``MeasureError`` here, and an order that is not a nonnegative
-    ``int`` the ring's ``ValueError``, before any class is built.
+    ``2g + 1``, so a caller that builds the rational form alone passes 0.
+    A model the measure does not realize raises ``MeasureError`` here, at
+    every order, and an order that is not a nonnegative ``int`` the ring's
+    ``ValueError``, before any class is built.
     """
     _require_natural(order, "truncation order")
     classes = {

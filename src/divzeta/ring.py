@@ -88,6 +88,11 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_model_id(value: object) -> bool:
+    """The package's model-id test: a ``str`` in the ``MODEL_ID_RE`` grammar."""
+    return isinstance(value, str) and MODEL_ID_RE.fullmatch(value) is not None
+
+
 def _require_natural(value: object, name: str) -> None:
     """Refuse anything but a nonnegative integer: the one check of a count."""
     if not _is_int(value) or value < 0:
@@ -114,7 +119,7 @@ class Generator:
                     raise ValueError("the Lefschetz generator carries no degree")
                 key = (0, "", 0)
             else:
-                if not MODEL_ID_RE.fullmatch(model):
+                if not _is_model_id(model):
                     raise ValueError(f"invalid model id: {model!r}")
                 if degree < 1:
                     raise ValueError("symmetric-power degree must be at least 1")
@@ -573,7 +578,8 @@ class TruncSeries:
         return self._coeffs
 
     def __getitem__(self, degree: int) -> Coeff:
-        if not 0 <= degree <= self.order:
+        _require_natural(degree, "degree")
+        if degree > self.order:
             raise IndexError(f"degree {degree} outside truncation order {self.order}")
         return self._coeffs[degree]
 

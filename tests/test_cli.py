@@ -12,7 +12,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divzeta.ring as ring
@@ -661,12 +661,12 @@ def test_a_symbolic_model_is_counted_as_a_declared_weil_model(graph_file, capsys
 
 
 def test_point_count_refusals_by_degree(graph_file, capsys):
-    # Pinned as they stand: a genus-0 symbolic curve needs no class at
-    # --max-degree 0 and c[m,1] from 1 on; a genus-1 one needs c[m,1] at 0.
+    # One rule: a measure realizes a model or refuses it at every degree, so
+    # a symbolic curve of any genus is refused from --max-degree 0 on.
     rational = graph_file({"vertices": [vertex("m", 0)], "legs": ["m"] * 3}, "rational.json")
     elliptic = graph_file({"vertices": [vertex("m", 1)], "legs": ["m"]}, "elliptic.json")
     for output in ("coefficients", "rational", "json"):
-        for path, degree, code in ((rational, 0, 0), (rational, 1, 2), (rational, 2, 2),
+        for path, degree, code in ((rational, 0, 2), (rational, 1, 2), (rational, 2, 2),
                                    (elliptic, 0, 2)):
             assert main(["--input", path, "--measure", "point-count", "--q", "7",
                          "--max-degree", str(degree), "--output", output]) == code
@@ -700,7 +700,7 @@ def test_compute_reads_classes_through_2g_unless_it_prints_a_symbolic_series(
         graph_file, capsys, monkeypatch, output):
     # The printed rational form reads each model's classes through t^2g, and
     # under a measure the printed series is its expansion: no class above
-    # max(2g, 1) is built, whatever --max-degree asks.  Symbolically only the
+    # t^2g is built, whatever --max-degree asks.  Symbolically only the
     # rational output qualifies: a projective line's classes are not expanded.
     measures = [["--measure", "euler"], ["--measure", "point-count", "--q", "7"]]
     if output == "rational":
@@ -715,7 +715,7 @@ def test_compute_reads_classes_through_2g_unless_it_prints_a_symbolic_series(
                                  degree, "--output", output]) == 0
                     capsys.readouterr()
                     assert calls
-                    assert all(order <= max(2 * genus, 1) for _, genus, order in calls), calls
+                    assert all(order <= 2 * genus for _, genus, order in calls), calls
                     calls.clear()
 
 
@@ -923,6 +923,27 @@ def test_every_accepted_graph_runs_in_every_mode(document):
                 status = main(["--input", path, "--max-degree", "2", *argv])
             assert status == expected, (argv, err.getvalue())
             assert bool(out.getvalue()) == (expected == 0)
+
+
+@given(_cli_graphs())
+@example({"vertices": [vertex("u", 0)], "edges": [], "legs": ["u", "u", "u"]})
+@settings(max_examples=100, deadline=None)
+def test_a_point_count_refusal_does_not_depend_on_the_degree(document):
+    # A measure realizes a model or refuses it as a whole: compute (both
+    # outputs) and verify exit alike at --max-degree 0 and 2.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        for argv in ([], ["--output", "rational"], ["--mode", "verify"]):
+            results = []
+            for degree in ("0", "2"):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    status = main(["--input", path, "--measure", "point-count", "--q", "7",
+                                   "--max-degree", degree, *argv])
+                results.append((status, bool(out.getvalue()), err.getvalue()))
+            assert results[0] == results[1], (argv, results)
 
 
 @pytest.mark.parametrize("measure", sorted(_ONE_MEASURE_DIGESTS))

@@ -1022,6 +1022,14 @@ _CLASS_ORDERS = [
         (lambda: L**True, ValueError, _BAD_EXPONENT),
         (lambda: RationalFn([1]).series(True), ValueError, _BAD_ORDER),
         (lambda: TruncSeries([True, 2]), TypeError, "cannot use True as a ring element"),
+        (lambda: PointCount(7.0), ValueError, r"q must be a prime power >= 2, got 7\.0"),
+        (lambda: PointCount("7"), ValueError, "q must be a prime power >= 2, got '7'"),
+        (lambda: PointCount(True), ValueError, "q must be a prime power >= 2, got True"),
+        (lambda: TruncSeries([1, 2])[True], ValueError, "degree" + _NATURAL),
+        (lambda: TruncSeries([1, 2])[1.5], ValueError, "degree" + _NATURAL),
+        (lambda: TruncSeries([1, 2])[-1], ValueError, "degree" + _NATURAL),
+        (lambda: TruncSeries([1, 2])[2], IndexError, "degree 2 outside truncation order 1"),
+        (lambda: Generator(5, 1), ValueError, "invalid model id: 5"),
     ],
     ids=[
         "ring-negative",
@@ -1056,6 +1064,14 @@ _CLASS_ORDERS = [
         "ring-bool",
         "order-bool",
         "bool-coefficient",
+        "q-float",
+        "q-string",
+        "q-bool",
+        "series-degree-bool",
+        "series-degree-float",
+        "series-degree-negative",
+        "series-degree-past-the-order",
+        "generator-model-int",
     ],
 )
 def test_each_refusal_has_one_message(build, error, message):
@@ -1065,8 +1081,9 @@ def test_each_refusal_has_one_message(build, error, message):
     # the order: a closed form whose graph scalar is the unit included.
     # leaf_images and every measure's class_series apply the same order
     # check before they build any class, and every other count of the
-    # package (a degree, a composition total, a torus index, holes) is
-    # refused by that rule.  A bool is no integer, as a count or as a
-    # coefficient.
+    # package (a degree, a composition total, a torus index, holes, the
+    # degree read from a series) is refused by that rule.  A bool is no
+    # integer, as a count, a coefficient or a field size; a model id is a
+    # string in the model-id grammar.
     with pytest.raises(error, match=rf"^{message}$"):
         build()
