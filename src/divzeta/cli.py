@@ -17,9 +17,9 @@ Three modes over a dual-graph JSON document:
 ``compute`` and ``verify`` each call ``measures.leaf_images`` once, and
 every builder they use (``zeta_rational``, ``zeta_series``,
 ``divisor_series_from_strata``) reads those leaves.  A measure is built
-from ``--measure`` and ``--q`` alone (``_build_measure``); the models it
-refuses, and why, are the rules of ``measures``, and a refusal exits 2.
-``count-strata`` applies no measure.
+from ``--measure`` and ``--q`` alone (``_build_measure``), in every mode;
+the ``q`` and the models it refuses are the rules of ``measures``, and a
+refusal exits 2.  ``count-strata`` applies the measure to no model.
 
 Each mode builds one report of raw values (``RingElem`` or ``int``) under a
 shared ``graph``/``mode`` header; it is written either as indented JSON, ring
@@ -53,9 +53,7 @@ from types import SimpleNamespace
 
 from .graph import DualGraph, GraphError, load_graph, total_genus
 from .measures import (
-    PRIME_POWER_LIMIT,
     EulerCharacteristic,
-    MeasureError,
     MotivicMeasure,
     PointCount,
     SymbolicIdentity,
@@ -200,11 +198,6 @@ def parse_config(argv: list[str] | None = None) -> SimpleNamespace:
         raise _usage_error("--measure point-count requires --q")
     if args.measure != "point-count" and args.q is not None:
         raise _usage_error("--q only applies to --measure point-count")
-    if args.q is not None and args.q >= PRIME_POWER_LIMIT:
-        raise _usage_error(
-            f"--q {args.q} is too large: the prime-power test is exact only"
-            f" below {PRIME_POWER_LIMIT}"
-        )
     args.zeta = ZetaKind(args.zeta)
     return args
 
@@ -363,7 +356,7 @@ def run(args: SimpleNamespace) -> int:
         measure = _build_measure(args)
         report = {"graph": _graph_summary(graph), "mode": args.mode}
         report.update(_MODES[args.mode](args, graph, measure))
-    except (MeasureError, ValueError) as exc:
+    except ValueError as exc:
         print(f"divzeta: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # Rendered in full before anything is printed: str() of an int past

@@ -195,7 +195,8 @@ class EulerCharacteristic(MotivicMeasure):
 
 
 class PointCount(MotivicMeasure):
-    """Point counting over a field with ``q`` elements.
+    """Point counting over a field with ``q`` elements, judged here (the
+    CLI's ``--q`` too): an ``int`` prime power below ``PRIME_POWER_LIMIT``.
 
     An elliptic curve's numerator is ``1 - a t + q t^2`` and a weil model's
     the one it stores, which must satisfy the functional equation at ``q``

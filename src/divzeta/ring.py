@@ -18,7 +18,7 @@ two is lifted to ``RingElem``, as are the products of mixed operands.  The
 constructors check their input, ``_power`` every exponent and
 ``RationalFn.series`` every order, by the package's one rule for a count
 (``_require_natural``: an ``int``, not a ``bool``, and nonnegative); a
-product, power, inverse, expansion or unit of ``**`` is already in one ring,
+product, power, expansion or unit of ``**`` is already in one ring,
 with a unit constant term in a denominator, and is wrapped unchecked.
 
 Generators are interned: ``Generator(model, degree)`` returns the one
@@ -44,8 +44,9 @@ left factor whose coefficients store their terms in display order
 each one monomial, in generators larger than all of the left's, comes out
 in display order, and ``str`` sorts it in one pass.  Two monomials whose
 generators do not interleave multiply by concatenation, without a merge.
-Every expansion of a rational function in ``t``, a series inverse included,
-is one linear recurrence over the same kernel (``_expand_coeffs``).
+Every expansion of a rational function in ``t`` is one linear recurrence
+over the same kernel (``_expand_coeffs``), entered by ``RationalFn.series``
+alone: ``TruncSeries.inverse`` expands ``1/s`` through it.
 
 Canonical text form
 -------------------
@@ -102,8 +103,8 @@ def _require_natural(value: object, name: str) -> None:
 class Generator:
     """One ring generator: ``L`` (model None) or ``c[model,degree]``.
 
-    Interned: the constructor returns the one instance for each ``(model,
-    degree)``, validated and with its sort key computed when first made, so
+    Interned: the constructor checks ``(model, degree)``, then returns the
+    one instance for that pair, its sort key computed when first made, so
     equality and hashing are identity.  Instances are immutable.
     """
 
@@ -112,18 +113,16 @@ class Generator:
     def __new__(cls, model: str | None = None, degree: int = 0) -> Generator:
         if not _is_int(degree):
             raise ValueError(f"generator degree must be an int, got {degree!r}")
+        if model is None:
+            if degree:
+                raise ValueError("the Lefschetz generator carries no degree")
+        elif not _is_model_id(model):
+            raise ValueError(f"invalid model id: {model!r}")
+        elif degree < 1:
+            raise ValueError("symmetric-power degree must be at least 1")
         gen = _GENERATORS.get((model, degree))
         if gen is None:
-            if model is None:
-                if degree:
-                    raise ValueError("the Lefschetz generator carries no degree")
-                key = (0, "", 0)
-            else:
-                if not _is_model_id(model):
-                    raise ValueError(f"invalid model id: {model!r}")
-                if degree < 1:
-                    raise ValueError("symmetric-power degree must be at least 1")
-                key = (1, model, degree)
+            key = (0, "", 0) if model is None else (1, model, degree)
             gen = super().__new__(cls)
             for name, value in (("model", model), ("degree", degree), ("_key", key)):
                 object.__setattr__(gen, name, value)
@@ -598,11 +597,8 @@ class TruncSeries:
         return _power(self, exponent, unit)
 
     def inverse(self) -> TruncSeries:
-        """Multiplicative inverse; requires unit constant coefficient."""
-        coeffs = self._coeffs
-        if coeffs[0] != 1:
-            raise ValueError(f"series is not invertible: constant term is {coeffs[0]}")
-        return TruncSeries._wrap(_expand_coeffs((_one_of(coeffs),), coeffs, len(coeffs)))
+        """The expansion of ``s[0]/s``: ``1/s``, if ``s`` is invertible."""
+        return RationalFn(self._coeffs[:1], self._coeffs).series(self.order)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):

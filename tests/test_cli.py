@@ -496,8 +496,12 @@ def test_field_size_bounds(graph_file, capsys):
     assert f"t^1: {mersenne + 1}" in capsys.readouterr().out
     assert main(argv + [str(3 * mersenne)]) == 2
     assert "prime power" in capsys.readouterr().err
-    assert main(argv + [str(PRIME_POWER_LIMIT)]) == 1
-    assert "too large" in capsys.readouterr().err
+    # Judged by PointCount, like any other q: exit 2, one line, no usage.
+    assert main(argv + [str(PRIME_POWER_LIMIT)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "too large" in captured.err
 
 
 def test_hilbert_and_nodal_modes(graph_file, capsys):

@@ -9,7 +9,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divzeta.cli import MAX_DEGREE_LIMIT, main, parse_config
@@ -68,11 +68,6 @@ def reference_config(argv):
         parser.error("--measure point-count requires --q")
     if args.measure != "point-count" and args.q is not None:
         parser.error("--q only applies to --measure point-count")
-    if args.q is not None and args.q >= PRIME_POWER_LIMIT:
-        parser.error(
-            f"--q {args.q} is too large: the prime-power test is exact only"
-            f" below {PRIME_POWER_LIMIT}"
-        )
     args.zeta = ZetaKind(args.zeta)
     return args
 
@@ -153,6 +148,9 @@ def argvs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(argvs())
+# Both parsers accept any int for --q: PointCount judges it when the measure
+# is built, the limit included.
+@example(["--input", "g.json", "--measure", "point-count", "--q", str(PRIME_POWER_LIMIT)])
 def test_getopt_table_decides_like_argparse(argv):
     expected, expected_out, expected_err = _outcome(reference_config, argv)
     got, out, err = _outcome(parse_config, argv)

@@ -18,7 +18,13 @@ from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from sympy.polys.rings import ring
 
 from divzeta.graph import CurveModel, parse_graph
-from divzeta.measures import EulerCharacteristic, PointCount, SymbolicIdentity, leaf_images
+from divzeta.measures import (
+    PRIME_POWER_LIMIT,
+    EulerCharacteristic,
+    PointCount,
+    SymbolicIdentity,
+    leaf_images,
+)
 from divzeta.ring import (
     LEFSCHETZ_GEN,
     MODEL_ID_RE,
@@ -1030,6 +1036,24 @@ _CLASS_ORDERS = [
         (lambda: TruncSeries([1, 2])[-1], ValueError, "degree" + _NATURAL),
         (lambda: TruncSeries([1, 2])[2], IndexError, "degree 2 outside truncation order 1"),
         (lambda: Generator(5, 1), ValueError, "invalid model id: 5"),
+        (lambda: Generator([1], 1), ValueError, r"invalid model id: \[1\]"),
+        (lambda: Generator({"a": 1}, 1), ValueError, "invalid model id: {'a': 1}"),
+        (
+            lambda: TruncSeries([2, 1]).inverse(),
+            ValueError,
+            "denominator must have unit constant term, got 2",
+        ),
+        (
+            lambda: TruncSeries([L, 1]).inverse(),
+            ValueError,
+            "denominator must have unit constant term, got L",
+        ),
+        (
+            lambda: PointCount(PRIME_POWER_LIMIT),
+            ValueError,
+            f"q = {PRIME_POWER_LIMIT} is too large: prime powers are decided only below"
+            f" {PRIME_POWER_LIMIT}",
+        ),
     ],
     ids=[
         "ring-negative",
@@ -1072,6 +1096,11 @@ _CLASS_ORDERS = [
         "series-degree-negative",
         "series-degree-past-the-order",
         "generator-model-int",
+        "generator-model-list",
+        "generator-model-dict",
+        "series-inverse-int",
+        "series-inverse-symbolic",
+        "q-at-the-limit",
     ],
 )
 def test_each_refusal_has_one_message(build, error, message):
@@ -1084,6 +1113,8 @@ def test_each_refusal_has_one_message(build, error, message):
     # package (a degree, a composition total, a torus index, holes, the
     # degree read from a series) is refused by that rule.  A bool is no
     # integer, as a count, a coefficient or a field size; a model id is a
-    # string in the model-id grammar.
+    # string in the model-id grammar, checked before any intern lookup.  A
+    # unit constant term is required by RationalFn alone, a series inverse
+    # included, and a field size is judged by PointCount alone.
     with pytest.raises(error, match=rf"^{message}$"):
         build()
