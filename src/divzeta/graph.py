@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .ring import _is_int, _is_model_id
 
@@ -178,22 +178,6 @@ class CurveModel(Record):
         if not _is_model_id(name):
             raise GraphError(f"invalid model id: {reprlib.repr(name)}")
         self._assign(kind=kind, name=name, genus=genus, trace=trace, numerator=numerator)
-
-    @classmethod
-    def symbolic(cls, name: str, genus: int) -> CurveModel:
-        return cls("symbolic", name, genus)
-
-    @classmethod
-    def projective_line(cls, name: str) -> CurveModel:
-        return cls("p1", name, 0)
-
-    @classmethod
-    def elliptic(cls, name: str, trace: int) -> CurveModel:
-        return cls("elliptic", name, 1, trace=trace)
-
-    @classmethod
-    def weil(cls, name: str, numerator: Iterable[int], genus: int) -> CurveModel:
-        return cls("weil", name, genus, numerator=tuple(numerator))
 
 
 class Vertex(Record):

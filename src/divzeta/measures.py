@@ -125,8 +125,6 @@ class MotivicMeasure:
     keeps the free generators.  A measure holds no graph data.
     """
 
-    name = "abstract"
-
     def lefschetz_image(self) -> Coeff:
         raise NotImplementedError
 
@@ -169,8 +167,6 @@ class SymbolicIdentity(MotivicMeasure):
     ``of_elem`` returns its input, and no model but a projective line
     (``1 + L + ... + L^d``) has a numerator: every other keeps ``c[m,d]``."""
 
-    name = "symbolic"
-
     def of_elem(self, elem: RingElem, models: Mapping[str, CurveModel]) -> RingElem:
         return elem
 
@@ -183,8 +179,6 @@ class SymbolicIdentity(MotivicMeasure):
 
 class EulerCharacteristic(MotivicMeasure):
     """Point counting at ``L -> 1``: a genus-g model's numerator is ``(1-t)^(2g)``."""
-
-    name = "euler"
 
     def lefschetz_image(self) -> int:
         return 1
@@ -205,8 +199,6 @@ class PointCount(MotivicMeasure):
     ``a^2 <= 4q`` raises ``MeasureError``: no curve has it.  A symbolic model
     has none and raises ``MeasureError``.
     """
-
-    name = "point-count"
 
     def __init__(self, q: int):
         if not _is_int(q) or not is_prime_power(q):

@@ -225,7 +225,8 @@ def _mono_str(mono: Monomial) -> str:
 
 
 def _power(base, exponent: int, unit):
-    """``base ** exponent`` by repeated squaring; ``unit`` when the exponent is 0."""
+    """``base ** exponent`` by repeated squaring; at exponent 0, ``unit()``,
+    so the unit is built only when it is returned."""
     _require_natural(exponent, "exponent")
     result = None
     while exponent:
@@ -234,7 +235,7 @@ def _power(base, exponent: int, unit):
         exponent >>= 1
         if exponent:
             base = base * base
-    return unit if result is None else result
+    return unit() if result is None else result
 
 
 class RingElem:
@@ -297,7 +298,7 @@ class RingElem:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> RingElem:
-        return _power(self, exponent, _ONE)
+        return _power(self, exponent, one)
 
     def __eq__(self, other: object) -> bool:
         other = _as_elem(other)
@@ -593,8 +594,9 @@ class TruncSeries:
         return TruncSeries._wrap(_product_coeffs(self._coeffs, other._coeffs, len(self._coeffs)))
 
     def __pow__(self, exponent: int) -> TruncSeries:
-        unit = RationalFn([_one_of(self._coeffs)]).series(self.order)
-        return _power(self, exponent, unit)
+        return _power(
+            self, exponent, lambda: RationalFn([_one_of(self._coeffs)]).series(self.order)
+        )
 
     def inverse(self) -> TruncSeries:
         """The expansion of ``s[0]/s``: ``1/s``, if ``s`` is invertible."""
@@ -707,8 +709,9 @@ class RationalFn:
         )
 
     def __pow__(self, exponent: int) -> RationalFn:
-        unit = RationalFn._wrap([_one_of(self._num)], [_one_of(self._den)])
-        return _power(self, exponent, unit)
+        return _power(
+            self, exponent, lambda: RationalFn._wrap([_one_of(self._num)], [_one_of(self._den)])
+        )
 
     def series(self, order: int) -> TruncSeries:
         """Truncated expansion, by the recurrence of the denominator; over

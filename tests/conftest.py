@@ -113,7 +113,7 @@ def declare_weil(graph, by_genus):
     """``graph`` with each symbolic model declared as a weil model whose
     numerator is ``by_genus[genus]``: the curves point counting realizes."""
     models = {
-        name: CurveModel.weil(name, by_genus[model.genus], model.genus)
+        name: CurveModel("weil", name, model.genus, numerator=by_genus[model.genus])
         if model.kind == "symbolic" else model
         for name, model in graph.models.items()
     }

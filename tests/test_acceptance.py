@@ -89,7 +89,7 @@ def test_criterion_2_closed_form_matches_strata_oracle():
 
 def test_criterion_3_torus_classes():
     expansion = RationalFn([1, -1], [1, -L]).series(10)
-    projective_line = CurveModel.projective_line("p")
+    projective_line = CurveModel("p1", "p", 0)
     ok = all(
         torus_class(d) == L**d - L ** (d - 1)
         and torus_class(d) == expansion[d]
@@ -171,7 +171,7 @@ def test_criterion_7_point_count_specialization():
         measure = PointCount(q)
         counts = [measure.of_elem(c, line.models) for c in series.coefficients()]
         ok = ok and counts == [(q ** (d + 1) - 1) // (q - 1) for d in range(9)]
-    elliptic = {"E": CurveModel.elliptic("E", 2)}
+    elliptic = {"E": CurveModel("elliptic", "E", 1, trace=2)}
     ok = ok and PointCount(5).of_elem(sym_pow("E", 1), elliptic) == 4
     ok = ok and all(battery_holds(order=6, q=q) for q in (2, 3, 5))
     report("criterion 7: point counts (q in {2,3,5}) and closed-vs-oracle check under them", ok)

@@ -687,7 +687,7 @@ def _spy_on_class_series(monkeypatch):
     build = measures.MotivicMeasure.class_series
 
     def spy(self, model, order):
-        calls.append((self.name, model.genus, order))
+        calls.append((type(self).__name__, model.genus, order))
         return build(self, model, order)
 
     # Every measure inherits the one class_series.

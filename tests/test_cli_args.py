@@ -85,8 +85,10 @@ def _outcome(parse, argv):
 
 # -- the argv vocabulary -------------------------------------------------------
 
-# Values per option: ones each parser takes, then ones it refuses.  A value
-# for --input never looks like an option (see the pinned
+# Values per option: ones each parser takes, then ones it refuses.  Both
+# parsers take every int for --q, prime power or not, the limit included
+# (``PointCount`` refuses a field size after parsing), so "x" is its only
+# refusal.  A value for --input never looks like an option (see the pinned
 # divergence below), and "--" is never a value after "=": argparse before
 # 3.12 parses "--q=--" as an empty list.
 VALUES = {
@@ -96,7 +98,7 @@ VALUES = {
     "max-degree": (["0", "3", "1000", " 4", "+2", "1_0", "\u0663"],
                    ["1001", "-1", "-3", "x", "2.5", "", "-x"]),
     "measure": (["symbolic", "euler", "point-count"], ["points"]),
-    "q": (["3", "4", "7"], ["6", "0", "-3", "x", str(PRIME_POWER_LIMIT)]),
+    "q": (["3", "4", "7", "6", "0", "-3", str(PRIME_POWER_LIMIT)], ["x"]),
     "output": (["coefficients", "rational", "json"], ["text"]),
 }
 NAMES = list(VALUES) + ["allow-unstable", "help"]

@@ -114,10 +114,11 @@ def test_point_count_validates_numerators():
     # A weil model's constant term and degree are checked by the model
     # (tests/test_graph.py); the functional equation depends on q.
     counting = PointCount(5)
-    counting.class_series(CurveModel.weil("e", [1, -2, 5], 1), 2)
-    counting.class_series(CurveModel.weil("m", [1], 1), 2)  # degree < 2g skips the equation
+    counting.class_series(CurveModel("weil", "e", 1, numerator=[1, -2, 5]), 2)
+    # Degree below 2g skips the equation.
+    counting.class_series(CurveModel("weil", "m", 1, numerator=[1]), 2)
     with pytest.raises(ValueError, match="functional equation"):
-        counting.class_series(CurveModel.weil("e", [1, -2, 3], 1), 2)
+        counting.class_series(CurveModel("weil", "e", 1, numerator=[1, -2, 3]), 2)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 25])
@@ -126,18 +127,20 @@ def test_point_count_enforces_the_hasse_bound_in_genus_one(q):
     # a^2 <= 4q, for an elliptic model and a weil model alike.
     bound = math.isqrt(4 * q)
     for trace in (-bound, bound):
-        assert PointCount(q).class_series(CurveModel.elliptic("e", trace), 1)[1] == q + 1 - trace
-        weil = CurveModel.weil("w", [1, -trace, q], 1)
+        elliptic = CurveModel("elliptic", "e", 1, trace=trace)
+        assert PointCount(q).class_series(elliptic, 1)[1] == q + 1 - trace
+        weil = CurveModel("weil", "w", 1, numerator=[1, -trace, q])
         assert PointCount(q).class_series(weil, 1)[1] == q + 1 - trace
     for trace in (-bound - 1, bound + 1, 100):
         message = rf"model 'e': trace {trace} is outside the Hasse bound .* at q = {q}$"
         with pytest.raises(MeasureError, match=message):
-            PointCount(q).class_series(CurveModel.elliptic("e", trace), 1)
+            PointCount(q).class_series(CurveModel("elliptic", "e", 1, trace=trace), 1)
         with pytest.raises(MeasureError, match=message):
-            PointCount(q).class_series(CurveModel.weil("e", [1, -trace, q], 1), 1)
+            PointCount(q).class_series(CurveModel("weil", "e", 1, numerator=[1, -trace, q]), 1)
     # Degree below 2g, and genus 2, are not checked against the bound.
-    assert PointCount(q).class_series(CurveModel.weil("e", [1, 100], 1), 1)[1] == q + 101
-    genus_2 = CurveModel.weil("w", [1, 100, 0, 100 * q, q * q], 2)
+    short = CurveModel("weil", "e", 1, numerator=[1, 100])
+    assert PointCount(q).class_series(short, 1)[1] == q + 101
+    genus_2 = CurveModel("weil", "w", 2, numerator=[1, 100, 0, 100 * q, q * q])
     assert PointCount(q).class_series(genus_2, 1)[1] == q + 101
 
 
@@ -153,19 +156,19 @@ def test_euler_kills_torus_classes():
 
 def test_euler_class_images():
     euler = EulerCharacteristic()
-    assert euler.class_series(CurveModel.projective_line("g0"), 3) == [1, 2, 3, 4]
-    assert euler.class_series(CurveModel.symbolic("g0", 0), 3) == [1, 2, 3, 4]
-    assert euler.class_series(CurveModel.elliptic("g1", 2), 3) == [1, 0, 0, 0]
-    assert euler.class_series(CurveModel.symbolic("g2", 2), 3) == [1, -2, 1, 0]
+    assert euler.class_series(CurveModel("p1", "g0", 0), 3) == [1, 2, 3, 4]
+    assert euler.class_series(CurveModel("symbolic", "g0", 0), 3) == [1, 2, 3, 4]
+    assert euler.class_series(CurveModel("elliptic", "g1", 1, trace=2), 3) == [1, 0, 0, 0]
+    assert euler.class_series(CurveModel("symbolic", "g2", 2), 3) == [1, -2, 1, 0]
 
 
 def test_point_count_projective_plane():
-    models = {"p1": CurveModel.projective_line("p1")}
+    models = {"p1": CurveModel("p1", "p1", 0)}
     assert PointCount(3).of_elem(sym_pow("p1", 2), models) == 13
 
 
 def test_point_count_elliptic_degree_one():
-    models = {"E": CurveModel.elliptic("E", 2)}
+    models = {"E": CurveModel("elliptic", "E", 1, trace=2)}
     assert PointCount(5).of_elem(sym_pow("E", 1), models) == 4
 
 
@@ -173,7 +176,7 @@ def test_unrealized_generator_is_named():
     # A model is realized as a whole, so the first generator past the unit
     # is named whichever degree was asked for.  The Euler characteristic
     # reads only the genus, so it realizes every model.
-    models = {"mystery": CurveModel.symbolic("mystery", 1)}
+    models = {"mystery": CurveModel("symbolic", "mystery", 1)}
     with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
         PointCount(3).of_elem(sym_pow("mystery", 2), models)
     assert EulerCharacteristic().of_elem(sym_pow("mystery", 1), models) == 0
@@ -216,8 +219,8 @@ def ring_elems(draw):
 
 _MEASURES = [EulerCharacteristic(), PointCount(3)]
 _POOL_MODELS = {
-    "m": CurveModel.weil("m", [1, 1, 1, 3, 9], 2),
-    "n": CurveModel.weil("n", [1, -1, 3], 1),
+    "m": CurveModel("weil", "m", 2, numerator=[1, 1, 1, 3, 9]),
+    "n": CurveModel("weil", "n", 1, numerator=[1, -1, 3]),
 }
 
 
@@ -235,7 +238,7 @@ def test_measures_are_ring_homomorphisms(a, b):
 
 
 def test_point_count_of_p1_vertex_zeta_matches_weil_series():
-    line = CurveModel.projective_line("p")
+    line = CurveModel("p1", "p", 0)
     series = vertex_zeta_series(line, 8)
     for q in (2, 3, 5):
         counting = PointCount(q)
@@ -244,8 +247,8 @@ def test_point_count_of_p1_vertex_zeta_matches_weil_series():
 
 
 def test_point_count_of_symbolic_vertex_zeta_matches_weil_series():
-    series = vertex_zeta_series(CurveModel.symbolic("m", 1), 6)
-    models = {"m": CurveModel.weil("m", [1, -2, 5], 1)}
+    series = vertex_zeta_series(CurveModel("symbolic", "m", 1), 6)
+    models = {"m": CurveModel("weil", "m", 1, numerator=[1, -2, 5])}
     image = [PointCount(5).of_elem(c, models) for c in series.coefficients()]
     assert image == weil_series([1, -2, 5], 5, 6)
 
@@ -354,7 +357,7 @@ def test_measure_applied_early_equals_applied_late(name):
             early = zeta_series(kind, declared, order, images).coefficients()
             assert all(type(c) is int for c in early)
             late = [image(c) for c in series.coefficients()]
-            assert list(early) == late, (kind, measure.name)
+            assert list(early) == late, (kind, type(measure).__name__)
             # Side by side at the symbolic lengths, zero leading coefficients too.
             early_fn = zeta_rational(kind, declared, images)
             assert early_fn.numerator == tuple(map(image, fn.numerator))
@@ -380,7 +383,8 @@ def test_printed_rational_form_expands_to_the_printed_series(name):
         for measure, declared in _integer_measures(graph):
             leaves = leaf_images(declared, measure, order)
             expansion = zeta_rational(kind, declared, leaves).series(order)
-            assert expansion == zeta_series(kind, declared, order, leaves), (kind, measure.name)
+            series = zeta_series(kind, declared, order, leaves)
+            assert expansion == series, (kind, type(measure).__name__)
         free = free_leaves(graph, exact)
         expansion = zeta_rational(kind, graph, free).series(exact)
         assert expansion == zeta_series(kind, graph, exact, free), kind
@@ -411,11 +415,11 @@ def _reference_numerators(q):
 def test_class_series_matches_the_per_coefficient_formula():
     for q in (2, 3, 4, 5, 7, 9):
         for genus, numerator in _reference_numerators(q):
-            model = CurveModel.weil("m", numerator, genus)
+            model = CurveModel("weil", "m", genus, numerator=numerator)
             expected = [_weil_coefficient(numerator, q, d) for d in range(13)]
             assert PointCount(q).class_series(model, 12) == expected, (q, numerator)
     for genus in range(4):
-        model = CurveModel.symbolic("m", genus)
+        model = CurveModel("symbolic", "m", genus)
         one_minus_t = RationalFn([1, -1]).series(12)
         if genus == 0:
             expansion = (one_minus_t**2).inverse()
@@ -423,12 +427,12 @@ def test_class_series_matches_the_per_coefficient_formula():
             expansion = one_minus_t ** (2 * genus - 2)
         expected = list(expansion.coefficients())
         assert EulerCharacteristic().class_series(model, 12) == expected, genus
-    symbolic = CurveModel.symbolic("m", 2)
+    symbolic = CurveModel("symbolic", "m", 2)
     assert SymbolicIdentity().class_series(symbolic, 2) == [one(), sym_pow("m", 1), sym_pow("m", 2)]
-    line = CurveModel.projective_line("m")
+    line = CurveModel("p1", "m", 0)
     assert SymbolicIdentity().class_series(line, 2) == [one(), 1 + L, 1 + L + L * L]
     # A measure realizes a model or refuses it at every order, 0 included.
-    mystery = CurveModel.symbolic("mystery", 1)
+    mystery = CurveModel("symbolic", "mystery", 1)
     for order in (0, 2):
         with pytest.raises(MeasureError, match=r"c\[mystery,1\]"):
             PointCount(3).class_series(mystery, order)
@@ -442,11 +446,11 @@ def test_integer_class_series_match_the_kept_weil_series():
     for order in range(41):
         for q in (2, 3, 4, 5, 7, 9):
             for genus, numerator in _reference_numerators(q):
-                model = CurveModel.weil("m", numerator, genus)
+                model = CurveModel("weil", "m", genus, numerator=numerator)
                 assert PointCount(q).class_series(model, order) == weil_series(numerator, q, order)
         for genus in range(7):
             numerator = [one_minus_t_coefficient(2 * genus, d) for d in range(2 * genus + 1)]
-            model = CurveModel.symbolic("m", genus)
+            model = CurveModel("symbolic", "m", genus)
             expected = weil_series(numerator, 1, order)
             assert EulerCharacteristic().class_series(model, order) == expected, genus
 
@@ -458,14 +462,14 @@ def _counted_models(draw, q):
     may break the Hasse bound."""
     kind = draw(st.sampled_from(["p1", "elliptic", "weil", "symbolic"]))
     if kind == "p1":
-        return CurveModel.projective_line("m"), [1]
+        return CurveModel("p1", "m", 0), [1]
     if kind == "elliptic":
         bound = math.isqrt(4 * q)  # |a| <= 2 sqrt(q)
         trace = draw(st.integers(-bound, bound))
-        return CurveModel.elliptic("m", trace), [1, -trace, q]
+        return CurveModel("elliptic", "m", 1, trace=trace), [1, -trace, q]
     genus = draw(st.integers(0, 3))
     if kind == "symbolic":
-        return CurveModel.symbolic("m", genus), None
+        return CurveModel("symbolic", "m", genus), None
     coefficients = st.integers(-9, 9)
     if draw(st.booleans()):  # degree 2g: the rest is fixed by the functional equation
         head = [1, *draw(st.lists(coefficients, min_size=genus, max_size=genus))]
@@ -473,7 +477,7 @@ def _counted_models(draw, q):
         numerator = head + tail
     else:
         numerator = [1, *draw(st.lists(coefficients, max_size=max(2 * genus - 1, 0)))]
-    return CurveModel.weil("m", numerator, genus), numerator
+    return CurveModel("weil", "m", genus, numerator=numerator), numerator
 
 
 def _leaf_classes(graph, measure, order):
@@ -528,10 +532,10 @@ _JACOBIAN_MODELS = (
 
 
 @given(_JACOBIAN_MODELS)
-@example((7, (CurveModel.elliptic("m", 3), [1, -3, 7])))
-@example((7, (CurveModel.elliptic("m", -5), [1, 5, 7])))
-@example((7, (CurveModel.weil("m", [1, 2, 5, 14, 49], 2), [1, 2, 5, 14, 49])))
-@example((8, (CurveModel.weil("m", [1, 0, 0, 0, 64], 2), [1, 0, 0, 0, 64])))
+@example((7, (CurveModel("elliptic", "m", 1, trace=3), [1, -3, 7])))
+@example((7, (CurveModel("elliptic", "m", 1, trace=-5), [1, 5, 7])))
+@example((7, (CurveModel("weil", "m", 2, numerator=[1, 2, 5, 14, 49]), [1, 2, 5, 14, 49])))
+@example((8, (CurveModel("weil", "m", 2, numerator=[1, 0, 0, 0, 64]), [1, 0, 0, 0, 64])))
 @settings(max_examples=200, deadline=None)
 def test_symmetric_powers_past_2g_minus_2_are_projective_bundles(drawn):
     # For d >= 2g-1, Sym^d C is a P^(d-g)-bundle over the Jacobian (Kapranov,
@@ -550,7 +554,7 @@ def test_symmetric_powers_past_2g_minus_2_are_projective_bundles(drawn):
         for measure in (SymbolicIdentity(), EulerCharacteristic(), PointCount(q)):
             lef = measure.lefschetz_image()
             expected = [sum(lef**k for k in range(d + 1)) for d in range(21)]
-            assert measure.class_series(model, 20) == expected, measure.name
+            assert measure.class_series(model, 20) == expected, type(measure).__name__
 
 
 # -- point counts of real curves --------------------------------------------------

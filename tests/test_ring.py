@@ -593,13 +593,6 @@ def test_series_inverse_quadratic_denominator():
     assert inv[3] == L**3 + 3 * L**2 + L - 1
 
 
-def test_series_inverse_requires_unit():
-    with pytest.raises(ValueError):
-        RationalFn([L, 1]).series(3).inverse()
-    with pytest.raises(ValueError):
-        RationalFn([2, 1]).series(3).inverse()
-
-
 @given(st.one_of(unit_series(), int_unit_series()))
 @settings(max_examples=60, deadline=None)
 def test_series_inverse_is_inverse(series):
@@ -638,6 +631,24 @@ def test_pow_is_repeated_multiplication(base, unit):
         assert power == product, exponent
         assert _coefficient_types(power) == _coefficient_types(product), exponent
         product = product * base
+
+
+@pytest.mark.parametrize("base, unit", _POWER_BASES)
+def test_power_builds_its_unit_only_at_exponent_zero(base, unit, monkeypatch):
+    # A series' unit is one expansion: a positive power builds none, and a
+    # refused exponent none either, whatever the type.
+    from divzeta import ring
+
+    calls = []
+    expand = ring._expand_coeffs
+    monkeypatch.setattr(ring, "_expand_coeffs", lambda *args: calls.append(args) or expand(*args))
+    assert base**3 == base * base * base and not calls
+    for exponent in (-1, True):
+        with pytest.raises(ValueError, match=f"^{_BAD_EXPONENT}$"):
+            base**exponent
+    assert not calls
+    assert base**0 == unit
+    assert len(calls) == isinstance(base, TruncSeries)
 
 
 def test_series_pow_square_of_torus_zeta():
@@ -978,10 +989,14 @@ _LEAVES = leaf_images(_SMOOTH, SymbolicIdentity(), 2)
 # A rational symbolic component: its leaves run through t^order, not t^2g.
 _RATIONAL = parse_graph({"vertices": [vertex("z", 0)], "legs": ["z", "z", "z"]})
 # A curve every measure realizes, and an order each refuses.
-_ELLIPTIC = CurveModel.elliptic("e", 1)
+_ELLIPTIC = CurveModel("elliptic", "e", 1, trace=1)
 _CLASS_ORDERS = [
-    (measure, order)
-    for measure in (SymbolicIdentity(), EulerCharacteristic(), PointCount(7))
+    (label, measure, order)
+    for label, measure in (
+        ("symbolic", SymbolicIdentity()),
+        ("euler", EulerCharacteristic()),
+        ("point-count", PointCount(7)),
+    )
     for order in (-1, 1.5, 0.0)
 ]
 
@@ -1015,7 +1030,7 @@ _CLASS_ORDERS = [
         ),
         *[
             (functools.partial(measure.class_series, _ELLIPTIC, order), ValueError, _BAD_ORDER)
-            for measure, order in _CLASS_ORDERS
+            for _, measure, order in _CLASS_ORDERS
         ],
         (lambda: punctured_sym_class(_ELLIPTIC, 1, -1), ValueError, _BAD_ORDER),
         (lambda: punctured_sym_class(_ELLIPTIC, -1, 2), ValueError, "holes" + _NATURAL),
@@ -1076,7 +1091,7 @@ _CLASS_ORDERS = [
         "leaves-order-negative",
         "strata-class-order-float",
         "order-past-the-leaves",
-        *[f"{measure.name}-class-order-{order}" for measure, order in _CLASS_ORDERS],
+        *[f"{label}-class-order-{order}" for label, _, order in _CLASS_ORDERS],
         "punctured-degree-negative",
         "punctured-holes-negative",
         "pairs-degree-float",

@@ -51,26 +51,26 @@ def one_minus_t(order):
 
 
 def test_p1_with_two_punctures_is_torus_zeta():
-    series = one_vertex_zeta(CurveModel.projective_line("p"), 2, 3)
+    series = one_vertex_zeta(CurveModel("p1", "p", 0), 2, 3)
     expected = RationalFn([1, -1], [1, -L]).series(3)
     assert series == expected
 
 
 def test_p1_zeta_counts_projective_spaces():
-    series = one_vertex_zeta(CurveModel.projective_line("p"), 0, 3)
+    series = one_vertex_zeta(CurveModel("p1", "p", 0), 0, 3)
     assert series[2] == L**2 + L + 1
     assert series[3] == L**3 + L**2 + L + 1
 
 
 def test_symbolic_vertex_zeta():
-    series = one_vertex_zeta(CurveModel.symbolic("m", 3), 0, 2)
+    series = one_vertex_zeta(CurveModel("symbolic", "m", 3), 0, 2)
     assert series == TruncSeries([1, c("m", 1), c("m", 2)])
 
 
 def test_symbolic_vertex_with_puncture():
     # Cauchy product with (1-t), coefficients checked against a direct
     # convolution of the coefficient lists.
-    series = one_vertex_zeta(CurveModel.symbolic("m", 3), 1, 2)
+    series = one_vertex_zeta(CurveModel("symbolic", "m", 3), 1, 2)
     plain = [one(), c("m", 1), c("m", 2)]
     window = [one(), -one(), one() * 0]
     for d in range(3):
@@ -80,7 +80,7 @@ def test_symbolic_vertex_with_puncture():
 
 
 def test_elliptic_vertex_stays_symbolic():
-    series = one_vertex_zeta(CurveModel.elliptic("e", 2), 0, 2)
+    series = one_vertex_zeta(CurveModel("elliptic", "e", 1, trace=2), 0, 2)
     assert series == TruncSeries([1, c("e", 1), c("e", 2)])
 
 
@@ -109,7 +109,7 @@ def test_node_factor_rational_shape():
 
 def test_smooth_unmarked_vertex_equals_vertex_zeta():
     graph = parse_graph({"vertices": [vertex("m", 2)]})
-    expected = vertex_zeta_series(CurveModel.symbolic("m", 2), 10)
+    expected = vertex_zeta_series(CurveModel("symbolic", "m", 2), 10)
     for kind in ZetaKind:
         assert zeta_series(kind, graph, 10, free_leaves(graph, 10)) == expected
 
@@ -129,7 +129,7 @@ def test_divisorial_marked_first_coefficient():
 
 def test_hilbert_no_edges_is_vertex_product():
     graph = marked_curve(2)  # legs must be ignored
-    expected = vertex_zeta_series(CurveModel.symbolic("m", 2), 4)
+    expected = vertex_zeta_series(CurveModel("symbolic", "m", 2), 4)
     assert zeta_series(ZetaKind.HILBERT, graph, 4, free_leaves(graph, 4)) == expected
 
 
@@ -307,11 +307,11 @@ def smooth_curves(draw, q):
     kind = draw(st.sampled_from(("symbolic", "p1", "elliptic", "weil")))
     bound = math.isqrt(4 * q)
     if kind == "symbolic":
-        model = CurveModel.symbolic("m", draw(st.integers(0, 3)))
+        model = CurveModel("symbolic", "m", draw(st.integers(0, 3)))
     elif kind == "p1":
-        model = CurveModel.projective_line("m")
+        model = CurveModel("p1", "m", 0)
     elif kind == "elliptic":
-        model = CurveModel.elliptic("m", draw(st.integers(-bound, bound)))
+        model = CurveModel("elliptic", "m", 1, trace=draw(st.integers(-bound, bound)))
     else:
         genus = draw(st.integers(1, 3))
         if draw(st.booleans()):
@@ -321,7 +321,7 @@ def smooth_curves(draw, q):
             numerator = low + [low[j] * q ** (genus - j) for j in reversed(range(genus))]
         else:
             numerator = [1] + draw(st.lists(st.integers(-3, 3), max_size=2 * genus - 1))
-        model = CurveModel.weil("m", numerator, genus)
+        model = CurveModel("weil", "m", genus, numerator=numerator)
     return DualGraph((Vertex("m", model, draw(st.integers(0, 3))),), (), ())
 
 
